@@ -12,12 +12,10 @@
 //! * `semisort` — the SEM secondary sort key (§IV-C): block-cache hit rate
 //!   with a large vs tiny cache, quantifying how much the semi-sorted
 //!   visit order is worth to the storage layer.
-//! * `mailbox` — lock-free segmented MPSC + event-count parking vs the
-//!   mutex/condvar inbox across oversubscribed thread counts.
 //!
 //! Run: `cargo run -p asyncgt-bench --release --bin ablation -- [cmd]`
 
-use asyncgt::{bfs, connected_components, sssp, Config, MailboxImpl};
+use asyncgt::{bfs, connected_components, sssp, Config};
 use asyncgt_baselines::serial;
 use asyncgt_bench::table::{ratio, secs, Table};
 use asyncgt_bench::workloads::{as_sem, rmat_directed, rmat_undirected, rmat_weighted};
@@ -278,44 +276,6 @@ fn relabel() {
     println!("Mehlhorn-Meyer layout idea this approximates).\n");
 }
 
-fn mailbox() {
-    banner("Ablation: remote-delivery mailbox (lock-free MPSC vs mutex inbox)");
-    let scale = std::env::var("ASYNCGT_MAILBOX_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15);
-    let g = rmat_directed(RmatParams::RMAT_A, scale);
-    let mut t = Table::new(vec![
-        "threads",
-        "lock time(s)",
-        "lockfree time(s)",
-        "speedup",
-        "lock parks",
-        "lockfree parks",
-    ]);
-    for threads in [1usize, 16, 64, 256] {
-        let run = |m: MailboxImpl| {
-            let cfg = Config::with_threads(threads).with_mailbox(m);
-            time(|| bfs(&g, 0, &cfg))
-        };
-        let (lk, t_lk) = run(MailboxImpl::Lock);
-        let (lf, t_lf) = run(MailboxImpl::LockFree);
-        assert_eq!(lk.dist, lf.dist, "mailbox impls must agree on results");
-        t.row(vec![
-            threads.to_string(),
-            secs(t_lk),
-            secs(t_lf),
-            ratio(t_lk.as_secs_f64(), t_lf.as_secs_f64()),
-            lk.stats.parks.to_string(),
-            lf.stats.parks.to_string(),
-        ]);
-    }
-    t.print();
-    println!("the lock-free path publishes a whole remote batch with one CAS and wakes");
-    println!("the owner only on the empty→non-empty edge; under oversubscription this");
-    println!("removes the per-flush mutex handoff and most condvar syscalls.\n");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run_all = args.is_empty();
@@ -337,8 +297,5 @@ fn main() {
     }
     if want("relabel") {
         relabel();
-    }
-    if want("mailbox") {
-        mailbox();
     }
 }

@@ -8,7 +8,7 @@ pub struct Args {
     switches: Vec<String>,
 }
 
-/// Flags that take a value; everything else starting with `--` is a switch.
+/// Flags that take a value.
 const VALUED: &[&str] = &[
     "--scale",
     "--edge-factor",
@@ -30,7 +30,6 @@ const VALUED: &[&str] = &[
     "--retry-backoff-us",
     "--retry-deadline-ms",
     "--io-batch",
-    "--mailbox",
     "--readahead",
     "--prefetch-threads",
     "--algo",
@@ -38,6 +37,16 @@ const VALUED: &[&str] = &[
     "--max-concurrent",
     "--queue-depth",
     "-o",
+];
+
+/// Boolean switches, named without their `--`. Any other `--flag` is a
+/// usage error, so a typo cannot silently run with defaults.
+const SWITCHES: &[&str] = &[
+    "metrics",
+    "validate",
+    "undirected",
+    "fault-permanent",
+    "no-verify-checksums",
 ];
 
 impl Args {
@@ -52,6 +61,9 @@ impl Args {
                     .ok_or_else(|| format!("flag {a} requires a value"))?;
                 out.flags.push((a.clone(), v.clone()));
             } else if let Some(name) = a.strip_prefix("--") {
+                if !SWITCHES.contains(&name) {
+                    return Err(format!("unknown flag {a:?}"));
+                }
                 out.switches.push(name.to_string());
             } else {
                 out.positional.push(a.clone());
@@ -123,6 +135,18 @@ mod tests {
         assert_eq!(a.get_parsed("--scale", 14u32).unwrap(), 14);
         let bad = Args::parse(&argv("--threads twelve")).unwrap();
         assert!(bad.get_parsed::<usize>("--threads", 1).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_naming_the_flag() {
+        for (line, flag) in [
+            ("in.agt --valdiate", "--valdiate"),
+            ("in.agt --thread 8", "--thread"),
+            ("in.agt --mailbox lock", "--mailbox"),
+        ] {
+            let err = Args::parse(&argv(line)).unwrap_err();
+            assert!(err.contains(flag), "{line}: {err}");
+        }
     }
 
     #[test]

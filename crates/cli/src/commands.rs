@@ -13,7 +13,7 @@ use asyncgt::storage::{
 };
 use asyncgt::{
     try_bfs_recorded, try_connected_components_recorded, try_sssp_recorded, with_engine, Config,
-    EngineOpts, MailboxImpl, TraversalError,
+    EngineOpts, TraversalError,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,12 +85,6 @@ bfs/sssp each entry of --sources is one single-source query (--count N
 cycles the list to N queries); for cc, --count sets how many full CC
 queries run. --max-concurrent bounds in-flight queries (default 8);
 --queue-depth bounds the admission queue behind it (default 64).
-
-queue runtime (traversal subcommands):
-  --mailbox lock|lockfree
-                        remote-delivery mailbox: lock-free segmented MPSC
-                        with event-count parking (default) or the mutex +
-                        condvar baseline
 
 I/O scheduler (traversal subcommands):
   --io-batch N          visitors drained per service round; batches above 1
@@ -363,11 +357,8 @@ fn cmd_queries(args: &Args) -> Result<(), CliError> {
 
     let sem_cfg = sem_config(args, recorder.clone())?;
     let sem = SemGraph::open_with(path, sem_cfg).map_err(|e| rt(format!("open {path}: {e}")))?;
-    let mailbox = args.get_parsed("--mailbox", MailboxImpl::default())?;
     let opts = EngineOpts {
-        cfg: Config::with_threads(threads)
-            .with_io_batch(args.get_parsed("--io-batch", 1usize)?)
-            .with_mailbox(mailbox),
+        cfg: Config::with_threads(threads).with_io_batch(args.get_parsed("--io-batch", 1usize)?),
         max_concurrent: args.get_parsed("--max-concurrent", 8usize)?,
         queue_depth: args.get_parsed("--queue-depth", 64usize)?,
         ..Default::default()
@@ -534,10 +525,7 @@ fn traverse(args: &Args, algo: Algo) -> Result<(), CliError> {
 
     let sem_cfg = sem_config(args, recorder.clone())?;
     let sem = SemGraph::open_with(path, sem_cfg).map_err(|e| rt(format!("open {path}: {e}")))?;
-    let mailbox = args.get_parsed("--mailbox", MailboxImpl::default())?;
-    let cfg = Config::with_threads(threads)
-        .with_io_batch(args.get_parsed("--io-batch", 1usize)?)
-        .with_mailbox(mailbox);
+    let cfg = Config::with_threads(threads).with_io_batch(args.get_parsed("--io-batch", 1usize)?);
 
     let t = Instant::now();
     let run_stats = match algo {
@@ -780,18 +768,16 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_flag_selects_implementation() {
-        let agt = tmp("cli_mailbox.agt");
-        run(&format!("generate rmat --scale 8 -o {agt}")).unwrap();
-        run(&format!("bfs {agt} --threads 4 --mailbox lock --validate")).unwrap();
-        run(&format!(
-            "bfs {agt} --threads 4 --mailbox lockfree --validate"
-        ))
-        .unwrap();
-        assert!(matches!(
-            run(&format!("bfs {agt} --mailbox spinlock")),
-            Err(CliError::Usage(_))
-        ));
+    fn unknown_flags_are_usage_errors() {
+        for extra in ["--valdiate", "--thread 8"] {
+            match run(&format!("bfs g.agt {extra}")) {
+                Err(CliError::Usage(msg)) => {
+                    let flag = extra.split(' ').next().unwrap();
+                    assert!(msg.contains(flag), "{extra}: {msg}");
+                }
+                other => panic!("{extra}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

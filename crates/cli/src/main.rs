@@ -24,12 +24,12 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&argv) {
         Ok(()) => ExitCode::SUCCESS,
-        // Malformed invocation: diagnostic plus the usage text.
+        // Malformed invocation: diagnostic plus the usage text, exit 2.
         Err(commands::CliError::Usage(e)) => {
             eprintln!("agt: {e}");
             eprintln!();
             eprintln!("{}", commands::USAGE);
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
         // Operational failure (I/O, storage fault, failed validation):
         // a single-line diagnostic, no usage spam.

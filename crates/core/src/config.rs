@@ -1,7 +1,6 @@
 //! Traversal configuration.
 
-use asyncgt_vq::{MailboxImpl, VqConfig};
-use std::time::Duration;
+use asyncgt_vq::VqConfig;
 
 /// Configuration shared by all asynchronous traversals.
 #[derive(Clone, Debug)]
@@ -23,14 +22,6 @@ pub struct Config {
     /// fidelity; the `ablation` bench measures its effect.
     pub prune_pushes: bool,
 
-    /// Idle-worker spin iterations before parking (see
-    /// [`VqConfig::spin_iters`]).
-    pub spin_iters: u32,
-
-    /// Park-timeout bound for idle workers (see
-    /// [`VqConfig::park_timeout`]).
-    pub park_timeout: Duration,
-
     /// Priority-class width override for the bucketed queues, as a right
     /// shift of the visitor priority. `None` (default) picks per
     /// algorithm: exact levels for BFS, `lg(n) − 9` for weighted SSSP
@@ -50,11 +41,6 @@ pub struct Config {
     /// fewer, larger device requests. `1` (default) preserves the classic
     /// one-visitor service loop; results are identical at any setting.
     pub io_batch: usize,
-
-    /// Remote-delivery mailbox implementation (see
-    /// [`MailboxImpl`]). Lock-free by default; the mutex path stays
-    /// selectable so the `mailbox` ablation can A/B the two.
-    pub mailbox: MailboxImpl,
 }
 
 impl Config {
@@ -78,23 +64,14 @@ impl Config {
         self
     }
 
-    /// Select the remote-delivery mailbox (see [`Config::mailbox`]).
-    pub fn with_mailbox(mut self, mailbox: MailboxImpl) -> Self {
-        self.mailbox = mailbox;
-        self
-    }
-
     /// Derive the underlying visitor-queue configuration.
     /// `default_shift` is the per-algorithm class width used when the user
     /// did not override [`Config::priority_shift`].
     pub(crate) fn vq(&self, default_shift: u32) -> VqConfig {
         let mut vq = VqConfig::with_threads(self.num_threads);
-        vq.spin_iters = self.spin_iters;
-        vq.park_timeout = self.park_timeout;
         vq.priority_shift = self.priority_shift.unwrap_or(default_shift);
         vq.sort_buckets = self.sort_buckets;
         vq.batch_drain = self.io_batch.max(1);
-        vq.mailbox = self.mailbox;
         vq
     }
 }
@@ -106,16 +83,12 @@ pub(crate) fn lg2(n: u64) -> u32 {
 
 impl Default for Config {
     fn default() -> Self {
-        let vq = VqConfig::default();
         Config {
-            num_threads: vq.num_threads,
+            num_threads: VqConfig::default().num_threads,
             prune_pushes: false,
-            spin_iters: vq.spin_iters,
-            park_timeout: vq.park_timeout,
             priority_shift: None,
             sort_buckets: true,
             io_batch: 1,
-            mailbox: vq.mailbox,
         }
     }
 }
@@ -139,10 +112,12 @@ mod tests {
     #[test]
     fn vq_config_inherits_fields() {
         let mut c = Config::with_threads(9);
-        c.spin_iters = 3;
+        c.priority_shift = Some(3);
+        c.sort_buckets = false;
         let vq = c.vq(0);
         assert_eq!(vq.num_threads, 9);
-        assert_eq!(vq.spin_iters, 3);
+        assert_eq!(vq.priority_shift, 3);
+        assert!(!vq.sort_buckets);
         assert_eq!(vq.batch_drain, 1, "default stays single-visitor");
     }
 
@@ -152,13 +127,5 @@ mod tests {
         let c = Config::with_threads(2).with_io_batch(32);
         assert_eq!(c.io_batch, 32);
         assert_eq!(c.vq(0).batch_drain, 32);
-    }
-
-    #[test]
-    fn mailbox_builder_propagates() {
-        assert_eq!(Config::default().mailbox, MailboxImpl::LockFree);
-        let c = Config::with_threads(2).with_mailbox(MailboxImpl::Lock);
-        assert_eq!(c.mailbox, MailboxImpl::Lock);
-        assert_eq!(c.vq(0).mailbox, MailboxImpl::Lock);
     }
 }

@@ -7,8 +7,8 @@
 //! pure overhead for a serving workload that answers many small queries
 //! over one graph. This module keeps the pool alive:
 //!
-//! * **Workers spawn once** per [`with_engine`] call and park on the
-//!   mailbox event-count protocol when idle.
+//! * **Workers spawn once** per [`with_engine`] call and park on their
+//!   mailbox's condvar when idle.
 //! * **Queries multiplex**: visitors are tagged with a compact query id,
 //!   each query terminates on its own in-flight counter, and admission
 //!   control ([`EngineOpts::max_concurrent`]) bounds how many run at once.
@@ -57,7 +57,7 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct EngineOpts {
     /// Traversal/runtime knobs shared with the one-shot API (threads,
-    /// pruning, batch drain, mailbox…). [`Config::priority_shift`]
+    /// pruning, batch drain…). [`Config::priority_shift`]
     /// overrides the engine-wide bucket class width; the default is the
     /// CC-style coarse `lg(n) − 10`, which keeps every algorithm's
     /// priority span inside the bucket ring for mixed workloads.
@@ -492,7 +492,6 @@ where
         max_concurrent: opts.max_concurrent.max(1),
         queue_depth: opts.queue_depth,
         submit_timeout: opts.submit_timeout,
-        ..EngineConfig::default()
     };
     let pool = Arc::new(StatePool::new(n as usize));
     let prune = opts.cfg.prune_pushes;

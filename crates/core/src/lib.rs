@@ -82,4 +82,3 @@ pub use asyncgt_vq as vq;
 
 pub use asyncgt_graph::{CsrGraph, Graph, Vertex, Weight, INF_DIST, NO_VERTEX};
 pub use asyncgt_storage::SemGraph;
-pub use asyncgt_vq::MailboxImpl;

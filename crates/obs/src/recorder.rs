@@ -73,16 +73,6 @@ pub enum Counter {
     ReadsMerged,
     /// Adjacency block lookups served by a speculative readahead block.
     ReadaheadHits,
-    /// Failed publish CAS attempts on a lock-free mailbox (contention
-    /// signal; each retry re-reads the head and tries again).
-    MailboxCasRetries,
-    /// Segments published into lock-free mailboxes (one per batched
-    /// delivery, so `visitors / segments` is the delivery batch factor).
-    MailboxSegments,
-    /// Futex-style owner wakeups issued by mailbox producers on the
-    /// empty→non-empty edge (lock-free path only; the mutex path counts
-    /// condvar wakes under `wakes`).
-    MailboxNotifies,
     /// Queries accepted by `Engine::submit` (admitted or queued).
     QueriesSubmitted,
     /// Queries that ran to completion (termination detected).
@@ -95,7 +85,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 24] = [
         Counter::VisitorsPushed,
         Counter::VisitorsExecuted,
         Counter::LocalPushes,
@@ -116,9 +106,6 @@ impl Counter {
         Counter::BlocksCoalesced,
         Counter::ReadsMerged,
         Counter::ReadaheadHits,
-        Counter::MailboxCasRetries,
-        Counter::MailboxSegments,
-        Counter::MailboxNotifies,
         Counter::QueriesSubmitted,
         Counter::QueriesCompleted,
         Counter::QueriesAborted,
@@ -148,9 +135,6 @@ impl Counter {
             Counter::BlocksCoalesced => "blocks_coalesced",
             Counter::ReadsMerged => "reads_merged",
             Counter::ReadaheadHits => "readahead_hits",
-            Counter::MailboxCasRetries => "mailbox_cas_retries",
-            Counter::MailboxSegments => "mailbox_segments",
-            Counter::MailboxNotifies => "mailbox_notifies",
             Counter::QueriesSubmitted => "queries_submitted",
             Counter::QueriesCompleted => "queries_completed",
             Counter::QueriesAborted => "queries_aborted",
@@ -182,16 +166,13 @@ pub enum HistKind {
     InflightDepth,
     /// Visitors drained from the bucket queue per service round.
     BatchDrainSize,
-    /// Nanoseconds from a mailbox segment's publish to its drain by the
-    /// owning worker (remote delivery latency, lock-free path).
-    MailboxDeliveryNs,
     /// Nanoseconds from `Engine::submit` accepting a query to its
     /// termination (queueing delay under admission control included).
     QueryLatencyNs,
 }
 
 impl HistKind {
-    pub const ALL: [HistKind; 10] = [
+    pub const ALL: [HistKind; 9] = [
         HistKind::ServiceTimeNs,
         HistKind::InboxBatchSize,
         HistKind::QueueDepth,
@@ -200,7 +181,6 @@ impl HistKind {
         HistKind::CoalescedReadBlocks,
         HistKind::InflightDepth,
         HistKind::BatchDrainSize,
-        HistKind::MailboxDeliveryNs,
         HistKind::QueryLatencyNs,
     ];
 
@@ -215,7 +195,6 @@ impl HistKind {
             HistKind::CoalescedReadBlocks => "coalesced_read_blocks",
             HistKind::InflightDepth => "inflight_depth",
             HistKind::BatchDrainSize => "batch_drain_size",
-            HistKind::MailboxDeliveryNs => "mailbox_delivery_ns",
             HistKind::QueryLatencyNs => "query_latency_ns",
         }
     }

@@ -172,6 +172,6 @@ mod tests {
     fn empty_snapshot_renders_without_panic() {
         let r = ShardedRecorder::new(0);
         let text = render_summary(&r.snapshot());
-        assert!(text.contains("metrics (schema v1"));
+        assert!(text.contains("metrics (schema v2"));
     }
 }

@@ -6,11 +6,11 @@
 //! schema is versioned ([`SCHEMA_VERSION`]); additive changes keep the
 //! version, field renames or removals bump it.
 //!
-//! Schema (version 1):
+//! Schema (version 2):
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
+//!   "schema_version": 2,
 //!   "num_workers": 4,
 //!   "elapsed_secs": 0.123,
 //!   "counters": { "visitors_pushed": 100, ... },
@@ -37,7 +37,7 @@ use crate::json::{self, Value};
 use crate::recorder::HistKind;
 
 /// Version of the JSON schema emitted by [`MetricsSnapshot::to_json`].
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Counter values for one worker shard, in [`crate::Counter::ALL`] order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -580,7 +580,7 @@ mod tests {
         let snap = sample_snapshot();
         assert_eq!(snap.to_json_string(), snap.to_json_string());
         let text = snap.to_json_string();
-        assert!(text.contains("\"schema_version\": 1"));
+        assert!(text.contains("\"schema_version\": 2"));
         assert!(text.contains("\"visitors_pushed\": 10"));
         assert!(text.contains("\"service_time_ns\""));
         assert!(text.contains("\"adjacency_reads\": 4"));
@@ -600,7 +600,7 @@ mod tests {
         let snap = sample_snapshot();
         let text = snap
             .to_json_string()
-            .replace("\"schema_version\": 1", "\"schema_version\": 999");
+            .replace("\"schema_version\": 2", "\"schema_version\": 999");
         assert!(MetricsSnapshot::from_json_str(&text)
             .unwrap_err()
             .contains("schema_version"));

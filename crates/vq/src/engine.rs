@@ -5,8 +5,8 @@
 //! one for a service answering a stream of them (thread spawn/teardown and
 //! cold mailboxes on every request). This module keeps the worker pool
 //! alive across traversals: workers are spawned **once** per
-//! [`EngineConfig`], park on the mailbox event-count protocol when idle,
-//! and serve queries submitted through [`Engine::submit`].
+//! [`EngineConfig`], park on their mailbox's condvar when idle, and serve
+//! queries submitted through [`Engine::submit`].
 //!
 //! Every visitor is tagged with a compact **query id**. Routing, mailboxes,
 //! outbox batching and the private per-worker priority queues are all
@@ -82,7 +82,7 @@
 
 use crate::bucket::BucketQueue;
 use crate::config::VqConfig;
-use crate::mailbox::{self, Mailbox};
+use crate::mailbox::Mailbox;
 use crate::queue::{route_of, AbortedRun, RunStats};
 use crate::visitor::{AbortReason, FallibleVisitHandler, Visitor};
 use asyncgt_obs::{Counter, Gauge, HistKind, Recorder};
@@ -95,9 +95,8 @@ use std::time::{Duration, Instant};
 /// Configuration for a persistent [`Engine`] (see [`scoped`]).
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker-pool configuration: thread count, queue policy, mailbox
-    /// implementation. Workers are spawned once from this; every query
-    /// shares them.
+    /// Worker-pool configuration: thread count and queue policy. Workers
+    /// are spawned once from this; every query shares them.
     pub vq: VqConfig,
     /// Queries allowed to execute simultaneously (default 8). Submits
     /// beyond this wait in the bounded queue.
@@ -109,11 +108,6 @@ pub struct EngineConfig {
     /// How long a blocked [`Engine::submit`] waits for capacity before
     /// giving up with [`SubmitError::Rejected`] (default 10 s).
     pub submit_timeout: Duration,
-    /// Upper bound on a single idle park between queries (default 250 ms).
-    /// Longer than [`VqConfig::park_timeout`] because an idle engine has
-    /// nothing to poll for — wakes come from submits — so reparking rarely
-    /// keeps idle CPU near zero.
-    pub idle_park_timeout: Duration,
 }
 
 impl Default for EngineConfig {
@@ -123,7 +117,6 @@ impl Default for EngineConfig {
             max_concurrent: 8,
             queue_depth: 64,
             submit_timeout: Duration::from_secs(10),
-            idle_park_timeout: Duration::from_millis(250),
         }
     }
 }
@@ -331,11 +324,9 @@ struct EngineShared<'h, V: Visitor> {
 }
 
 impl<'h, V: Visitor> EngineShared<'h, V> {
-    fn new(cfg: &EngineConfig, num_threads: usize) -> Self {
+    fn new(num_threads: usize) -> Self {
         EngineShared {
-            inboxes: (0..num_threads)
-                .map(|_| Mailbox::new(cfg.vq.mailbox, num_threads))
-                .collect(),
+            inboxes: (0..num_threads).map(|_| Mailbox::new()).collect(),
             queries: RwLock::new(HashMap::new()),
             admission: Mutex::new(Admission {
                 active: 0,
@@ -398,12 +389,11 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
     /// pending counter, and deliver its seed groups. Returns `true` for
     /// the empty-seed degenerate case (the caller must retire it — no
     /// worker ever will).
-    fn activate<R: Recorder>(
+    fn activate(
         &self,
         query: &Arc<QueryShared<'h, V>>,
         mut groups: Vec<Vec<Tagged<V>>>,
         seeded: u64,
-        recorder: &R,
     ) -> bool {
         // Table insert first (workers must be able to look the qid up the
         // moment a seed lands), counter before delivery (a delivered seed
@@ -411,7 +401,7 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
         self.queries.write().insert(query.qid, Arc::clone(query));
         query.pending.store(seeded, Ordering::Release);
         for (dest, group) in groups.iter_mut().enumerate() {
-            self.inboxes[dest].deliver(group, mailbox::NO_PRODUCER, recorder);
+            self.inboxes[dest].deliver(group);
         }
         // Poison may have run between the admission decision and the table
         // insert, missing this query in both its sweeps. Either its flag
@@ -485,7 +475,7 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
                 groups,
                 seeded,
             } = p;
-            next = if self.activate(&query, groups, seeded, recorder) {
+            next = if self.activate(&query, groups, seeded) {
                 self.retire(&query, recorder)
             } else {
                 None
@@ -695,7 +685,7 @@ impl<'s, 'h, V: Visitor, R: Recorder> Engine<'s, 'h, V, R> {
                         .gauge_max(Gauge::ActiveQueriesHwm, adm.active as u64);
                 }
                 drop(adm);
-                if shared.activate(&query, groups, seeded, self.recorder) {
+                if shared.activate(&query, groups, seeded) {
                     // No seeds: nothing will ever decrement pending, so the
                     // query finalizes here (possibly chaining successors).
                     shared.finalize(&query, self.recorder);
@@ -794,9 +784,34 @@ where
     V: Visitor + 'env,
     R: Recorder,
 {
+    scoped_with_park(cfg, ENGINE_PARK, recorder, f)
+}
+
+/// Upper bound on one idle park in a persistent engine. Long, because an
+/// idle engine has nothing to poll for: wakes come from submits and
+/// teardown, so reparking rarely keeps idle CPU near zero.
+const ENGINE_PARK: Duration = Duration::from_millis(250);
+
+/// Upper bound on one idle park in a one-shot run. Short until the
+/// one-shot park question in DESIGN.md §14 is settled.
+const ONE_SHOT_PARK: Duration = Duration::from_millis(1);
+
+/// [`scoped`] with the workers' idle park bound. Every wake is delivered
+/// under the mail lock, so `park` is a backstop, never a correctness
+/// requirement (see the mailbox module docs).
+fn scoped_with_park<'env, V, R, T>(
+    cfg: &EngineConfig,
+    park: Duration,
+    recorder: &R,
+    f: impl FnOnce(&Engine<'_, 'env, V, R>) -> T,
+) -> (T, EngineStats)
+where
+    V: Visitor + 'env,
+    R: Recorder,
+{
     let num_threads = cfg.vq.num_threads.max(1);
     let start = Instant::now();
-    let shared: EngineShared<'env, V> = EngineShared::new(cfg, num_threads);
+    let shared: EngineShared<'env, V> = EngineShared::new(num_threads);
     let mut parks: u64 = 0;
     let mut inbox_batches: u64 = 0;
     let out = std::thread::scope(|scope| {
@@ -808,7 +823,9 @@ where
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("vq-worker-{id}"))
-                    .spawn_scoped(scope, move || engine_worker(shared, id, cfg, recorder))
+                    .spawn_scoped(scope, move || {
+                        engine_worker(shared, id, cfg, park, recorder)
+                    })
                     .expect("spawn engine worker"),
             );
         }
@@ -876,10 +893,10 @@ impl<'a, 'h, V: Visitor> Drop for WorkerPoisonGuard<'a, 'h, V> {
 /// Per-worker buffers of visitors addressed to other workers' queues.
 ///
 /// Remote pushes are staged here and delivered in batches, amortizing the
-/// publish CAS (or inbox lock) and (more importantly on oversubscribed
-/// hosts) the wake-a-parked-thread syscall over many visitors instead of
-/// paying both per push. Shared by all queries — batching is a property of
-/// the worker, accounting a property of the query.
+/// inbox lock and (more importantly on oversubscribed hosts) the
+/// wake-a-parked-thread syscall over many visitors instead of paying both
+/// per push. Shared by all queries — batching is a property of the
+/// worker, accounting a property of the query.
 struct Outbox<T: Visitor> {
     buffers: Vec<Vec<T>>,
     /// Total staged visitors across all buffers.
@@ -893,8 +910,8 @@ struct Outbox<T: Visitor> {
 
 /// Per-destination delivery threshold. Flushing a buffer only once this
 /// many visitors have accumulated for that destination keeps each
-/// delivery (one publish CAS or one lock acquisition) amortized over a
-/// real batch even when pushes fan out across many queues.
+/// delivery (one lock acquisition) amortized over a real batch even when
+/// pushes fan out across many queues.
 const FLUSH_PER_DEST: usize = 128;
 
 impl<T: Visitor> Outbox<T> {
@@ -908,24 +925,24 @@ impl<T: Visitor> Outbox<T> {
 
     /// Deliver every staged visitor to its mailbox and wake owners whose
     /// mailbox transitioned from empty.
-    fn flush<R: Recorder>(&mut self, inboxes: &[Mailbox<T>], worker_id: usize, recorder: &R) {
+    fn flush(&mut self, inboxes: &[Mailbox<T>]) {
         self.ready.clear();
         if self.staged == 0 {
             return;
         }
         for (q, buf) in self.buffers.iter_mut().enumerate() {
-            inboxes[q].deliver(buf, worker_id, recorder);
+            inboxes[q].deliver(buf);
         }
         self.staged = 0;
     }
 
     /// Deliver only the destinations whose buffers crossed
     /// [`FLUSH_PER_DEST`] (they may have grown further since).
-    fn flush_ready<R: Recorder>(&mut self, inboxes: &[Mailbox<T>], worker_id: usize, recorder: &R) {
+    fn flush_ready(&mut self, inboxes: &[Mailbox<T>]) {
         while let Some(q) = self.ready.pop() {
             let buf = &mut self.buffers[q];
             self.staged -= buf.len() as u64;
-            inboxes[q].deliver(buf, worker_id, recorder);
+            inboxes[q].deliver(buf);
         }
     }
 }
@@ -1039,6 +1056,10 @@ impl Ledger {
     }
 }
 
+/// Idle spin iterations before a worker parks: short, because parked
+/// threads free the core under oversubscription.
+const SPIN_ITERS: u32 = 16;
+
 /// First idle-spin tier: iterations spent in [`std::hint::spin_loop`]
 /// bursts (cheap, keeps the core; right when mail is nanoseconds away)
 /// before the loop falls back to [`std::thread::yield_now`] (frees the
@@ -1074,10 +1095,10 @@ fn engine_worker<'h, V: Visitor, R: Recorder>(
     shared: &EngineShared<'h, V>,
     id: usize,
     cfg: &EngineConfig,
+    park: Duration,
     recorder: &R,
 ) -> WorkerTotals {
     let inbox = &shared.inboxes[id];
-    inbox.register_owner();
     let mut heap: BucketQueue<Tagged<V>> =
         BucketQueue::new(cfg.vq.priority_shift, cfg.vq.sort_buckets);
     let mut outbox: Outbox<Tagged<V>> = Outbox::new(shared.inboxes.len());
@@ -1221,12 +1242,12 @@ fn engine_worker<'h, V: Visitor, R: Recorder>(
                     if R::ENABLED {
                         recorder.counter(Counter::OutboxFlushes, 1);
                     }
-                    outbox.flush_ready(&shared.inboxes, id, recorder);
+                    outbox.flush_ready(&shared.inboxes);
                 } else if outbox.staged >= outbox_max_staged {
                     if R::ENABLED {
                         recorder.counter(Counter::OutboxFlushes, 1);
                     }
-                    outbox.flush(&shared.inboxes, id, recorder);
+                    outbox.flush(&shared.inboxes);
                 }
             }
             continue;
@@ -1238,7 +1259,7 @@ fn engine_worker<'h, V: Visitor, R: Recorder>(
         if R::ENABLED && outbox.staged > 0 {
             recorder.counter(Counter::OutboxFlushes, 1);
         }
-        outbox.flush(&shared.inboxes, id, recorder);
+        outbox.flush(&shared.inboxes);
         if let Some(q) = cur.take() {
             led.settle(shared, &q, recorder);
         }
@@ -1251,7 +1272,7 @@ fn engine_worker<'h, V: Visitor, R: Recorder>(
         let spin_budget = if shared.active_count.load(Ordering::Relaxed) == 0 {
             0
         } else {
-            cfg.vq.spin_iters
+            SPIN_ITERS
         };
         let mut spun: u32 = 0;
         while spun < spin_budget {
@@ -1275,12 +1296,7 @@ fn engine_worker<'h, V: Visitor, R: Recorder>(
         // drained into the heap before idle_wait returns. Unlike the
         // single-run loop there is no pending==0 exit: an idle engine
         // worker parks and waits for the next query.
-        let idle = inbox.idle_wait(
-            &mut heap,
-            || shared.stopping(),
-            cfg.idle_park_timeout,
-            recorder,
-        );
+        let idle = inbox.idle_wait(&mut heap, || shared.stopping(), park, recorder);
         totals.parks += idle.parks;
         if idle.exit {
             break 'outer;
@@ -1327,15 +1343,19 @@ where
         max_concurrent: 1,
         queue_depth: 0,
         submit_timeout: Duration::ZERO,
-        idle_park_timeout: cfg.park_timeout,
     };
     let start = Instant::now();
-    let (result, estats) = scoped(&ecfg, recorder, |engine: &Engine<'_, '_, V, R>| {
-        let ticket = engine
-            .submit_borrowed(handler, seeds)
-            .expect("single submit on an empty engine cannot be refused");
-        ticket.wait()
-    });
+    let (result, estats) = scoped_with_park(
+        &ecfg,
+        ONE_SHOT_PARK,
+        recorder,
+        |engine: &Engine<'_, '_, V, R>| {
+            let ticket = engine
+                .submit_borrowed(handler, seeds)
+                .expect("single submit on an empty engine cannot be refused");
+            ticket.wait()
+        },
+    );
     let elapsed = start.elapsed();
     let build = |qs: QueryStats| RunStats {
         visitors_executed: qs.visitors_executed,
@@ -1672,6 +1692,34 @@ mod tests {
         assert_eq!(hops.visits.load(AO::Relaxed), n_queries * 100);
         assert_eq!(stats.queries, n_queries);
         assert_eq!(stats.num_threads, 8, "one pool serves all queries");
+    }
+
+    #[test]
+    fn teardown_wakes_parked_workers_promptly() {
+        // Workers head for their idle park the moment the last query
+        // finishes, racing the shutdown wake. A lost wake leaves a worker
+        // asleep for the whole park bound, and the join waits on it.
+        let cfg = EngineConfig::with_vq(VqConfig::with_threads(4));
+        let h = Arc::new(ChainHandler {
+            end: 64,
+            visits: AtomicU64::new(0),
+        });
+        for round in 0..50 {
+            let mut closed = Instant::now();
+            scoped(&cfg, &NoopRecorder, |engine| {
+                engine
+                    .submit(h.clone() as Arc<DynHandler<'_, Chain>>, [Chain(0)])
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                closed = Instant::now();
+            });
+            let teardown = closed.elapsed();
+            assert!(
+                teardown < ENGINE_PARK / 2,
+                "round {round}: teardown took {teardown:?}, a parked worker missed its wake"
+            );
+        }
     }
 
     #[test]

@@ -71,12 +71,12 @@ pub mod bucket;
 pub mod config;
 pub mod dary;
 pub mod engine;
-pub mod mailbox;
+mod mailbox;
 pub mod queue;
 pub mod state;
 pub mod visitor;
 
-pub use config::{MailboxImpl, VqConfig};
+pub use config::VqConfig;
 pub use engine::{
     scoped, DynHandler, Engine, EngineConfig, EngineStats, PushCtx, QueryError, QueryStats,
     QueryTicket, SubmitError,

@@ -5,13 +5,11 @@
 //! * a **private priority queue** (`BucketQueue`: O(1) bucketed
 //!   priorities with optional within-bucket semi-sort) that only its owner
 //!   touches — no lock;
-//! * a shared **mailbox** (`Mailbox`) other workers deliver into — by
-//!   default a lock-free segmented MPSC chain with event-count parking
-//!   (no mutex on the delivery path), with the original `Mutex<Vec<V>>`
-//!   inbox selectable via [`VqConfig::mailbox`] for A/B ablation;
+//! * a shared **mailbox** (`Mailbox`) other workers deliver into: a
+//!   `Mutex<Vec<V>>` inbox whose condvar parks the idle owner;
 //! * an **outbox** staging remote pushes, flushed in batches so the
-//!   publish CAS (or inbox lock) and the wake-a-parked-owner syscall are
-//!   amortized over many visitors — the mechanism by which the paper's
+//!   inbox lock and the wake-a-parked-owner syscall are amortized over
+//!   many visitors — the mechanism by which the paper's
 //!   "multiple queues with a hash function reduces lock contention".
 //!
 //! Termination uses a single global counter of *incomplete* visitors:

@@ -1,26 +1,23 @@
-//! Mailbox equivalence matrix: both delivery implementations, across
-//! thread counts and drain batch sizes, must preserve every engine
-//! invariant — identical visit counts on a deterministic workload,
-//! exact priority order single-threaded, same-vertex exclusivity, and
-//! prompt teardown on abort or panic.
+//! Mailbox matrix: across thread counts and drain batch sizes, remote
+//! delivery must preserve every engine invariant — identical visit counts
+//! on a deterministic workload, exact priority order single-threaded,
+//! same-vertex exclusivity, and prompt teardown on abort or panic.
 
 use asyncgt_vq::{
-    AbortReason, FallibleVisitHandler, MailboxImpl, PushCtx, VisitHandler, Visitor, VisitorQueue,
-    VqConfig,
+    AbortReason, FallibleVisitHandler, PushCtx, VisitHandler, Visitor, VisitorQueue, VqConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-const IMPLS: [MailboxImpl; 2] = [MailboxImpl::Lock, MailboxImpl::LockFree];
 const THREADS: [usize; 4] = [1, 4, 16, 64];
 const BATCHES: [usize; 2] = [1, 8];
 
-fn cfg(mailbox: MailboxImpl, threads: usize, batch_drain: usize) -> VqConfig {
-    let mut c = VqConfig::with_threads(threads);
-    c.mailbox = mailbox;
-    c.batch_drain = batch_drain;
-    c
+fn cfg(threads: usize, batch_drain: usize) -> VqConfig {
+    VqConfig {
+        batch_drain,
+        ..VqConfig::with_threads(threads)
+    }
 }
 
 /// A visitor ordered by (priority, vertex) — the engine's semi-sort key.
@@ -73,33 +70,27 @@ impl VisitHandler<Vis> for TreeFlood {
 #[test]
 fn visit_counts_identical_across_matrix() {
     const N: u64 = 20_000;
-    for mailbox in IMPLS {
-        for threads in THREADS {
-            for batch in BATCHES {
-                let h = TreeFlood::new(N);
-                let stats = VisitorQueue::run(
-                    &cfg(mailbox, threads, batch),
-                    &h,
-                    [Vis { prio: 0, vertex: 0 }],
-                );
+    for threads in THREADS {
+        for batch in BATCHES {
+            let h = TreeFlood::new(N);
+            let stats = VisitorQueue::run(&cfg(threads, batch), &h, [Vis { prio: 0, vertex: 0 }]);
+            assert_eq!(
+                stats.visitors_executed, N,
+                "threads={threads} batch={batch}"
+            );
+            for (v, c) in h.visits.iter().enumerate() {
                 assert_eq!(
-                    stats.visitors_executed, N,
-                    "mailbox={mailbox} threads={threads} batch={batch}"
+                    c.load(Ordering::Relaxed),
+                    1,
+                    "vertex {v} (threads={threads} batch={batch})"
                 );
-                for (v, c) in h.visits.iter().enumerate() {
-                    assert_eq!(
-                        c.load(Ordering::Relaxed),
-                        1,
-                        "vertex {v} (mailbox={mailbox} threads={threads} batch={batch})"
-                    );
-                }
             }
         }
     }
 }
 
 /// Records execution order; seeds only (no pushes), so single-threaded
-/// execution must follow exact (priority, vertex) order on both mailboxes.
+/// execution must follow exact (priority, vertex) order.
 struct OrderLog(Mutex<Vec<Vis>>);
 
 impl VisitHandler<Vis> for OrderLog {
@@ -119,19 +110,16 @@ fn single_thread_executes_in_priority_order() {
             vertex,
         });
     }
-    for mailbox in IMPLS {
-        for batch in BATCHES {
-            let h = OrderLog(Mutex::new(Vec::new()));
-            VisitorQueue::run(&cfg(mailbox, 1, batch), &h, seeds.iter().copied());
-            let got = h.0.into_inner().unwrap();
-            let mut want = seeds.clone();
-            want.sort_unstable();
-            assert_eq!(
-                got, want,
-                "single-threaded order must be (priority, vertex) sorted \
-                 (mailbox={mailbox} batch={batch})"
-            );
-        }
+    for batch in BATCHES {
+        let h = OrderLog(Mutex::new(Vec::new()));
+        VisitorQueue::run(&cfg(1, batch), &h, seeds.iter().copied());
+        let got = h.0.into_inner().unwrap();
+        let mut want = seeds.clone();
+        want.sort_unstable();
+        assert_eq!(
+            got, want,
+            "single-threaded order must be (priority, vertex) sorted (batch={batch})"
+        );
     }
 }
 
@@ -182,26 +170,24 @@ impl VisitHandler<Vis> for Exclusive {
 fn same_vertex_visits_never_overlap() {
     const SEEDS: u64 = 32;
     const FAN: u64 = 512;
-    for mailbox in IMPLS {
-        for threads in [4usize, 16, 64] {
-            let h = Exclusive {
-                in_visit: (0..HOT).map(|_| AtomicBool::new(false)).collect(),
-                violations: AtomicUsize::new(0),
-                hot_visits: AtomicU64::new(0),
-                fan: FAN,
-            };
-            let seeds = (0..SEEDS).map(|i| Vis {
-                prio: 0,
-                vertex: HOT + i,
-            });
-            VisitorQueue::run(&cfg(mailbox, threads, 1), &h, seeds);
-            assert_eq!(
-                h.violations.load(Ordering::Relaxed),
-                0,
-                "same-vertex exclusivity violated (mailbox={mailbox} threads={threads})"
-            );
-            assert_eq!(h.hot_visits.load(Ordering::Relaxed), SEEDS * FAN);
-        }
+    for threads in [4usize, 16, 64] {
+        let h = Exclusive {
+            in_visit: (0..HOT).map(|_| AtomicBool::new(false)).collect(),
+            violations: AtomicUsize::new(0),
+            hot_visits: AtomicU64::new(0),
+            fan: FAN,
+        };
+        let seeds = (0..SEEDS).map(|i| Vis {
+            prio: 0,
+            vertex: HOT + i,
+        });
+        VisitorQueue::run(&cfg(threads, 1), &h, seeds);
+        assert_eq!(
+            h.violations.load(Ordering::Relaxed),
+            0,
+            "same-vertex exclusivity violated (threads={threads})"
+        );
+        assert_eq!(h.hot_visits.load(Ordering::Relaxed), SEEDS * FAN);
     }
 }
 
@@ -230,19 +216,15 @@ impl FallibleVisitHandler<Vis> for FailAt {
 }
 
 #[test]
-fn lockfree_abort_tears_down_promptly() {
+fn abort_tears_down_promptly() {
     for threads in THREADS {
         let h = FailAt {
             n: 1 << 20,
             bad: 777,
         };
         let t = Instant::now();
-        let err = VisitorQueue::try_run(
-            &cfg(MailboxImpl::LockFree, threads, 1),
-            &h,
-            [Vis { prio: 0, vertex: 0 }],
-        )
-        .expect_err("run must abort");
+        let err = VisitorQueue::try_run(&cfg(threads, 1), &h, [Vis { prio: 0, vertex: 0 }])
+            .expect_err("run must abort");
         assert!(err.reason.to_string().contains("injected failure"));
         assert!(
             t.elapsed() < Duration::from_secs(30),
@@ -272,18 +254,14 @@ impl VisitHandler<Vis> for PanicAt {
 }
 
 #[test]
-fn lockfree_panic_propagates_without_hanging() {
+fn panic_propagates_without_hanging() {
     for threads in [4usize, 64] {
         let result = std::panic::catch_unwind(|| {
             let h = PanicAt {
                 n: 1 << 20,
                 bad: 555,
             };
-            VisitorQueue::run(
-                &cfg(MailboxImpl::LockFree, threads, 1),
-                &h,
-                [Vis { prio: 0, vertex: 0 }],
-            )
+            VisitorQueue::run(&cfg(threads, 1), &h, [Vis { prio: 0, vertex: 0 }])
         });
         assert!(
             result.is_err(),

@@ -229,47 +229,6 @@ fn aborted_query_leaves_sibling_queries_exact() {
     }
 }
 
-/// Thread count of this process, from `/proc/self/status`.
-#[cfg(target_os = "linux")]
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .unwrap()
-        .trim()
-        .parse()
-        .unwrap()
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn drain_then_shutdown_leaks_no_threads() {
-    let g = random_graph(200, 800, 10, 9);
-    // Other tests in this binary spawn threads concurrently, so a plain
-    // before/after equality is racy; retry until the count settles back
-    // to (at most) the pre-engine level.
-    let before = thread_count();
-    let (_, stats) = with_engine(&g, &opts(4, 4), &NoopRecorder, |eng| {
-        let tickets: Vec<_> = (0..8).map(|i| eng.submit_bfs(&[i * 20]).unwrap()).collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-    });
-    assert_eq!(stats.num_threads, 4);
-    for _ in 0..50 {
-        if thread_count() <= before {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!(
-        "engine leaked threads: {} before, {} after drain",
-        before,
-        thread_count()
-    );
-}
-
 /// Summed utime+stime (clock ticks) of the named engine workers, from
 /// `/proc/self/task/*/`.
 #[cfg(target_os = "linux")]
