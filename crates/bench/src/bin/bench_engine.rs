@@ -162,10 +162,11 @@ fn main() {
                     Value::Str(
                         "engine mode runs a fixed worker pool with per-visitor \
                          query tagging and dynamic handler dispatch; spawn mode \
-                         monomorphizes each query but pays thread spawn/join and \
-                         runs concurrency x threads OS threads at peak. On a \
-                         single-core host oversubscription costs nothing, so the \
-                         engine's multiplexing overhead dominates; its bounded \
+                         runs each query one-shot (bare visitors, monomorphized \
+                         handler) but pays thread spawn/join and runs \
+                         concurrency x threads OS threads at peak. With few cores \
+                         and small queries oversubscription is cheap, so the \
+                         engine's multiplexing overhead can dominate; its bounded \
                          thread count and admission control pay off with many \
                          cores or query counts far above the core count"
                             .into(),

@@ -8,78 +8,61 @@ pub struct Args {
     switches: Vec<String>,
 }
 
-/// Flags that take a value.
-const VALUED: &[&str] = &[
-    "--scale",
-    "--edge-factor",
-    "--variant",
-    "--seed",
-    "--weights",
-    "--pages",
-    "--like",
-    "--source",
-    "--sources",
-    "--threads",
-    "--device",
-    "--block-kb",
-    "--cache-blocks",
-    "--metrics-json",
-    "--fault-seed",
-    "--fault-rate",
-    "--retry-attempts",
-    "--retry-backoff-us",
-    "--retry-deadline-ms",
-    "--io-batch",
-    "--readahead",
-    "--prefetch-threads",
-    "--algo",
-    "--count",
-    "--max-concurrent",
-    "--queue-depth",
-    "-o",
-];
+/// What one subcommand accepts. Anything else is a usage error.
+pub struct Spec {
+    /// Names of its positional arguments, in order; it takes exactly
+    /// this many.
+    pub positionals: &'static [&'static str],
+    /// Groups of flags it accepts (valued flags and switches alike).
+    pub flags: &'static [&'static [&'static str]],
+}
 
-/// Boolean switches, named without their `--`. Any other `--flag` is a
-/// usage error, so a typo cannot silently run with defaults.
+/// Flags that take no value. Every other flag takes one.
 const SWITCHES: &[&str] = &[
-    "metrics",
-    "validate",
-    "undirected",
-    "fault-permanent",
-    "no-verify-checksums",
+    "--metrics",
+    "--validate",
+    "--undirected",
+    "--fault-permanent",
+    "--no-verify-checksums",
 ];
 
 impl Args {
-    /// Parse raw argv (after the subcommand).
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Parse raw argv (after subcommand `cmd`) against `spec`: a flag
+    /// the subcommand does not take, a missing value, or a wrong number
+    /// of positional arguments is an error, so a typo cannot silently run
+    /// with defaults.
+    pub fn parse(cmd: &str, argv: &[String], spec: &Spec) -> Result<Args, String> {
         let mut out = Args::default();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
-            if VALUED.contains(&a.as_str()) {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("flag {a} requires a value"))?;
-                out.flags.push((a.clone(), v.clone()));
-            } else if let Some(name) = a.strip_prefix("--") {
-                if !SWITCHES.contains(&name) {
-                    return Err(format!("unknown flag {a:?}"));
+            if a.starts_with("--") || a == "-o" {
+                if !spec.flags.iter().any(|group| group.contains(&a.as_str())) {
+                    return Err(format!("{cmd}: unknown flag {a:?}"));
                 }
-                out.switches.push(name.to_string());
-            } else {
+                if SWITCHES.contains(&a.as_str()) {
+                    out.switches.push(a[2..].to_string());
+                } else {
+                    let v = it
+                        .next()
+                        .ok_or_else(|| format!("{cmd}: flag {a} requires a value"))?;
+                    out.flags.push((a.clone(), v.clone()));
+                }
+            } else if out.positional.len() < spec.positionals.len() {
                 out.positional.push(a.clone());
+            } else {
+                return Err(format!("{cmd}: unexpected argument {a:?}"));
             }
+        }
+        if let Some(missing) = spec.positionals.get(out.positional.len()) {
+            return Err(format!("{cmd}: missing {missing}"));
         }
         Ok(out)
     }
 
-    /// Positional argument `i`.
-    pub fn pos(&self, i: usize) -> Option<&str> {
-        self.positional.get(i).map(String::as_str)
-    }
-
-    /// Number of positional arguments.
-    pub fn pos_len(&self) -> usize {
-        self.positional.len()
+    /// Positional argument `i` (present for every `i` below the spec's
+    /// count, which `parse` enforces).
+    pub fn pos(&self, i: usize) -> &str {
+        &self.positional[i]
     }
 
     /// Raw string value of a flag.
@@ -109,31 +92,39 @@ impl Args {
 mod tests {
     use super::*;
 
+    const TRAVERSE: Spec = Spec {
+        positionals: &["FILE.agt"],
+        flags: &[&["--threads", "--validate", "-o"], &["--scale"]],
+    };
+
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn parse(s: &str) -> Result<Args, String> {
+        Args::parse("bfs", &argv(s), &TRAVERSE)
+    }
+
     #[test]
     fn parses_flags_positionals_switches() {
-        let a = Args::parse(&argv("in.agt --threads 8 --validate -o out.agt")).unwrap();
-        assert_eq!(a.pos(0), Some("in.agt"));
+        let a = parse("in.agt --threads 8 --validate -o out.agt").unwrap();
+        assert_eq!(a.pos(0), "in.agt");
         assert_eq!(a.get("--threads"), Some("8"));
         assert_eq!(a.get("-o"), Some("out.agt"));
         assert!(a.has("validate"));
-        assert_eq!(a.pos_len(), 1);
     }
 
     #[test]
     fn missing_value_is_error() {
-        assert!(Args::parse(&argv("--threads")).is_err());
+        assert!(parse("in.agt --threads").is_err());
     }
 
     #[test]
     fn get_parsed_defaults_and_errors() {
-        let a = Args::parse(&argv("--threads 12")).unwrap();
+        let a = parse("in.agt --threads 12").unwrap();
         assert_eq!(a.get_parsed("--threads", 1usize).unwrap(), 12);
         assert_eq!(a.get_parsed("--scale", 14u32).unwrap(), 14);
-        let bad = Args::parse(&argv("--threads twelve")).unwrap();
+        let bad = parse("in.agt --threads twelve").unwrap();
         assert!(bad.get_parsed::<usize>("--threads", 1).is_err());
     }
 
@@ -143,15 +134,29 @@ mod tests {
             ("in.agt --valdiate", "--valdiate"),
             ("in.agt --thread 8", "--thread"),
             ("in.agt --mailbox lock", "--mailbox"),
+            // Known to other subcommands, not to this one.
+            ("in.agt --undirected", "--undirected"),
+            ("in.agt --source 3", "--source"),
         ] {
-            let err = Args::parse(&argv(line)).unwrap_err();
+            let err = parse(line).unwrap_err();
             assert!(err.contains(flag), "{line}: {err}");
+            assert!(err.starts_with("bfs: "), "{line}: {err}");
         }
     }
 
     #[test]
+    fn positional_count_is_exact() {
+        let err = parse("in.agt extra-arg").unwrap_err();
+        assert!(err.contains("unexpected argument \"extra-arg\""), "{err}");
+        let err = parse("--threads 2").unwrap_err();
+        assert!(err.contains("missing FILE.agt"), "{err}");
+        // A flag's value is never taken for a positional.
+        assert_eq!(parse("--threads 2 in.agt").unwrap().pos(0), "in.agt");
+    }
+
+    #[test]
     fn last_flag_wins() {
-        let a = Args::parse(&argv("--threads 1 --threads 9")).unwrap();
+        let a = parse("in.agt --threads 1 --threads 9").unwrap();
         assert_eq!(a.get("--threads"), Some("9"));
     }
 }

@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use crate::args::Args;
+use crate::args::{Args, Spec};
 use asyncgt::graph::generators::{webgraph_edges, RmatGenerator, RmatParams, WebGraphParams};
 use asyncgt::graph::traits::WeightedEdgeList;
 use asyncgt::graph::weights::{assign_weights, WeightKind};
@@ -74,6 +74,10 @@ pub const USAGE: &str = "usage:
                [--max-concurrent M] [--queue-depth D] [--threads T]
                [--device MODEL] [--metrics] [--metrics-json OUT.json]
 
+Each subcommand takes exactly the arguments shown, its own flags and,
+where it reads a FILE.agt (bfs, sssp, cc, pagerank, queries), the storage
+flags below; anything else is a usage error (exit 2).
+
 OUT extension picks the format: .agt (SEM CSR), .txt (text edge list),
 anything else (binary edge list). MODEL: fusionio | intel | corsair.
 --metrics prints a per-worker counter/histogram summary; --metrics-json
@@ -86,15 +90,16 @@ cycles the list to N queries); for cc, --count sets how many full CC
 queries run. --max-concurrent bounds in-flight queries (default 8);
 --queue-depth bounds the admission queue behind it (default 64).
 
-I/O scheduler (traversal subcommands):
+I/O scheduler (storage-backed subcommands):
   --io-batch N          visitors drained per service round; batches above 1
-                        coalesce adjacent block reads (default 1)
+                        coalesce adjacent block reads (default 1; not
+                        pagerank)
   --readahead N         speculative blocks appended per coalesced read
                         (default 0)
   --prefetch-threads N  threads issuing coalesced reads concurrently
                         (default 0: inline on the traversal worker)
 
-storage fault injection & retry (traversal subcommands):
+storage fault injection & retry (storage-backed subcommands):
   --fault-rate P        inject faults on fraction P of block reads (0 off)
   --fault-seed S        deterministic fault schedule seed (default 1)
   --fault-permanent     injected faults are permanent (default: transient)
@@ -103,10 +108,73 @@ storage fault injection & retry (traversal subcommands):
   --retry-deadline-ms M wall-clock retry budget per read (default 1000)
   --no-verify-checksums skip per-chunk checksum verification on reads";
 
+/// Flags every storage-backed subcommand takes (see `sem_config`).
+const SEM_FLAGS: &[&str] = &[
+    "--device",
+    "--block-kb",
+    "--cache-blocks",
+    "--fault-rate",
+    "--fault-seed",
+    "--fault-permanent",
+    "--retry-attempts",
+    "--retry-backoff-us",
+    "--retry-deadline-ms",
+    "--readahead",
+    "--prefetch-threads",
+    "--no-verify-checksums",
+];
+
+/// Flags of the traversal subcommands (`bfs`, `sssp`, `cc`, `queries`).
+const RUN_FLAGS: &[&str] = &["--threads", "--io-batch", "--metrics", "--metrics-json"];
+
+/// What each subcommand accepts; `None` for an unknown subcommand.
+fn spec(cmd: &str) -> Option<Spec> {
+    const FILE: &[&str] = &["FILE.agt"];
+    let (positionals, flags): (&[&str], &[&[&str]]) = match cmd {
+        "generate" => (
+            &["a generator (rmat|web)"],
+            &[&[
+                "--scale",
+                "--edge-factor",
+                "--variant",
+                "--seed",
+                "--weights",
+                "--undirected",
+                "--pages",
+                "--like",
+                "-o",
+            ]],
+        ),
+        "convert" => (&["IN", "OUT"], &[]),
+        "info" => (FILE, &[]),
+        "bfs" | "sssp" => (FILE, &[RUN_FLAGS, SEM_FLAGS, &["--source", "--validate"]]),
+        "cc" => (FILE, &[RUN_FLAGS, SEM_FLAGS, &["--validate"]]),
+        "pagerank" => (FILE, &[SEM_FLAGS, &["--threads"]]),
+        "queries" => (
+            FILE,
+            &[
+                RUN_FLAGS,
+                SEM_FLAGS,
+                &[
+                    "--algo",
+                    "--sources",
+                    "--count",
+                    "--max-concurrent",
+                    "--queue-depth",
+                ],
+            ],
+        ),
+        "help" | "--help" | "-h" => (&[], &[]),
+        _ => return None,
+    };
+    Some(Spec { positionals, flags })
+}
+
 /// Dispatch a full argv to its subcommand.
 pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     let (cmd, rest) = argv.split_first().ok_or("missing subcommand")?;
-    let args = Args::parse(rest)?;
+    let spec = spec(cmd).ok_or_else(|| format!("unknown subcommand {cmd:?}"))?;
+    let args = Args::parse(cmd, rest, &spec)?;
     match cmd.as_str() {
         "generate" => generate(&args),
         "convert" => convert(&args),
@@ -116,18 +184,15 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
         "cc" => traverse(&args, Algo::Cc),
         "pagerank" => cmd_pagerank(&args),
         "queries" => cmd_queries(&args),
-        "help" | "--help" | "-h" => {
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
     }
 }
 
 fn generate(args: &Args) -> Result<(), CliError> {
-    let kind = args
-        .pos(0)
-        .ok_or("generate: missing generator (rmat|web)")?;
+    let kind = args.pos(0);
     let out = args
         .get("-o")
         .ok_or("generate: missing -o OUT")?
@@ -221,10 +286,7 @@ fn read_edge_list(path: &str) -> Result<(io::EdgeListHeader, WeightedEdgeList), 
 }
 
 fn convert(args: &Args) -> Result<(), CliError> {
-    if args.pos_len() != 2 {
-        return Err("convert: need IN and OUT paths".into());
-    }
-    let (input, output) = (args.pos(0).unwrap(), args.pos(1).unwrap());
+    let (input, output) = (args.pos(0), args.pos(1));
 
     if input.ends_with(".agt") {
         // SEM CSR -> edge list, through the fallible read path so a
@@ -255,7 +317,7 @@ fn convert(args: &Args) -> Result<(), CliError> {
 }
 
 fn info(args: &Args) -> Result<(), CliError> {
-    let path = args.pos(0).ok_or("info: missing FILE.agt")?;
+    let path = args.pos(0);
     let sem = SemGraph::open(path).map_err(|e| rt(format!("open {path}: {e}")))?;
     let h = sem.header();
     println!("file            : {path}");
@@ -322,7 +384,7 @@ fn sem_config(args: &Args, metrics: Option<Arc<ShardedRecorder>>) -> Result<SemC
 
 fn cmd_pagerank(args: &Args) -> Result<(), CliError> {
     use asyncgt::{pagerank, PageRankParams};
-    let path = args.pos(0).ok_or("missing FILE.agt")?;
+    let path = args.pos(0);
     let threads = args.get_parsed("--threads", 16usize)?;
     let sem = SemGraph::open_with(path, sem_config(args, None)?)
         .map_err(|e| rt(format!("open {path}: {e}")))?;
@@ -345,7 +407,7 @@ fn cmd_pagerank(args: &Args) -> Result<(), CliError> {
 /// `agt queries`: serve a batch of traversal queries from one persistent
 /// engine — workers spawn once, queries multiplex under admission control.
 fn cmd_queries(args: &Args) -> Result<(), CliError> {
-    let path = args.pos(0).ok_or("missing FILE.agt")?;
+    let path = args.pos(0);
     let algo = args.get("--algo").unwrap_or("bfs").to_string();
     if !matches!(algo.as_str(), "bfs" | "sssp" | "cc") {
         return Err(format!("unknown --algo {algo:?} (bfs|sssp|cc)").into());
@@ -516,7 +578,7 @@ fn traversal_failed(path: &str, e: TraversalError) -> CliError {
 }
 
 fn traverse(args: &Args, algo: Algo) -> Result<(), CliError> {
-    let path = args.pos(0).ok_or("missing FILE.agt")?;
+    let path = args.pos(0);
     let threads = args.get_parsed("--threads", 16usize)?;
     let source = args.get_parsed("--source", 0u64)?;
     let metrics_json = args.get("--metrics-json").map(String::from);
@@ -778,6 +840,34 @@ mod tests {
                 other => panic!("{extra}: expected a usage error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn each_subcommand_takes_only_its_arguments_and_flags() {
+        // Stray positionals, missing positionals, and flags that belong to
+        // another subcommand are all usage errors (exit 2), rejected
+        // before any file is opened.
+        for (line, needle) in [
+            ("bfs g.agt extra-arg", "unexpected argument \"extra-arg\""),
+            ("info a.agt b.agt", "unexpected argument \"b.agt\""),
+            ("convert only_one_arg", "missing OUT"),
+            ("info", "missing FILE.agt"),
+            ("generate -o x.agt", "missing a generator"),
+            ("bfs g.agt --undirected", "--undirected"),
+            ("cc g.agt --source 3", "--source"),
+            ("queries g.agt --validate", "--validate"),
+            ("pagerank g.agt --io-batch 4", "--io-batch"),
+            ("info g.agt --threads 2", "--threads"),
+            ("convert a.txt b.agt --device fusionio", "--device"),
+            ("generate rmat --threads 2 -o x.agt", "--threads"),
+            ("help me", "unexpected argument"),
+        ] {
+            match run(line) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(needle), "{line}: {msg}"),
+                other => panic!("{line}: expected a usage error, got {other:?}"),
+            }
+        }
+        assert!(run("help").is_ok());
     }
 
     #[test]

@@ -394,6 +394,14 @@ mod tests {
     }
 
     #[test]
+    fn path_visitor_stays_sixteen_bytes() {
+        // One-shot queues store this visitor bare (vq's
+        // `one_shot_queues_store_bare_visitors` guards that side), so its
+        // size is the bytes every BFS/SSSP push moves.
+        assert_eq!(std::mem::size_of::<SsspVisitor>(), 16);
+    }
+
+    #[test]
     fn paper_figure3_example() {
         // The worked example of paper §III-B2 / Fig. 3. Weights "were
         // purposefully selected to require multiple visits per vertex";

@@ -144,7 +144,10 @@ impl<V: Visitor> BucketQueue<V> {
             self.base += 1;
             self.maybe_pull_overflow();
         }
-        std::mem::swap(&mut self.current, &mut self.buckets[self.head]);
+        // Take the bucket's buffer and free the spent one, so the ring
+        // holds no capacity beyond its live buckets: a long-lived engine
+        // worker's memory must not grow with the classes it has served.
+        self.current = std::mem::take(&mut self.buckets[self.head]);
         self.ring_len -= self.current.len();
         if self.sort_buckets {
             // Descending so pops from the back come out ascending —
@@ -306,6 +309,21 @@ mod tests {
         q.pop();
         q.pop();
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn drained_classes_leave_no_spent_capacity_in_the_ring() {
+        // Many visitors in each of several ring-widths of classes: once
+        // drained, no ring slot may keep a spent buffer's capacity.
+        let mut q = BucketQueue::new(0, true);
+        for class in 0..(3 * RING as u64) {
+            for vertex in 0..64 {
+                q.push(P(class, vertex));
+            }
+            while q.pop().is_some() {}
+        }
+        let kept: usize = q.buckets.iter().map(Vec::capacity).sum();
+        assert_eq!(kept, 0, "ring keeps {kept} slots of spent capacity");
     }
 
     #[test]

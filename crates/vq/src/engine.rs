@@ -80,11 +80,11 @@
 //! assert_eq!(stats.num_threads, 2);
 //! ```
 
-use crate::bucket::BucketQueue;
 use crate::config::VqConfig;
 use crate::mailbox::Mailbox;
-use crate::queue::{route_of, AbortedRun, RunStats};
+use crate::queue::route_of;
 use crate::visitor::{AbortReason, FallibleVisitHandler, Visitor};
+use crate::worker::{serve, Lanes, Route, Sink, Tally, SPIN_ITERS};
 use asyncgt_obs::{Counter, Gauge, HistKind, Recorder};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
@@ -137,32 +137,12 @@ impl EngineConfig {
 /// type-erased so one engine serves heterogeneous queries.
 pub type DynHandler<'h, V> = dyn FallibleVisitHandler<V> + Send + Sync + 'h;
 
-/// How a query holds its handler: shared ownership for the public
-/// [`Engine::submit`] path, a plain borrow for the internal [`one_shot`]
-/// path (whose handler outlives the whole engine, so no `Arc` is needed —
-/// and no `Send` bound either, preserving `VisitorQueue`'s contract that
-/// handlers only need `Sync`).
-enum HandlerRef<'h, V: Visitor> {
-    Owned(Arc<DynHandler<'h, V>>),
-    Borrowed(&'h (dyn FallibleVisitHandler<V> + Sync + 'h)),
-}
-
-impl<'h, V: Visitor> HandlerRef<'h, V> {
-    #[inline]
-    fn get(&self) -> &(dyn FallibleVisitHandler<V> + 'h) {
-        match self {
-            HandlerRef::Owned(a) => &**a,
-            HandlerRef::Borrowed(r) => *r,
-        }
-    }
-}
-
 /// A visitor tagged with the query it belongs to. Ordering is by the
 /// visitor first (priority semantics are unchanged), query id second (a
 /// stable tiebreak so batch semi-sort groups same-query visitors).
 pub(crate) struct Tagged<V> {
-    v: V,
-    qid: u32,
+    pub(crate) v: V,
+    pub(crate) qid: u32,
 }
 
 impl<V: Visitor> PartialEq for Tagged<V> {
@@ -199,29 +179,15 @@ struct QueryDone {
     poisoned: bool,
 }
 
-/// Per-query shared state: its handler, its private termination counter,
-/// and the stat cells workers flush their ledgers into.
-struct QueryShared<'h, V: Visitor> {
+/// Per-query shared state: its handler, its termination counter and stat
+/// cells (the [`Tally`] workers flush their ledgers into), and the
+/// completion latch its ticket waits on.
+pub(crate) struct QueryShared<'h, V: Visitor> {
     qid: u32,
-    handler: HandlerRef<'h, V>,
-    /// Count of this query's visitors pushed but not yet completed — the
-    /// per-query twin of the single-run pending counter, with the same
-    /// over-count-only batching (deferred local increments, per-worker
-    /// completion debt). Zero means the query terminated.
-    pending: AtomicU64,
-    /// Set when this query's handler returned `Err`; its remaining
-    /// visitors drain out as drops, siblings are untouched.
-    aborted: AtomicBool,
-    /// First abort reason (later failures of the same query are dropped).
-    abort_reason: Mutex<Option<AbortReason>>,
+    handler: Arc<DynHandler<'h, V>>,
+    tally: Tally,
     /// Finalizer election: exactly one thread retires the query.
     finished: AtomicBool,
-    executed: AtomicU64,
-    /// Initialized to the seed count (seeds are driver pushes).
-    pushed: AtomicU64,
-    local_pushes: AtomicU64,
-    /// Visitors of this query dropped unexecuted after its abort.
-    dropped: AtomicU64,
     /// Submit-to-finalize latency, written once at retire.
     latency_ns: AtomicU64,
     done: Mutex<QueryDone>,
@@ -230,18 +196,12 @@ struct QueryShared<'h, V: Visitor> {
 }
 
 impl<'h, V: Visitor> QueryShared<'h, V> {
-    fn new(qid: u32, handler: HandlerRef<'h, V>, seeded: u64) -> Self {
+    fn new(qid: u32, handler: Arc<DynHandler<'h, V>>, seeded: u64) -> Self {
         QueryShared {
             qid,
             handler,
-            pending: AtomicU64::new(0),
-            aborted: AtomicBool::new(false),
-            abort_reason: Mutex::new(None),
+            tally: Tally::new(seeded),
             finished: AtomicBool::new(false),
-            executed: AtomicU64::new(0),
-            pushed: AtomicU64::new(seeded),
-            local_pushes: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             latency_ns: AtomicU64::new(0),
             done: Mutex::new(QueryDone {
                 complete: false,
@@ -250,20 +210,6 @@ impl<'h, V: Visitor> QueryShared<'h, V> {
             done_cv: Condvar::new(),
             submitted: Instant::now(),
         }
-    }
-
-    /// Record this query's abort: capture the first reason, then flag it.
-    /// No wakeup is needed — a parked worker holds no visitors, so the
-    /// aborted query's remaining work is already in mailboxes (whose
-    /// delivery woke their owners) or in awake workers' heaps, and drains
-    /// out as drops.
-    fn abort(&self, reason: AbortReason) {
-        let mut slot = self.abort_reason.lock();
-        if slot.is_none() {
-            *slot = Some(reason);
-        }
-        drop(slot);
-        self.aborted.store(true, Ordering::Release);
     }
 
     /// Unblock the ticket with an engine-poisoned verdict. Idempotent.
@@ -303,7 +249,7 @@ struct EngineShared<'h, V: Visitor> {
     /// accounting stays per-query).
     inboxes: Vec<Mailbox<Tagged<V>>>,
     /// Live queries by id. Read per qid-switch on the worker hot path
-    /// (amortized by the one-entry cache in [`engine_worker`]).
+    /// (amortized by the worker's one-entry query cache).
     queries: RwLock<HashMap<u32, Arc<QueryShared<'h, V>>>>,
     admission: Mutex<Admission<'h, V>>,
     /// Signalled when admission capacity frees up (submitters wait here).
@@ -344,47 +290,6 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
         }
     }
 
-    /// Whether workers should exit (graceful shutdown or poison).
-    #[inline]
-    fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire) || self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// Wake every parked worker (teardown).
-    fn wake_all(&self) {
-        for inbox in &self.inboxes {
-            inbox.wake();
-        }
-    }
-
-    fn lookup(&self, qid: u32) -> Option<Arc<QueryShared<'h, V>>> {
-        self.queries.read().get(&qid).cloned()
-    }
-
-    /// A worker panicked: fail every live and queued query's ticket, block
-    /// further submits, and wake everyone so the scope can come down.
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        self.shutdown.store(true, Ordering::Release);
-        {
-            let queries = self.queries.read();
-            for q in queries.values() {
-                q.fail_poisoned();
-            }
-        }
-        {
-            let mut adm = self.admission.lock();
-            adm.draining = true;
-            while let Some(p) = adm.queue.pop_front() {
-                adm.total_unfinished -= 1;
-                p.query.fail_poisoned();
-            }
-            self.submit_cv.notify_all();
-            self.drain_cv.notify_all();
-        }
-        self.wake_all();
-    }
-
     /// Make an admitted query live: publish it in the table, arm its
     /// pending counter, and deliver its seed groups. Returns `true` for
     /// the empty-seed degenerate case (the caller must retire it — no
@@ -399,7 +304,7 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
         // moment a seed lands), counter before delivery (a delivered seed
         // may execute and complete before this function returns).
         self.queries.write().insert(query.qid, Arc::clone(query));
-        query.pending.store(seeded, Ordering::Release);
+        query.tally.pending.store(seeded, Ordering::Release);
         for (dest, group) in groups.iter_mut().enumerate() {
             self.inboxes[dest].deliver(group);
         }
@@ -429,7 +334,7 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
         q.latency_ns.store(latency, Ordering::Relaxed);
         if R::ENABLED {
             recorder.observe(HistKind::QueryLatencyNs, latency);
-            if q.aborted.load(Ordering::Acquire) {
+            if q.tally.aborted.load(Ordering::Acquire) {
                 recorder.counter(Counter::QueriesAborted, 1);
             } else {
                 recorder.counter(Counter::QueriesCompleted, 1);
@@ -455,12 +360,8 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
         };
         let mut done = q.done.lock();
         done.complete = true;
-        self.done_notify(q, &mut done);
-        next
-    }
-
-    fn done_notify(&self, q: &QueryShared<'h, V>, _done: &mut parking_lot::MutexGuard<QueryDone>) {
         q.done_cv.notify_all();
+        next
     }
 
     /// Drive a query through retirement, activating queued successors. A
@@ -481,6 +382,100 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
                 None
             };
         }
+    }
+}
+
+/// The `Multi` routing policy: visitors carry their query id, a qid
+/// resolves through the query table, and workers park between queries
+/// until engine teardown.
+impl<'h, V: Visitor> Route<V> for EngineShared<'h, V> {
+    type Item = Tagged<V>;
+    type Tag = u32;
+    type Query = Arc<QueryShared<'h, V>>;
+    type Handler = DynHandler<'h, V>;
+    const PARK: Duration = ENGINE_PARK;
+
+    fn inboxes(&self) -> &[Mailbox<Tagged<V>>] {
+        &self.inboxes
+    }
+
+    #[inline]
+    fn split(t: Tagged<V>) -> (V, u32) {
+        (t.v, t.qid)
+    }
+
+    #[inline]
+    fn sink(lanes: Lanes<'_, Tagged<V>>, qid: u32) -> Sink<'_, V> {
+        Sink::Multi(lanes, qid)
+    }
+
+    fn lookup(&self, qid: u32) -> Option<Arc<QueryShared<'h, V>>> {
+        self.queries.read().get(&qid).cloned()
+    }
+
+    #[inline]
+    fn tag_of(q: &Arc<QueryShared<'h, V>>) -> u32 {
+        q.qid
+    }
+
+    #[inline]
+    fn tally<'a>(&'a self, q: &'a Arc<QueryShared<'h, V>>) -> &'a Tally {
+        &q.tally
+    }
+
+    #[inline]
+    fn handler<'a>(&'a self, q: &'a Arc<QueryShared<'h, V>>) -> &'a DynHandler<'h, V> {
+        &*q.handler
+    }
+
+    fn finish<R: Recorder>(&self, q: &Arc<QueryShared<'h, V>>, recorder: &R) {
+        self.finalize(q, recorder);
+    }
+
+    #[inline]
+    fn poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire) || self.poisoned.load(Ordering::Acquire)
+    }
+
+    /// Spin only while queries are in flight. A fully idle engine skips
+    /// straight to the park: between queries there is nothing nanoseconds
+    /// away to spin for, and N workers spinning between every request
+    /// would burn N cores at idle.
+    fn spin_budget(&self) -> u32 {
+        if self.active_count.load(Ordering::Relaxed) == 0 {
+            0
+        } else {
+            SPIN_ITERS
+        }
+    }
+
+    /// A worker (or the driver) panicked: fail every live and queued
+    /// query's ticket, block further submits, and wake everyone so the
+    /// scope can come down.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        self.shutdown.store(true, Ordering::Release);
+        {
+            let queries = self.queries.read();
+            for q in queries.values() {
+                q.fail_poisoned();
+            }
+        }
+        {
+            let mut adm = self.admission.lock();
+            adm.draining = true;
+            while let Some(p) = adm.queue.pop_front() {
+                adm.total_unfinished -= 1;
+                p.query.fail_poisoned();
+            }
+            self.submit_cv.notify_all();
+            self.drain_cv.notify_all();
+        }
+        self.wake_all();
     }
 }
 
@@ -624,31 +619,6 @@ impl<'s, 'h, V: Visitor, R: Recorder> Engine<'s, 'h, V, R> {
     where
         I: IntoIterator<Item = V>,
     {
-        self.submit_inner(HandlerRef::Owned(handler), seeds)
-    }
-
-    /// [`Self::submit`] over a borrowed handler that outlives the engine —
-    /// the [`one_shot`] path, which must not require `Send` (or an `Arc`)
-    /// of `VisitorQueue` handlers.
-    pub(crate) fn submit_borrowed<I>(
-        &self,
-        handler: &'h (dyn FallibleVisitHandler<V> + Sync + 'h),
-        seeds: I,
-    ) -> Result<QueryTicket<'h, V>, SubmitError>
-    where
-        I: IntoIterator<Item = V>,
-    {
-        self.submit_inner(HandlerRef::Borrowed(handler), seeds)
-    }
-
-    fn submit_inner<I>(
-        &self,
-        handler: HandlerRef<'h, V>,
-        seeds: I,
-    ) -> Result<QueryTicket<'h, V>, SubmitError>
-    where
-        I: IntoIterator<Item = V>,
-    {
         let shared = self.shared;
         if shared.poisoned.load(Ordering::Acquire) {
             return self.reject(SubmitError::Poisoned);
@@ -740,22 +710,18 @@ impl<'h, V: Visitor> QueryTicket<'h, V> {
         if !complete {
             return Err(QueryError::EnginePoisoned);
         }
+        let t = &q.tally;
         let stats = QueryStats {
-            visitors_executed: q.executed.load(Ordering::Acquire),
-            visitors_pushed: q.pushed.load(Ordering::Acquire),
-            local_pushes: q.local_pushes.load(Ordering::Acquire),
-            visitors_dropped: q.dropped.load(Ordering::Acquire),
+            visitors_executed: t.executed.load(Ordering::Acquire),
+            visitors_pushed: t.pushed.load(Ordering::Acquire),
+            local_pushes: t.local_pushes.load(Ordering::Acquire),
+            visitors_dropped: t.dropped.load(Ordering::Acquire),
             elapsed: Duration::from_nanos(q.latency_ns.load(Ordering::Acquire)),
         };
-        if q.aborted.load(Ordering::Acquire) {
-            let reason = q
-                .abort_reason
-                .lock()
-                .take()
-                .expect("aborted query without a reason");
-            return Err(QueryError::Aborted { reason, stats });
+        match t.take_abort() {
+            Some(reason) => Err(QueryError::Aborted { reason, stats }),
+            None => Ok(stats),
         }
-        Ok(stats)
     }
 
     /// Whether the query has already finalized (non-blocking).
@@ -784,51 +750,10 @@ where
     V: Visitor + 'env,
     R: Recorder,
 {
-    scoped_with_park(cfg, ENGINE_PARK, recorder, f)
-}
-
-/// Upper bound on one idle park in a persistent engine. Long, because an
-/// idle engine has nothing to poll for: wakes come from submits and
-/// teardown, so reparking rarely keeps idle CPU near zero.
-const ENGINE_PARK: Duration = Duration::from_millis(250);
-
-/// Upper bound on one idle park in a one-shot run. Short until the
-/// one-shot park question in DESIGN.md §14 is settled.
-const ONE_SHOT_PARK: Duration = Duration::from_millis(1);
-
-/// [`scoped`] with the workers' idle park bound. Every wake is delivered
-/// under the mail lock, so `park` is a backstop, never a correctness
-/// requirement (see the mailbox module docs).
-fn scoped_with_park<'env, V, R, T>(
-    cfg: &EngineConfig,
-    park: Duration,
-    recorder: &R,
-    f: impl FnOnce(&Engine<'_, 'env, V, R>) -> T,
-) -> (T, EngineStats)
-where
-    V: Visitor + 'env,
-    R: Recorder,
-{
     let num_threads = cfg.vq.num_threads.max(1);
     let start = Instant::now();
     let shared: EngineShared<'env, V> = EngineShared::new(num_threads);
-    let mut parks: u64 = 0;
-    let mut inbox_batches: u64 = 0;
-    let out = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_threads);
-        for id in 0..num_threads {
-            let shared = &shared;
-            // Named so OS-level accounting (e.g. /proc/self/task/*/comm)
-            // can attribute CPU to engine workers specifically.
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("vq-worker-{id}"))
-                    .spawn_scoped(scope, move || {
-                        engine_worker(shared, id, cfg, park, recorder)
-                    })
-                    .expect("spawn engine worker"),
-            );
-        }
+    let (out, totals) = serve(&shared, &cfg.vq, recorder, || {
         // If `f` panics, poison so workers exit and the scope's implicit
         // join completes instead of deadlocking under the unwind.
         let guard = DriverGuard(&shared);
@@ -848,25 +773,23 @@ where
         }
         shared.shutdown.store(true, Ordering::Release);
         shared.wake_all();
-        for h in handles {
-            // A panicked worker has already poisoned the engine, so the
-            // remaining workers exit; join then re-raises.
-            let w = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            parks += w.parks;
-            inbox_batches += w.inbox_batches;
-        }
         drop(guard);
         out
     });
     let stats = EngineStats {
         num_threads,
-        parks,
-        inbox_batches,
+        parks: totals.parks,
+        inbox_batches: totals.inbox_batches,
         queries: shared.finalized.load(Ordering::Relaxed),
         elapsed: start.elapsed(),
     };
     (out, stats)
 }
+
+/// Upper bound on one idle park in a persistent engine. Long, because an
+/// idle engine has nothing to poll for: wakes come from submits and
+/// teardown, so reparking rarely keeps idle CPU near zero.
+const ENGINE_PARK: Duration = Duration::from_millis(250);
 
 /// Poison the engine if the driver closure unwinds (see [`scoped`]).
 struct DriverGuard<'a, 'h, V: Visitor>(&'a EngineShared<'h, V>);
@@ -879,508 +802,10 @@ impl<'a, 'h, V: Visitor> Drop for DriverGuard<'a, 'h, V> {
     }
 }
 
-/// Poison the engine if a worker (i.e. a handler) panics.
-struct WorkerPoisonGuard<'a, 'h, V: Visitor>(&'a EngineShared<'h, V>);
-
-impl<'a, 'h, V: Visitor> Drop for WorkerPoisonGuard<'a, 'h, V> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// Per-worker buffers of visitors addressed to other workers' queues.
-///
-/// Remote pushes are staged here and delivered in batches, amortizing the
-/// inbox lock and (more importantly on oversubscribed hosts) the
-/// wake-a-parked-thread syscall over many visitors instead of paying both
-/// per push. Shared by all queries — batching is a property of the
-/// worker, accounting a property of the query.
-struct Outbox<T: Visitor> {
-    buffers: Vec<Vec<T>>,
-    /// Total staged visitors across all buffers.
-    staged: u64,
-    /// Destinations whose buffer crossed [`FLUSH_PER_DEST`] and should be
-    /// delivered at the next between-visits point. Each destination
-    /// appears at most once (recorded exactly when its buffer *reaches*
-    /// the threshold).
-    ready: Vec<usize>,
-}
-
-/// Per-destination delivery threshold. Flushing a buffer only once this
-/// many visitors have accumulated for that destination keeps each
-/// delivery (one lock acquisition) amortized over a real batch even when
-/// pushes fan out across many queues.
-const FLUSH_PER_DEST: usize = 128;
-
-impl<T: Visitor> Outbox<T> {
-    fn new(num_queues: usize) -> Self {
-        Outbox {
-            buffers: (0..num_queues).map(|_| Vec::new()).collect(),
-            staged: 0,
-            ready: Vec::new(),
-        }
-    }
-
-    /// Deliver every staged visitor to its mailbox and wake owners whose
-    /// mailbox transitioned from empty.
-    fn flush(&mut self, inboxes: &[Mailbox<T>]) {
-        self.ready.clear();
-        if self.staged == 0 {
-            return;
-        }
-        for (q, buf) in self.buffers.iter_mut().enumerate() {
-            inboxes[q].deliver(buf);
-        }
-        self.staged = 0;
-    }
-
-    /// Deliver only the destinations whose buffers crossed
-    /// [`FLUSH_PER_DEST`] (they may have grown further since).
-    fn flush_ready(&mut self, inboxes: &[Mailbox<T>]) {
-        while let Some(q) = self.ready.pop() {
-            let buf = &mut self.buffers[q];
-            self.staged -= buf.len() as u64;
-            inboxes[q].deliver(buf);
-        }
-    }
-}
-
-/// Handle through which a [`VisitHandler`](crate::VisitHandler) emits new
-/// visitors. Pushes addressed to the executing worker's own queue go
-/// straight into its private heap with no synchronization; remote pushes
-/// are staged in the worker's outbox. Emitted visitors inherit the
-/// executing visitor's query id.
-pub struct PushCtx<'a, V: Visitor> {
-    inboxes: &'a [Mailbox<Tagged<V>>],
-    /// The executing query's pending counter.
-    pending: &'a AtomicU64,
-    qid: u32,
-    worker_id: usize,
-    local_heap: &'a mut BucketQueue<Tagged<V>>,
-    outbox: &'a mut Outbox<Tagged<V>>,
-    pushed: u64,
-    local_pushes: u64,
-}
-
-impl<'a, V: Visitor> PushCtx<'a, V> {
-    /// Enqueue a visitor. Routing is by hash of `v.target()`; the visitor
-    /// will execute on the worker owning that hash bucket, ordered by the
-    /// visitor's `Ord` priority among that queue's contents.
-    #[inline]
-    pub fn push(&mut self, v: V) {
-        self.pushed += 1;
-        let q = route_of(v.target(), self.inboxes.len());
-        let t = Tagged { v, qid: self.qid };
-        if q == self.worker_id {
-            // Local fast path: no lock, and the pending increment is
-            // deferred to the end of the visit (the executing visitor's own
-            // pending unit keeps the counter positive until then, and only
-            // this worker can drain its private heap).
-            self.local_pushes += 1;
-            self.local_heap.push(t);
-        } else {
-            // Remote pushes must be globally visible *before* the mail can
-            // be delivered, or the recipient could complete it and drive
-            // the query's counter to zero while our accounting is still in
-            // flight.
-            self.pending.fetch_add(1, Ordering::Relaxed);
-            let buf = &mut self.outbox.buffers[q];
-            buf.push(t);
-            self.outbox.staged += 1;
-            if buf.len() == FLUSH_PER_DEST {
-                self.outbox.ready.push(q);
-            }
-        }
-    }
-
-    /// Id of the worker executing the current visitor.
-    pub fn worker_id(&self) -> usize {
-        self.worker_id
-    }
-
-    /// Number of workers (== number of queues) in this engine.
-    pub fn num_workers(&self) -> usize {
-        self.inboxes.len()
-    }
-}
-
-/// Per-worker, per-current-query accounting, flushed to the query's atomics
-/// when the worker switches queries or runs out of local work. Holding debt
-/// makes the query's `pending` an over-count — safe (termination is only
-/// delayed) — and turns the per-visitor decrement into one amortized
-/// subtraction. Stats are flushed *before* the debt, so when a query's
-/// counter reaches zero every stat that contributed is already visible.
-#[derive(Default)]
-struct Ledger {
-    debt: u64,
-    executed: u64,
-    pushed: u64,
-    local: u64,
-    dropped: u64,
-}
-
-const DEBT_FLUSH: u64 = 256;
-
-impl Ledger {
-    fn settle<'h, V: Visitor, R: Recorder>(
-        &mut self,
-        shared: &EngineShared<'h, V>,
-        q: &QueryShared<'h, V>,
-        recorder: &R,
-    ) {
-        if self.executed > 0 {
-            q.executed.fetch_add(self.executed, Ordering::Relaxed);
-            self.executed = 0;
-        }
-        if self.pushed > 0 {
-            q.pushed.fetch_add(self.pushed, Ordering::Relaxed);
-            self.pushed = 0;
-        }
-        if self.local > 0 {
-            q.local_pushes.fetch_add(self.local, Ordering::Relaxed);
-            self.local = 0;
-        }
-        if self.dropped > 0 {
-            q.dropped.fetch_add(self.dropped, Ordering::Relaxed);
-            self.dropped = 0;
-        }
-        let debt = std::mem::take(&mut self.debt);
-        // The release half of this RMW publishes the stat stores above;
-        // the finalizing fetch_sub that observes zero acquires the whole
-        // release sequence, so finalized stats are complete.
-        if debt > 0 && q.pending.fetch_sub(debt, Ordering::AcqRel) == debt {
-            shared.finalize(q, recorder);
-        }
-    }
-}
-
-/// Idle spin iterations before a worker parks: short, because parked
-/// threads free the core under oversubscription.
-const SPIN_ITERS: u32 = 16;
-
-/// First idle-spin tier: iterations spent in [`std::hint::spin_loop`]
-/// bursts (cheap, keeps the core; right when mail is nanoseconds away)
-/// before the loop falls back to [`std::thread::yield_now`] (frees the
-/// core; right under oversubscription). Each burst doubles in length.
-const SPIN_HINT_ITERS: u32 = 6;
-
-#[derive(Default)]
-struct WorkerTotals {
-    parks: u64,
-    inbox_batches: u64,
-}
-
-/// Switch the worker's one-entry query cache to `qid`, settling the ledger
-/// for the previous query first. Returns `false` if the qid is unknown
-/// (impossible while its visitors hold pending units; guarded anyway).
-fn switch_query<'h, V: Visitor, R: Recorder>(
-    shared: &EngineShared<'h, V>,
-    cur: &mut Option<Arc<QueryShared<'h, V>>>,
-    led: &mut Ledger,
-    qid: u32,
-    recorder: &R,
-) -> bool {
-    if cur.as_ref().map(|q| q.qid) != Some(qid) {
-        if let Some(prev) = cur.take() {
-            led.settle(shared, &prev, recorder);
-        }
-        *cur = shared.lookup(qid);
-    }
-    cur.is_some()
-}
-
-fn engine_worker<'h, V: Visitor, R: Recorder>(
-    shared: &EngineShared<'h, V>,
-    id: usize,
-    cfg: &EngineConfig,
-    park: Duration,
-    recorder: &R,
-) -> WorkerTotals {
-    let inbox = &shared.inboxes[id];
-    let mut heap: BucketQueue<Tagged<V>> =
-        BucketQueue::new(cfg.vq.priority_shift, cfg.vq.sort_buckets);
-    let mut outbox: Outbox<Tagged<V>> = Outbox::new(shared.inboxes.len());
-    let mut totals = WorkerTotals::default();
-    let poison_guard = WorkerPoisonGuard(shared);
-    if R::ENABLED {
-        recorder.register_worker(id);
-        recorder.timeline("worker_start");
-    }
-
-    // Backstop: a full flush once this many visitors are staged in total,
-    // so a push pattern that never fills any single destination buffer
-    // still bounds the delivery latency the batching introduces.
-    let outbox_max_staged: u64 = (FLUSH_PER_DEST * shared.inboxes.len()) as u64;
-
-    // Visitors drained for the current service round, split into parallel
-    // visitor/qid columns so `prepare_batch` can see contiguous `&[V]`
-    // runs; reused across rounds so the hot path does not allocate.
-    let batch_drain = cfg.vq.batch_drain.max(1);
-    let mut bvis: Vec<V> = Vec::with_capacity(batch_drain);
-    let mut bqid: Vec<u32> = Vec::with_capacity(batch_drain);
-
-    // One-entry cache of the query the worker is currently executing, with
-    // its unsettled accounting. Interleaved streams switch rarely (the
-    // heap's semi-sort groups same-query visitors), so the queries-table
-    // read-lock stays off the per-visitor path.
-    let mut cur: Option<Arc<QueryShared<'h, V>>> = None;
-    let mut led = Ledger::default();
-
-    'outer: loop {
-        // Merge any mail into the private heap so priorities interleave.
-        if inbox.has_mail() {
-            let moved = inbox.drain(&mut heap, recorder);
-            if moved > 0 {
-                totals.inbox_batches += 1;
-            }
-        }
-
-        // Drain up to `batch_drain` visitors for this service round.
-        while bvis.len() < batch_drain {
-            match heap.pop() {
-                Some(t) => {
-                    bvis.push(t.v);
-                    bqid.push(t.qid);
-                }
-                None => break,
-            }
-        }
-        if !bvis.is_empty() {
-            if bvis.len() > 1 {
-                // Advisory hint before any visitor runs: semi-external
-                // handlers coalesce the batch's adjacency reads here. One
-                // call per contiguous same-query run (the semi-sort's qid
-                // tiebreak keeps runs long); aborted queries are skipped.
-                let mut i = 0;
-                while i < bqid.len() {
-                    let qid = bqid[i];
-                    let mut j = i + 1;
-                    while j < bqid.len() && bqid[j] == qid {
-                        j += 1;
-                    }
-                    if j - i > 1 && switch_query(shared, &mut cur, &mut led, qid, recorder) {
-                        let q = cur.as_ref().expect("switch_query returned true");
-                        if !q.aborted.load(Ordering::Acquire) {
-                            q.handler.get().prepare_batch(&bvis[i..j]);
-                        }
-                    }
-                    i = j;
-                }
-            }
-            if R::ENABLED {
-                recorder.observe(HistKind::BatchDrainSize, bvis.len() as u64);
-            }
-            for (v, qid) in bvis.drain(..).zip(bqid.drain(..)) {
-                if shared.poisoned.load(Ordering::Acquire) {
-                    // Engine-level teardown: drop everything and leave.
-                    break 'outer;
-                }
-                if !switch_query(shared, &mut cur, &mut led, qid, recorder) {
-                    debug_assert!(false, "visitor for unknown query {qid}");
-                    continue;
-                }
-                let q = cur.as_ref().expect("switch_query returned true");
-                if q.aborted.load(Ordering::Acquire) {
-                    // This query is coming down: its visitors drain as
-                    // uncounted drops so its pending counter still reaches
-                    // zero and the ticket resolves.
-                    led.dropped += 1;
-                    led.debt += 1;
-                    if led.debt >= DEBT_FLUSH {
-                        led.settle(shared, q, recorder);
-                    }
-                    continue;
-                }
-                let mut ctx = PushCtx {
-                    inboxes: &shared.inboxes,
-                    pending: &q.pending,
-                    qid,
-                    worker_id: id,
-                    local_heap: &mut heap,
-                    outbox: &mut outbox,
-                    pushed: 0,
-                    local_pushes: 0,
-                };
-                let visit_start = if R::ENABLED {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                let outcome = q.handler.get().try_visit(v, &mut ctx);
-                let (pushed, local_pushes) = (ctx.pushed, ctx.local_pushes);
-                if let Some(t0) = visit_start {
-                    recorder.observe(HistKind::ServiceTimeNs, t0.elapsed().as_nanos() as u64);
-                }
-                if local_pushes > 0 {
-                    // Publish deferred-increment local pushes (see PushCtx).
-                    // Done even on an aborting visit so the counter never
-                    // under-counts while other workers may be settling it.
-                    q.pending.fetch_add(local_pushes, Ordering::Relaxed);
-                }
-                if R::ENABLED {
-                    recorder.counter(Counter::VisitorsExecuted, 1);
-                    recorder.counter(Counter::VisitorsPushed, pushed);
-                    recorder.counter(Counter::LocalPushes, local_pushes);
-                    recorder.counter(Counter::RemotePushes, pushed - local_pushes);
-                }
-                led.executed += 1;
-                led.pushed += pushed;
-                led.local += local_pushes;
-                led.debt += 1;
-                if let Err(reason) = outcome {
-                    // Abort *this query only*; the worker keeps serving
-                    // siblings, and this query's queued visitors drain out
-                    // as drops above.
-                    q.abort(reason);
-                }
-                if led.debt >= DEBT_FLUSH {
-                    led.settle(shared, q, recorder);
-                }
-                if !outbox.ready.is_empty() {
-                    if R::ENABLED {
-                        recorder.counter(Counter::OutboxFlushes, 1);
-                    }
-                    outbox.flush_ready(&shared.inboxes);
-                } else if outbox.staged >= outbox_max_staged {
-                    if R::ENABLED {
-                        recorder.counter(Counter::OutboxFlushes, 1);
-                    }
-                    outbox.flush(&shared.inboxes);
-                }
-            }
-            continue;
-        }
-
-        // Out of local work: deliver staged mail (other workers may be
-        // waiting on it), then settle the ledger so the current query's
-        // counter is exact before this worker goes quiet.
-        if R::ENABLED && outbox.staged > 0 {
-            recorder.counter(Counter::OutboxFlushes, 1);
-        }
-        outbox.flush(&shared.inboxes);
-        if let Some(q) = cur.take() {
-            led.settle(shared, &q, recorder);
-        }
-
-        // Idle: adaptive spin before parking — but only while queries are
-        // in flight. A fully idle engine skips straight to the park (the
-        // long-lived-pool fix: between queries there is nothing nanoseconds
-        // away to spin for, and N workers spinning between every request
-        // would burn N cores at idle).
-        let spin_budget = if shared.active_count.load(Ordering::Relaxed) == 0 {
-            0
-        } else {
-            SPIN_ITERS
-        };
-        let mut spun: u32 = 0;
-        while spun < spin_budget {
-            if inbox.has_mail() {
-                continue 'outer;
-            }
-            if shared.stopping() {
-                break 'outer;
-            }
-            if spun < SPIN_HINT_ITERS {
-                for _ in 0..(1u32 << spun) {
-                    std::hint::spin_loop();
-                }
-            } else {
-                std::thread::yield_now();
-            }
-            spun += 1;
-        }
-
-        // Park until mail arrives or the engine stops; any mail found is
-        // drained into the heap before idle_wait returns. Unlike the
-        // single-run loop there is no pending==0 exit: an idle engine
-        // worker parks and waits for the next query.
-        let idle = inbox.idle_wait(&mut heap, || shared.stopping(), park, recorder);
-        totals.parks += idle.parks;
-        if idle.exit {
-            break 'outer;
-        }
-        if idle.drained > 0 {
-            totals.inbox_batches += 1;
-        }
-    }
-
-    if R::ENABLED {
-        recorder.timeline("worker_exit");
-    }
-    drop(poison_guard);
-    totals
-}
-
-/// Run one traversal on a throwaway single-query engine — the
-/// implementation behind every [`VisitorQueue`](crate::VisitorQueue) entry
-/// point, so the one-shot and persistent paths cannot drift.
-pub(crate) fn one_shot<V, H, I, R>(
-    cfg: &VqConfig,
-    handler: &H,
-    init: I,
-    recorder: &R,
-) -> Result<RunStats, AbortedRun>
-where
-    V: Visitor,
-    H: FallibleVisitHandler<V>,
-    I: IntoIterator<Item = V>,
-    R: Recorder,
-{
-    let num_threads = cfg.num_threads.max(1);
-    let seeds: Vec<V> = init.into_iter().collect();
-    if seeds.is_empty() {
-        // Nothing to traverse: matches the historical behaviour of not
-        // spawning workers at all for an empty seed set.
-        return Ok(RunStats {
-            num_threads,
-            ..Default::default()
-        });
-    }
-    let ecfg = EngineConfig {
-        vq: cfg.clone(),
-        max_concurrent: 1,
-        queue_depth: 0,
-        submit_timeout: Duration::ZERO,
-    };
-    let start = Instant::now();
-    let (result, estats) = scoped_with_park(
-        &ecfg,
-        ONE_SHOT_PARK,
-        recorder,
-        |engine: &Engine<'_, '_, V, R>| {
-            let ticket = engine
-                .submit_borrowed(handler, seeds)
-                .expect("single submit on an empty engine cannot be refused");
-            ticket.wait()
-        },
-    );
-    let elapsed = start.elapsed();
-    let build = |qs: QueryStats| RunStats {
-        visitors_executed: qs.visitors_executed,
-        visitors_pushed: qs.visitors_pushed,
-        local_pushes: qs.local_pushes,
-        parks: estats.parks,
-        inbox_batches: estats.inbox_batches,
-        elapsed,
-        num_threads,
-    };
-    match result {
-        Ok(qs) => Ok(build(qs)),
-        Err(QueryError::Aborted { reason, stats }) => Err(AbortedRun {
-            reason,
-            stats: build(stats),
-        }),
-        Err(QueryError::EnginePoisoned) => {
-            unreachable!("worker panic re-raises inside scoped before this")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PushCtx;
     use asyncgt_obs::NoopRecorder;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AO};
 
@@ -1724,20 +1149,30 @@ mod tests {
 
     #[test]
     fn one_shot_matches_visitor_queue_semantics() {
-        let h = ChainHandler {
+        // The same chain as one engine query (Multi routing) and as a
+        // one-shot run (Single routing): identical work and accounting.
+        let cfg = VqConfig::with_threads(4);
+        let h = Arc::new(ChainHandler {
             end: 1_000,
             visits: AtomicU64::new(0),
-        };
-        let s = one_shot(
-            &VqConfig::with_threads(4),
-            &h,
-            [Chain(0)],
-            &asyncgt_obs::NoopRecorder,
-        )
-        .unwrap();
+        });
+        let (qs, _) = scoped(
+            &EngineConfig::with_vq(cfg.clone()),
+            &NoopRecorder,
+            |engine| {
+                engine
+                    .submit(h.clone() as Arc<DynHandler<'_, Chain>>, [Chain(0)])
+                    .unwrap()
+                    .wait()
+                    .unwrap()
+            },
+        );
+        let s = crate::VisitorQueue::run(&cfg, &*h, [Chain(0)]);
+        assert_eq!(h.visits.load(AO::Relaxed), 2_000);
+        assert_eq!(s.visitors_executed, qs.visitors_executed);
+        assert_eq!(s.visitors_pushed, qs.visitors_pushed);
+        assert_eq!(s.local_pushes, qs.local_pushes);
         assert_eq!(s.visitors_executed, 1_000);
-        assert_eq!(s.visitors_pushed, 1_000);
         assert_eq!(s.num_threads, 4);
-        assert_eq!(h.visits.load(AO::Relaxed), 1_000);
     }
 }

@@ -63,7 +63,10 @@
 //! it spawns and joins internally. For a stream of traversals over one
 //! graph — the serving workload — use the persistent [`engine`]: workers
 //! are spawned once, park when idle, and multiplex concurrent queries with
-//! per-query termination and isolation (see [`engine::scoped`]).
+//! per-query termination and isolation (see [`engine::scoped`]). Both run
+//! the same worker loop; a one-shot run queues the bare visitor and calls
+//! its handler without dynamic dispatch, so it pays nothing for the
+//! engine's multiplexing.
 
 #![warn(missing_docs)]
 
@@ -75,12 +78,14 @@ mod mailbox;
 pub mod queue;
 pub mod state;
 pub mod visitor;
+mod worker;
 
 pub use config::VqConfig;
 pub use engine::{
-    scoped, DynHandler, Engine, EngineConfig, EngineStats, PushCtx, QueryError, QueryStats,
-    QueryTicket, SubmitError,
+    scoped, DynHandler, Engine, EngineConfig, EngineStats, QueryError, QueryStats, QueryTicket,
+    SubmitError,
 };
 pub use queue::{AbortedRun, RunStats, VisitorQueue};
 pub use state::{AtomicStateArray, OwnedStateLease, StateLease, StatePool};
 pub use visitor::{AbortReason, FallibleVisitHandler, VisitHandler, Visitor};
+pub use worker::PushCtx;

@@ -1,4 +1,5 @@
-//! The asynchronous visitor-queue engine.
+//! The one-shot visitor queue: one traversal on a worker pool spawned for
+//! it and joined at termination.
 //!
 //! Layout per worker:
 //!
@@ -25,16 +26,21 @@
 //! the end of the visit, and completions accumulate into a per-worker debt
 //! settled at the latest when the worker runs out of local work.
 //!
-//! Since the persistent [`Engine`](crate::engine::Engine) landed, the
-//! worker loop itself lives in [`crate::engine`]; every [`VisitorQueue`]
-//! entry point runs as a single query on a throwaway one-query engine
-//! (`crate::engine::one_shot`), so the one-shot and multi-query paths
-//! share one implementation and cannot drift.
+//! The worker loop itself is `crate::worker::engine_worker`, the one loop
+//! the persistent [`Engine`](crate::engine::Engine) runs too. What this
+//! module adds is its **`Single`** routing policy: the queues carry the
+//! bare visitor `V` (no query tag), the handler is called as a
+//! monomorphized `&H` (no `dyn`), and there is no query table, admission
+//! or ticket — one `Tally` holds the pending counter, and workers exit
+//! once it reaches zero or a handler panics.
 
 use crate::config::VqConfig;
+use crate::mailbox::Mailbox;
 use crate::visitor::{AbortReason, FallibleVisitHandler, VisitHandler, Visitor};
-use asyncgt_obs::{NoopRecorder, Recorder};
-use std::time::Duration;
+use crate::worker::{serve, Lanes, Route, Sink, Tally, SPIN_ITERS};
+use asyncgt_obs::{Counter, NoopRecorder, Recorder};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// Aggregate statistics from one traversal run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -173,14 +179,141 @@ impl VisitorQueue {
         I: IntoIterator<Item = V>,
         R: Recorder,
     {
-        crate::engine::one_shot(cfg, handler, init, recorder)
+        let num_threads = cfg.num_threads.max(1);
+        // Seed: group initial visitors by destination queue, then deliver
+        // each group in one mailbox operation. The workers have not
+        // started, so nothing contends and no owner needs waking.
+        let mut groups: Vec<Vec<V>> = (0..num_threads).map(|_| Vec::new()).collect();
+        let mut seeded: u64 = 0;
+        for v in init {
+            groups[route_of(v.target(), num_threads)].push(v);
+            seeded += 1;
+        }
+        if seeded == 0 {
+            // Nothing to traverse: no workers are spawned.
+            return Ok(RunStats {
+                num_threads,
+                ..Default::default()
+            });
+        }
+        let run = Single {
+            inboxes: (0..num_threads).map(|_| Mailbox::new()).collect(),
+            tally: Tally::new(seeded),
+            handler,
+            poisoned: AtomicBool::new(false),
+        };
+        for (q, mut group) in groups.into_iter().enumerate() {
+            run.inboxes[q].deliver(&mut group);
+        }
+        run.tally.pending.store(seeded, Ordering::Release);
+        if R::ENABLED {
+            // Seed pushes come from the driver thread (overflow shard);
+            // worker-attributed pushes are recorded in the worker loop.
+            recorder.counter(Counter::VisitorsPushed, seeded);
+        }
+
+        let start = Instant::now();
+        let ((), totals) = serve(&run, cfg, recorder, || ());
+        let t = &run.tally;
+        let stats = RunStats {
+            visitors_executed: t.executed.load(Ordering::Acquire),
+            visitors_pushed: t.pushed.load(Ordering::Acquire),
+            local_pushes: t.local_pushes.load(Ordering::Acquire),
+            parks: totals.parks,
+            inbox_batches: totals.inbox_batches,
+            elapsed: start.elapsed(),
+            num_threads,
+        };
+        match t.take_abort() {
+            Some(reason) => Err(AbortedRun { reason, stats }),
+            None => Ok(stats),
+        }
+    }
+}
+
+/// Upper bound on one idle park in a one-shot run. Short until the
+/// one-shot park question in DESIGN.md §14 is settled.
+const ONE_SHOT_PARK: Duration = Duration::from_millis(1);
+
+/// The `Single` routing policy (see the module docs): one traversal, bare
+/// visitors, a monomorphized handler. `H` needs only `Sync` — it is
+/// borrowed for the run, never sent.
+struct Single<'h, V: Visitor, H: ?Sized> {
+    inboxes: Vec<Mailbox<V>>,
+    tally: Tally,
+    handler: &'h H,
+    /// A handler panicked: workers drop their work and exit.
+    poisoned: AtomicBool,
+}
+
+impl<V: Visitor, H: FallibleVisitHandler<V> + ?Sized> Route<V> for Single<'_, V, H> {
+    type Item = V;
+    type Tag = ();
+    type Query = ();
+    type Handler = H;
+    const PARK: Duration = ONE_SHOT_PARK;
+
+    fn inboxes(&self) -> &[Mailbox<V>] {
+        &self.inboxes
+    }
+
+    #[inline]
+    fn split(v: V) -> (V, ()) {
+        (v, ())
+    }
+
+    #[inline]
+    fn sink(lanes: Lanes<'_, V>, _: ()) -> Sink<'_, V> {
+        Sink::Single(lanes)
+    }
+
+    #[inline]
+    fn lookup(&self, _: ()) -> Option<()> {
+        Some(())
+    }
+
+    #[inline]
+    fn tag_of(_: &()) {}
+
+    #[inline]
+    fn tally<'a>(&'a self, _: &'a ()) -> &'a Tally {
+        &self.tally
+    }
+
+    #[inline]
+    fn handler<'a>(&'a self, _: &'a ()) -> &'a H {
+        self.handler
+    }
+
+    /// The run terminated: wake every parked worker so it sees
+    /// `stopping()` and exits.
+    fn finish<R: Recorder>(&self, _: &(), _: &R) {
+        self.wake_all();
+    }
+
+    #[inline]
+    fn poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    fn stopping(&self) -> bool {
+        self.tally.pending.load(Ordering::Acquire) == 0 || self.poisoned()
+    }
+
+    fn spin_budget(&self) -> u32 {
+        SPIN_ITERS
+    }
+
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        self.wake_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::PushCtx;
+    use crate::PushCtx;
     use std::sync::atomic::{AtomicU64, Ordering as AO};
 
     /// Visitor that walks a chain 0..n, one hop per visit.
@@ -590,6 +723,63 @@ mod tests {
         let s = VisitorQueue::run(&VqConfig::with_threads(1), &h, [Chain(0)]);
         // Every non-seed push targets the only queue: all local.
         assert_eq!(s.local_pushes, 99);
+    }
+
+    #[test]
+    fn sync_but_not_send_handler_runs() {
+        // One-shot handlers are borrowed by the run, never sent to a
+        // worker, so `Sync` is all they need. A `MutexGuard` is `Sync`
+        // but not `Send`; this test does not compile if the one-shot path
+        // ever requires `Send` (or an `Arc`) of its handler again.
+        struct Pinned<'a> {
+            chain: ChainHandler,
+            _not_send: std::sync::MutexGuard<'a, ()>,
+        }
+        impl VisitHandler<Chain> for Pinned<'_> {
+            fn visit(&self, v: Chain, ctx: &mut PushCtx<'_, Chain>) {
+                self.chain.visit(v, ctx);
+            }
+        }
+        let lock = std::sync::Mutex::new(());
+        let h = Pinned {
+            chain: ChainHandler {
+                n: 500,
+                visits: AtomicU64::new(0),
+            },
+            _not_send: lock.lock().unwrap(),
+        };
+        let s = VisitorQueue::run(&VqConfig::with_threads(4), &h, [Chain(0)]);
+        assert_eq!(s.visitors_executed, 500);
+        assert_eq!(h.chain.visits.load(AO::Relaxed), 500);
+    }
+
+    /// Bytes one queued item occupies under routing policy `P`.
+    fn queued_item_size<V: Visitor, P: Route<V>>() -> usize {
+        std::mem::size_of::<P::Item>()
+    }
+
+    #[test]
+    fn one_shot_queues_store_bare_visitors() {
+        // The layout of core's SSSP/BFS visitor: (dist, vertex, parent).
+        #[derive(PartialEq, Eq, PartialOrd, Ord)]
+        struct Path {
+            dist: u64,
+            vertex: u32,
+            parent: u32,
+        }
+        impl Visitor for Path {
+            fn target(&self) -> u64 {
+                self.vertex as u64
+            }
+        }
+        type OneShot<V> = Single<'static, V, dyn FallibleVisitHandler<V>>;
+        // A query tag would widen every queued and mailed item (to 24
+        // bytes here); one-shot runs must carry the bare visitor.
+        assert_eq!(queued_item_size::<Path, OneShot<Path>>(), 16);
+        assert_eq!(
+            queued_item_size::<Chain, OneShot<Chain>>(),
+            std::mem::size_of::<Chain>()
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The visitor abstraction: prioritized work items addressed to vertices.
 
-use crate::engine::PushCtx;
+use crate::worker::PushCtx;
 
 /// A prioritized, vertex-addressed unit of traversal work.
 ///
