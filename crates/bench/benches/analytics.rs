@@ -1,13 +1,12 @@
 //! Criterion micro-benchmarks for the analytics layer built on the
 //! traversal building blocks: PageRank (async push vs power iteration),
-//! triangle counting, diameter estimation, and relabeling.
+//! diameter estimation, and relabeling.
 
 use asyncgt::{double_sweep, pagerank, Config, PageRankParams};
 use asyncgt_baselines::power_iteration;
 use asyncgt_bench::workloads::rmat_undirected;
 use asyncgt_graph::generators::RmatParams;
 use asyncgt_graph::relabel::{by_bfs, by_degree, relabel};
-use asyncgt_graph::triangles::{count_triangles, count_triangles_parallel};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -34,18 +33,6 @@ fn bench_pagerank(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_triangles(c: &mut Criterion) {
-    let g = rmat_undirected(RmatParams::RMAT_A, SCALE);
-    let mut group = c.benchmark_group("triangles");
-    group.measurement_time(Duration::from_secs(3));
-    group.sample_size(10);
-    group.bench_function("serial", |b| b.iter(|| count_triangles(&g)));
-    group.bench_function("parallel_4t", |b| {
-        b.iter(|| count_triangles_parallel(&g, 4))
-    });
-    group.finish();
-}
-
 fn bench_diameter_and_relabel(c: &mut Criterion) {
     let g = rmat_undirected(RmatParams::RMAT_A, SCALE);
     let mut group = c.benchmark_group("structure");
@@ -61,10 +48,5 @@ fn bench_diameter_and_relabel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_pagerank,
-    bench_triangles,
-    bench_diameter_and_relabel
-);
+criterion_group!(benches, bench_pagerank, bench_diameter_and_relabel);
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! fixed RMAT-A graph. These complement the table binaries (which regenerate
 //! the paper's tables) with statistically sampled kernel timings.
 
-use asyncgt::{bfs, connected_components, sssp, Config};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, Config};
 use asyncgt_baselines::{delta_stepping, level_sync, serial, union_find};
 use asyncgt_bench::workloads::{rmat_directed, rmat_undirected, rmat_weighted};
 use asyncgt_graph::generators::RmatParams;
@@ -21,13 +21,13 @@ fn bench_bfs(c: &mut Criterion) {
     group.bench_function("serial_bgl", |b| b.iter(|| serial::bfs(&g, 0)));
     group.bench_function("level_sync_4t", |b| b.iter(|| level_sync::bfs(&g, 0, 4)));
     group.bench_function("async_1t", |b| {
-        b.iter(|| bfs(&g, 0, &Config::with_threads(1)))
+        b.iter(|| try_bfs(&g, 0, &Config::with_threads(1)).unwrap())
     });
     group.bench_function("async_4t", |b| {
-        b.iter(|| bfs(&g, 0, &Config::with_threads(4)))
+        b.iter(|| try_bfs(&g, 0, &Config::with_threads(4)).unwrap())
     });
     group.bench_function("async_32t", |b| {
-        b.iter(|| bfs(&g, 0, &Config::with_threads(32)))
+        b.iter(|| try_bfs(&g, 0, &Config::with_threads(32)).unwrap())
     });
     group.finish();
 }
@@ -42,13 +42,13 @@ fn bench_sssp(c: &mut Criterion) {
         b.iter(|| delta_stepping::sssp(&g, 0, delta_stepping::default_delta(1 << SCALE, 16)))
     });
     group.bench_function("async_1t", |b| {
-        b.iter(|| sssp(&g, 0, &Config::with_threads(1)))
+        b.iter(|| try_sssp(&g, 0, &Config::with_threads(1)).unwrap())
     });
     group.bench_function("async_4t", |b| {
-        b.iter(|| sssp(&g, 0, &Config::with_threads(4)))
+        b.iter(|| try_sssp(&g, 0, &Config::with_threads(4)).unwrap())
     });
     group.bench_function("async_4t_pruned", |b| {
-        b.iter(|| sssp(&g, 0, &Config::with_threads(4).with_pruning()))
+        b.iter(|| try_sssp(&g, 0, &Config::with_threads(4).with_pruning()).unwrap())
     });
     group.finish();
 }
@@ -68,10 +68,10 @@ fn bench_cc(c: &mut Criterion) {
         b.iter(|| level_sync::connected_components(&g, 4))
     });
     group.bench_function("async_4t", |b| {
-        b.iter(|| connected_components(&g, &Config::with_threads(4)))
+        b.iter(|| try_connected_components(&g, &Config::with_threads(4)).unwrap())
     });
     group.bench_function("async_4t_pruned", |b| {
-        b.iter(|| connected_components(&g, &Config::with_threads(4).with_pruning()))
+        b.iter(|| try_connected_components(&g, &Config::with_threads(4).with_pruning()).unwrap())
     });
     group.finish();
 }

@@ -15,7 +15,7 @@
 //!
 //! Run: `cargo run -p asyncgt-bench --release --bin ablation -- [cmd]`
 
-use asyncgt::{bfs, connected_components, sssp, Config};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, Config};
 use asyncgt_baselines::serial;
 use asyncgt_bench::table::{ratio, secs, Table};
 use asyncgt_bench::workloads::{as_sem, rmat_directed, rmat_undirected, rmat_weighted};
@@ -36,7 +36,7 @@ fn chain() {
 
     let mut t = Table::new(vec!["threads", "time(s)", "vs serial", "visitors"]);
     for threads in [1usize, 4, 16, 64] {
-        let (out, dt) = time(|| bfs(&g, 0, &Config::with_threads(threads)));
+        let (out, dt) = time(|| try_bfs(&g, 0, &Config::with_threads(threads)).unwrap());
         assert_eq!(out.dist, ser.dist);
         t.row(vec![
             threads.to_string(),
@@ -72,7 +72,7 @@ fn oversub() {
         "parks",
     ]);
     for threads in [1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512] {
-        let (out, dt) = time(|| bfs(&g, 0, &Config::with_threads(threads)));
+        let (out, dt) = time(|| try_bfs(&g, 0, &Config::with_threads(threads)).unwrap());
         assert_eq!(out.dist, ser.dist);
         let s = &out.stats;
         let localpct = 100.0 * s.local_pushes as f64 / s.visitors_pushed as f64;
@@ -108,7 +108,7 @@ fn prune() {
             "SSSP/UW",
             Box::new(|cfg: &Config| {
                 let g = rmat_weighted(RmatParams::RMAT_A, scale, WeightKind::Uniform);
-                let out = sssp(&g, 0, cfg);
+                let out = try_sssp(&g, 0, cfg).unwrap();
                 (out.stats.visitors_pushed, out.stats.elapsed)
             }) as Box<dyn Fn(&Config) -> (u64, std::time::Duration)>,
         ),
@@ -116,7 +116,7 @@ fn prune() {
             "BFS",
             Box::new(|cfg: &Config| {
                 let g = rmat_directed(RmatParams::RMAT_A, scale);
-                let out = bfs(&g, 0, cfg);
+                let out = try_bfs(&g, 0, cfg).unwrap();
                 (out.stats.visitors_pushed, out.stats.elapsed)
             }),
         ),
@@ -124,7 +124,7 @@ fn prune() {
             "CC",
             Box::new(|cfg: &Config| {
                 let g = rmat_undirected(RmatParams::RMAT_B, scale);
-                let out = connected_components(&g, cfg);
+                let out = try_connected_components(&g, cfg).unwrap();
                 (out.stats.visitors_pushed, out.stats.elapsed)
             }),
         ),
@@ -170,7 +170,7 @@ fn semisort() {
                 ..SemConfig::default()
             },
         );
-        let (out, dt) = time(|| bfs(&sem, 0, &Config::with_threads(64)));
+        let (out, dt) = time(|| try_bfs(&sem, 0, &Config::with_threads(64)).unwrap());
         assert!(out.reached_count() > 0);
         let io = sem.io_stats();
         let total = io.cache_hits + io.cache_misses;
@@ -218,7 +218,8 @@ fn iobatch() {
                 ..SemConfig::default()
             },
         );
-        let (out, dt) = time(|| bfs(&sem, 0, &Config::with_threads(64).with_io_batch(io_batch)));
+        let (out, dt) =
+            time(|| try_bfs(&sem, 0, &Config::with_threads(64).with_io_batch(io_batch)).unwrap());
         assert!(out.reached_count() > 0);
         let io = sem.io_stats();
         t.row(vec![
@@ -258,7 +259,7 @@ fn relabel() {
                 ..SemConfig::default()
             },
         );
-        let (out, dt) = time(|| bfs(&sem, 0, &Config::with_threads(64)));
+        let (out, dt) = time(|| try_bfs(&sem, 0, &Config::with_threads(64)).unwrap());
         assert!(out.reached_count() > 0);
         let io = sem.io_stats();
         let total = io.cache_hits + io.cache_misses;

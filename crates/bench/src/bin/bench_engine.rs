@@ -12,7 +12,7 @@
 use asyncgt::graph::generators::{RmatGenerator, RmatParams};
 use asyncgt::obs::json::Value;
 use asyncgt::obs::NoopRecorder;
-use asyncgt::{bfs, with_engine, Config, CsrGraph, EngineOpts, Graph};
+use asyncgt::{try_bfs, with_engine, Config, CsrGraph, EngineOpts, Graph};
 use asyncgt_bench::{banner, table::Table, time};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -73,7 +73,7 @@ fn run_spawn(g: &CsrGraph, concurrency: usize) -> u64 {
                         if i >= QUERIES {
                             return reached;
                         }
-                        reached += bfs(g, source(i, n), &cfg).reached_count();
+                        reached += try_bfs(g, source(i, n), &cfg).unwrap().reached_count();
                     }
                 })
             })

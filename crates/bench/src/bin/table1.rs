@@ -12,7 +12,7 @@
 //! Env: `ASYNCGT_SCALES`, `ASYNCGT_THREADS`.
 
 use asyncgt::validate::check_shortest_paths;
-use asyncgt::{bfs, bfs_recorded, Config};
+use asyncgt::{try_bfs, try_bfs_recorded, Config};
 use asyncgt_baselines::{level_sync, serial};
 use asyncgt_bench::table::{ratio, secs, Table};
 use asyncgt_bench::workloads::{rmat_directed, rmat_families, EDGE_FACTOR};
@@ -53,7 +53,7 @@ fn main() {
             let mut best = f64::INFINITY;
             let mut first = 0.0;
             for (i, &t) in threads.iter().enumerate() {
-                let (out, dt) = time(|| bfs(&g, source, &Config::with_threads(t)));
+                let (out, dt) = time(|| try_bfs(&g, source, &Config::with_threads(t)).unwrap());
                 check_shortest_paths(&g, source, &out, true).expect("async BFS invalid");
                 assert_eq!(out.dist, bgl.dist, "async BFS mismatch at {t} threads");
                 let s = dt.as_secs_f64();
@@ -65,7 +65,7 @@ fn main() {
             }
 
             let (levs, vis) = {
-                let out = bfs(&g, source, &Config::with_threads(threads[0]));
+                let out = try_bfs(&g, source, &Config::with_threads(threads[0])).unwrap();
                 (out.level_count(), out.visited_fraction())
             };
 
@@ -107,7 +107,7 @@ fn main() {
         let t = *threads.last().unwrap();
         let g = rmat_directed(params, scale);
         let rec = asyncgt::obs::ShardedRecorder::new(t);
-        let _ = bfs_recorded(&g, source, &Config::with_threads(t), &rec);
+        let _ = try_bfs_recorded(&g, source, &Config::with_threads(t), &rec).unwrap();
         std::fs::write(&out_path, rec.snapshot().to_json_string())
             .expect("write ASYNCGT_METRICS_JSON");
         println!();

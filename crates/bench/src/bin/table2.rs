@@ -6,7 +6,7 @@
 //! Env: `ASYNCGT_SCALES`, `ASYNCGT_THREADS`.
 
 use asyncgt::validate::check_shortest_paths;
-use asyncgt::{sssp, Config};
+use asyncgt::{try_sssp, Config};
 use asyncgt_baselines::serial;
 use asyncgt_bench::table::{ratio, secs, Table};
 use asyncgt_bench::workloads::{rmat_families, rmat_weighted, EDGE_FACTOR};
@@ -45,7 +45,8 @@ fn main() {
                 let mut first = 0.0;
                 let mut revisit = 0.0;
                 for (i, &t) in threads.iter().enumerate() {
-                    let (out, dt) = time(|| sssp(&g, source, &Config::with_threads(t)));
+                    let (out, dt) =
+                        time(|| try_sssp(&g, source, &Config::with_threads(t)).unwrap());
                     check_shortest_paths(&g, source, &out, false).expect("async SSSP invalid");
                     assert_eq!(out.dist, bgl.dist, "async SSSP mismatch at {t} threads");
                     let s = dt.as_secs_f64();

@@ -8,7 +8,7 @@
 //!      `ASYNCGT_WEB_N` vertices per web-graph stand-in (default 65536).
 
 use asyncgt::validate::check_components;
-use asyncgt::{connected_components, Config};
+use asyncgt::{try_connected_components, Config};
 use asyncgt_baselines::{level_sync, serial, union_find};
 use asyncgt_bench::table::{ratio, secs, Table};
 use asyncgt_bench::workloads::{rmat_families, rmat_undirected, web_graphs};
@@ -27,7 +27,7 @@ fn run_one(table: &mut Table, name: &str, g: &CsrGraph<u32>, threads: &[usize]) 
     let mut first = 0.0;
     let mut num_ccs = 0;
     for (i, &t) in threads.iter().enumerate() {
-        let (out, dt) = time(|| connected_components(g, &Config::with_threads(t)));
+        let (out, dt) = time(|| try_connected_components(g, &Config::with_threads(t)).unwrap());
         check_components(g, &out.ccid).expect("async CC invalid");
         assert_eq!(out.ccid, bgl, "async CC mismatch at {t} threads");
         num_ccs = out.component_count();

@@ -24,7 +24,7 @@
 //!      `ASYNCGT_BLOCK_KB` (default 8), `ASYNCGT_CACHE_BLOCKS` (default 0).
 
 use asyncgt::validate::check_shortest_paths;
-use asyncgt::{bfs, bfs_recorded, Config};
+use asyncgt::{try_bfs, try_bfs_recorded, Config};
 use asyncgt_baselines::serial;
 use asyncgt_bench::table::{ratio, secs, Table};
 use asyncgt_bench::workloads::{as_sem, rmat_directed, rmat_families, EDGE_FACTOR};
@@ -103,11 +103,12 @@ fn main() {
                 let dev = Arc::new(SimulatedFlash::new(model));
                 let sem = as_sem(&g, &format!("t4_{name}_{scale}"), sem_cfg(dev));
                 let (out, t_async) = time(|| {
-                    bfs(
+                    try_bfs(
                         &sem,
                         source,
                         &Config::with_threads(sem_threads).with_io_batch(io_batch),
                     )
+                    .unwrap()
                 });
                 check_shortest_paths(&sem, source, &out, true).expect("SEM BFS invalid");
                 assert_eq!(out.dist, bgl.dist, "SEM BFS mismatch on {}", model.name);
@@ -150,12 +151,13 @@ fn main() {
                 ..SemConfig::default()
             },
         );
-        let _ = bfs_recorded(
+        let _ = try_bfs_recorded(
             &sem,
             source,
             &Config::with_threads(sem_threads).with_io_batch(io_batch),
             rec.as_ref(),
-        );
+        )
+        .unwrap();
         let mut snap = rec.snapshot();
         snap.io = Some(sem.io_stats().into());
         std::fs::write(&out_path, snap.to_json_string()).expect("write ASYNCGT_METRICS_JSON");

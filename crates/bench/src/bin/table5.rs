@@ -11,7 +11,7 @@
 //!      `ASYNCGT_WEB_N` (default 16384).
 
 use asyncgt::validate::check_components;
-use asyncgt::{connected_components, Config};
+use asyncgt::{try_connected_components, Config};
 use asyncgt_baselines::serial;
 use asyncgt_bench::table::{ratio, secs, Table};
 use asyncgt_bench::workloads::{as_sem, rmat_families, rmat_undirected, web_graphs};
@@ -67,7 +67,7 @@ fn run_one(
         let dev = Arc::new(SimulatedFlash::new(model));
         let sem = as_sem(g, &file_tag, sem_cfg(dev));
         let (out, t_async) =
-            time(|| connected_components(&sem, &Config::with_threads(sem_threads)));
+            time(|| try_connected_components(&sem, &Config::with_threads(sem_threads)).unwrap());
         check_components(&sem, &out.ccid).expect("SEM CC invalid");
         assert_eq!(out.ccid, bgl, "SEM CC mismatch on {}", model.name);
 

@@ -827,6 +827,17 @@ mod tests {
             run(&format!("queries {agt} --sources zero")),
             Err(CliError::Usage(_))
         ));
+        // A one-shot traversal rejects an out-of-range source with a
+        // typed error: a one-line runtime diagnostic naming the source.
+        for algo in ["bfs", "sssp"] {
+            match run(&format!("{algo} {agt} --source 999999")) {
+                Err(CliError::Runtime(msg)) => {
+                    assert!(msg.contains("source vertex 999999 out of range"), "{msg}");
+                    assert!(!msg.contains('\n'), "{msg}");
+                }
+                other => panic!("{algo}: expected a runtime error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

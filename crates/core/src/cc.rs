@@ -7,25 +7,34 @@
 //! identifier takes over the remainder of both traversals."
 
 use crate::config::Config;
+use crate::engine::MultiVisitor;
 use crate::error::TraversalError;
-use crate::result::TraversalStats;
-use crate::sssp::make_stats;
+use crate::result::{one_shot, RelaxCounter, TraversalStats};
 use asyncgt_graph::{stats, Graph, Vertex, INF_DIST};
-use asyncgt_obs::{Counter, NoopRecorder, Recorder};
+use asyncgt_obs::{NoopRecorder, Recorder};
 use asyncgt_vq::{
     AbortReason, AtomicStateArray, FallibleVisitHandler, PushCtx, Visitor, VisitorQueue,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Deref;
 
 /// The paper's `UCCVertexVisitor`: a candidate component id for `vertex`.
 ///
 /// Ids are stored as `u32` (an 8-byte visitor — CC floods one visitor per
 /// edge per label improvement, so queue compactness matters most here);
-/// [`connected_components`] rejects graphs with ≥ 2^32 vertices.
+/// traversals reject graphs with ≥ 2^32 − 1 vertices
+/// ([`TraversalError::GraphTooLarge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CcVisitor {
     pub ccid: u32,
     pub vertex: u32,
+}
+
+impl CcVisitor {
+    /// Algorithm 3's seeds: every vertex carries its own descriptor as
+    /// the starting component id.
+    pub(crate) fn seeds(n: u64) -> impl Iterator<Item = CcVisitor> {
+        (0..n as u32).map(|v| CcVisitor { ccid: v, vertex: v })
+    }
 }
 
 impl Ord for CcVisitor {
@@ -51,71 +60,103 @@ impl Visitor for CcVisitor {
     }
 }
 
-struct CcHandler<'a, G> {
-    g: &'a G,
-    ccid: &'a AtomicStateArray,
-    relaxations: &'a AtomicU64,
+/// State of one CC run: the component-id array, borrowed by a one-shot
+/// run and leased from the pool by an engine query, as for `SsspHandler`.
+pub(crate) struct CcHandler<'g, G, A> {
+    g: &'g G,
+    pub(crate) ccid: A,
     prune: bool,
+    relaxations: RelaxCounter,
 }
 
-/// The CC relax step (paper Algorithm 4), shared by the one-shot
-/// [`CcHandler`] and the persistent engine's CC jobs ([`crate::engine`]):
-/// relax the component id if the candidate is smaller, then flood it to
-/// every neighbor through `push`. A storage failure surfacing from the
-/// fallible adjacency read aborts the query cleanly.
-pub(crate) fn cc_relax<G: Graph>(
-    g: &G,
-    ccid: &AtomicStateArray,
-    relaxations: &AtomicU64,
-    prune: bool,
-    v: CcVisitor,
-    mut push: impl FnMut(CcVisitor),
-) -> Result<(), AbortReason> {
-    let vertex = v.vertex as u64;
-    if (v.ccid as u64) < ccid.get(vertex) {
-        ccid.set(vertex, v.ccid as u64);
-        relaxations.fetch_add(1, Ordering::Relaxed);
-        g.try_for_each_neighbor(vertex, |t, _| {
-            if prune && v.ccid as u64 >= ccid.get(t) {
-                return;
-            }
-            push(CcVisitor {
-                ccid: v.ccid,
-                vertex: t as u32,
-            });
-        })?;
+impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
+    pub(crate) fn new(g: &'g G, ccid: A, prune: bool) -> Self {
+        CcHandler {
+            g,
+            ccid,
+            prune,
+            relaxations: RelaxCounter::default(),
+        }
     }
-    Ok(())
-}
 
-/// The CC half of the batch I/O hint — mirror of
-/// [`crate::sssp::sssp_prefetch`]: announce the adjacency lists this round
-/// will flood, skipping visitors whose candidate id no longer improves the
-/// label (their visit reads nothing). Stale label reads can only
-/// over-include — labels are monotone decreasing.
-pub(crate) fn cc_prefetch<'v, G: Graph>(
-    g: &G,
-    ccid: &AtomicStateArray,
-    batch: impl Iterator<Item = &'v CcVisitor>,
-) {
-    let targets: Vec<u64> = batch
-        .filter(|v| (v.ccid as u64) < ccid.get(v.vertex as u64))
-        .map(|v| v.vertex as u64)
-        .collect();
-    if !targets.is_empty() {
-        g.prefetch_adjacency(&targets);
+    /// Label relaxations so far.
+    pub(crate) fn relaxed(&self) -> u64 {
+        self.relaxations.get()
+    }
+
+    /// The CC relax step (paper Algorithm 4): relax the component id if
+    /// the candidate is smaller, then flood it to every neighbor through
+    /// `push`. A storage failure surfacing from the fallible adjacency
+    /// read aborts the run cleanly.
+    fn relax(&self, v: CcVisitor, mut push: impl FnMut(CcVisitor)) -> Result<(), AbortReason> {
+        let vertex = v.vertex as u64;
+        if (v.ccid as u64) < self.ccid.get(vertex) {
+            self.ccid.set(vertex, v.ccid as u64);
+            self.relaxations.bump();
+            // Hoisted out of the edge loop, as in the SSSP relax.
+            let (ccid, prune) = (&*self.ccid, self.prune);
+            self.g.try_for_each_neighbor(vertex, |t, _| {
+                if prune && v.ccid as u64 >= ccid.get(t) {
+                    return;
+                }
+                push(CcVisitor {
+                    ccid: v.ccid,
+                    vertex: t as u32,
+                });
+            })?;
+        }
+        Ok(())
+    }
+
+    /// The batch I/O hint, as for SSSP: announce the adjacency lists this
+    /// round will flood, skipping visitors whose candidate id no longer
+    /// improves the label (their visit reads nothing). Stale label reads
+    /// can only over-include — labels are monotone decreasing.
+    fn prefetch<'v>(&self, batch: impl Iterator<Item = &'v CcVisitor>) {
+        let targets: Vec<u64> = batch
+            .filter(|v| (v.ccid as u64) < self.ccid.get(v.vertex as u64))
+            .map(|v| v.vertex as u64)
+            .collect();
+        if !targets.is_empty() {
+            self.g.prefetch_adjacency(&targets);
+        }
     }
 }
 
-impl<'a, G: Graph> FallibleVisitHandler<CcVisitor> for CcHandler<'a, G> {
+/// One-shot route: bare visitors, no dispatch.
+impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<CcVisitor>
+    for CcHandler<'_, G, A>
+{
     fn try_visit(&self, v: CcVisitor, ctx: &mut PushCtx<'_, CcVisitor>) -> Result<(), AbortReason> {
-        cc_relax(self.g, self.ccid, self.relaxations, self.prune, v, |nv| {
-            ctx.push(nv)
-        })
+        self.relax(v, |nv| ctx.push(nv))
     }
 
     fn prepare_batch(&self, batch: &[CcVisitor]) {
-        cc_prefetch(self.g, self.ccid, batch.iter());
+        self.prefetch(batch.iter());
+    }
+}
+
+/// Engine route: a query's visitors reach only its own handler, so a path
+/// visitor never arrives here.
+impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<MultiVisitor>
+    for CcHandler<'_, G, A>
+{
+    fn try_visit(
+        &self,
+        v: MultiVisitor,
+        ctx: &mut PushCtx<'_, MultiVisitor>,
+    ) -> Result<(), AbortReason> {
+        match v {
+            MultiVisitor::Cc(v) => self.relax(v, |nv| ctx.push(MultiVisitor::Cc(nv))),
+            MultiVisitor::Path(_) => unreachable!("path visitor routed to a CC query"),
+        }
+    }
+
+    fn prepare_batch(&self, batch: &[MultiVisitor]) {
+        self.prefetch(batch.iter().filter_map(|m| match m {
+            MultiVisitor::Cc(v) => Some(v),
+            MultiVisitor::Path(_) => None,
+        }));
     }
 }
 
@@ -145,8 +186,12 @@ impl CcOutput {
 /// stored in both directions, as produced by
 /// [`GraphBuilder::symmetrize`](asyncgt_graph::GraphBuilder::symmetrize)).
 ///
+/// A storage failure that exhausts its retry budget (or any other handler
+/// abort) returns `Err` with the classified [`TraversalError`] and partial
+/// statistics; an oversized graph is rejected before the run.
+///
 /// ```
-/// use asyncgt::{connected_components, Config};
+/// use asyncgt::{try_connected_components, Config};
 /// use asyncgt::graph::GraphBuilder;
 ///
 /// // Two components: {0, 1} and {2}.
@@ -154,93 +199,37 @@ impl CcOutput {
 ///     .add_edge(0, 1)
 ///     .symmetrize()
 ///     .build();
-/// let out = connected_components(&g, &Config::with_threads(2));
+/// let out = try_connected_components(&g, &Config::with_threads(2))?;
 /// assert_eq!(out.ccid, vec![0, 0, 2]);
 /// assert_eq!(out.component_count(), 2);
+/// # Ok::<(), asyncgt::TraversalError>(())
 /// ```
-pub fn connected_components<G: Graph>(g: &G, cfg: &Config) -> CcOutput {
-    connected_components_recorded(g, cfg, &NoopRecorder)
-}
-
-/// [`connected_components`] with a metrics [`Recorder`] (e.g.
-/// [`ShardedRecorder`](asyncgt_obs::ShardedRecorder)) collecting phase
-/// spans, per-worker counters, and service-time histograms.
-/// `connected_components` itself is this with [`NoopRecorder`], which
-/// compiles the instrumentation out.
-pub fn connected_components_recorded<G: Graph, R: Recorder>(
-    g: &G,
-    cfg: &Config,
-    recorder: &R,
-) -> CcOutput {
-    try_connected_components_recorded(g, cfg, recorder).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`connected_components`]: a storage failure that exhausts its
-/// retry budget (or any other handler abort) returns `Err` with the
-/// classified [`TraversalError`] and partial statistics, instead of
-/// panicking. This is the API to use for semi-external graphs on storage
-/// that can fail.
 pub fn try_connected_components<G: Graph>(g: &G, cfg: &Config) -> Result<CcOutput, TraversalError> {
     try_connected_components_recorded(g, cfg, &NoopRecorder)
 }
 
-/// [`try_connected_components`] with a metrics [`Recorder`].
+/// [`try_connected_components`] with a metrics [`Recorder`] (e.g.
+/// [`ShardedRecorder`](asyncgt_obs::ShardedRecorder)) collecting phase
+/// spans, per-worker counters, and service-time histograms.
 pub fn try_connected_components_recorded<G: Graph, R: Recorder>(
     g: &G,
     cfg: &Config,
     recorder: &R,
 ) -> Result<CcOutput, TraversalError> {
     let n = g.num_vertices();
-    assert!(
-        n < u32::MAX as u64,
-        "async traversal stores vertex ids as u32 (paper max scale is 2^30); \
-         got {n} vertices"
-    );
-    // Algorithm 3: ccid_array initialized to ∞; one visitor per vertex
-    // carrying its own descriptor as the starting component id.
-    recorder.phase_start("init_state");
-    let ccid = AtomicStateArray::new(n as usize, INF_DIST);
-    let relaxations = AtomicU64::new(0);
-    recorder.phase_end("init_state");
-
-    let handler = CcHandler {
-        g,
-        ccid: &ccid,
-        relaxations: &relaxations,
-        prune: cfg.prune_pushes,
-    };
-
-    let init = (0..n as u32).map(|v| CcVisitor { ccid: v, vertex: v });
     // Component-id priorities span the whole vertex-id space (every vertex
     // seeds itself), so lg(n) − 10 classes fit the queue's bucket ring.
-    let default_shift = crate::config::lg2(n).saturating_sub(10);
-    recorder.phase_start("traversal");
-    let result = VisitorQueue::try_run_recorded(&cfg.vq(default_shift), &handler, init, recorder);
-    recorder.phase_end("traversal");
-    let run = match result {
-        Ok(run) => run,
-        Err(aborted) => {
-            let stats = make_stats(&aborted.stats, relaxations.load(Ordering::Relaxed));
-            return Err(TraversalError::from_abort(aborted, stats));
-        }
-    };
-
-    let relaxed = relaxations.load(Ordering::Relaxed);
-    if R::ENABLED {
-        recorder.counter(Counter::Relaxations, relaxed);
-        recorder.counter(
-            Counter::Revisits,
-            run.visitors_executed.saturating_sub(relaxed),
-        );
-    }
-
-    recorder.phase_start("extract_state");
-    let out = CcOutput {
-        ccid: ccid.to_vec(),
-        stats: make_stats(&run, relaxed),
-    };
-    recorder.phase_end("extract_state");
-    Ok(out)
+    let vq = cfg.vq(crate::config::lg2(n).saturating_sub(10));
+    // Algorithm 3: ccid_array initialized to ∞, one seed per vertex.
+    let ([ccid], stats) = one_shot(n, &[], [INF_DIST], recorder, |[ccid]| {
+        let h = CcHandler::new(g, ccid, cfg.prune_pushes);
+        let seeds = CcVisitor::seeds(n);
+        (
+            VisitorQueue::try_run_recorded(&vq, &h, seeds, recorder),
+            h.relaxed(),
+        )
+    })?;
+    Ok(CcOutput { ccid, stats })
 }
 
 #[cfg(test)]
@@ -254,7 +243,7 @@ mod tests {
     #[test]
     fn empty_graph_components() {
         let g: CsrGraph<u32> = CsrGraph::empty(5);
-        let out = connected_components(&g, &Config::with_threads(2));
+        let out = try_connected_components(&g, &Config::with_threads(2)).unwrap();
         assert_eq!(out.ccid, vec![0, 1, 2, 3, 4]);
         assert_eq!(out.component_count(), 5);
     }
@@ -265,7 +254,7 @@ mod tests {
             let g = RmatGenerator::new(params, 10, 4, seed).undirected();
             let expect = serial::connected_components(&g);
             for threads in [1, 8, 64] {
-                let out = connected_components(&g, &Config::with_threads(threads));
+                let out = try_connected_components(&g, &Config::with_threads(threads)).unwrap();
                 assert_eq!(out.ccid, expect, "threads={threads}");
             }
         }
@@ -282,14 +271,14 @@ mod tests {
             isolated_frac: 0.05,
             seed: 12,
         });
-        let out = connected_components(&g, &Config::with_threads(16));
+        let out = try_connected_components(&g, &Config::with_threads(16)).unwrap();
         assert_eq!(out.ccid, union_find::connected_components(&g));
         assert!(out.component_count() > 1, "isolated pages exist");
     }
 
     #[test]
     fn single_component_labels_zero() {
-        let out = connected_components(&cycle_graph(64), &Config::with_threads(4));
+        let out = try_connected_components(&cycle_graph(64), &Config::with_threads(4)).unwrap();
         assert!(out.ccid.iter().all(|&c| c == 0));
         assert_eq!(out.component_count(), 1);
         assert_eq!(out.largest_component_size(), 64);
@@ -297,7 +286,7 @@ mod tests {
 
     #[test]
     fn grid_is_one_component() {
-        let out = connected_components(&grid_graph(16, 16), &Config::with_threads(8));
+        let out = try_connected_components(&grid_graph(16, 16), &Config::with_threads(8)).unwrap();
         assert_eq!(out.component_count(), 1);
     }
 
@@ -309,7 +298,7 @@ mod tests {
             b = b.add_edge(s, t);
         }
         let g: CsrGraph<u32> = b.symmetrize().build();
-        let out = connected_components(&g, &Config::with_threads(4));
+        let out = try_connected_components(&g, &Config::with_threads(4)).unwrap();
         assert_eq!(out.ccid, vec![0, 1, 0, 1, 0]);
     }
 
@@ -326,8 +315,9 @@ mod tests {
         let mut base_total = 0u64;
         let mut pruned_total = 0u64;
         for _ in 0..3 {
-            let base = connected_components(&g, &Config::with_threads(8));
-            let pruned = connected_components(&g, &Config::with_threads(8).with_pruning());
+            let base = try_connected_components(&g, &Config::with_threads(8)).unwrap();
+            let pruned =
+                try_connected_components(&g, &Config::with_threads(8).with_pruning()).unwrap();
             assert_eq!(base.ccid, pruned.ccid);
             base_total += base.stats.visitors_pushed;
             pruned_total += pruned.stats.visitors_pushed;
@@ -341,7 +331,7 @@ mod tests {
     #[test]
     fn stats_account_initial_seeds() {
         let g = cycle_graph(32);
-        let out = connected_components(&g, &Config::with_threads(2));
+        let out = try_connected_components(&g, &Config::with_threads(2)).unwrap();
         // Every vertex seeds one visitor; all must execute.
         assert!(out.stats.visitors_executed >= 32);
         assert!(

@@ -7,8 +7,9 @@
 //! graphs the paper targets. Each sweep is the asynchronous BFS, so this
 //! is another consumer of the paper's "building block".
 
-use crate::bfs::bfs;
+use crate::bfs::try_bfs;
 use crate::config::Config;
+use crate::error::TraversalError;
 use asyncgt_graph::{Graph, Vertex, INF_DIST};
 
 /// Result of a [`double_sweep`] diameter estimate.
@@ -47,26 +48,31 @@ fn farthest(dist: &[u64], source: Vertex) -> Option<(Vertex, u64)> {
 ///
 /// // Seeding mid-path still finds the full length.
 /// let g = path_graph(10);
-/// let est = double_sweep(&g, 0, &Config::with_threads(2));
+/// let est = double_sweep(&g, 0, &Config::with_threads(2))?;
 /// assert_eq!(est.diameter_lower_bound, 9);
+/// # Ok::<(), asyncgt::TraversalError>(())
 /// ```
-pub fn double_sweep<G: Graph>(g: &G, seed: Vertex, cfg: &Config) -> DiameterEstimate {
-    let first = bfs(g, seed, cfg);
+pub fn double_sweep<G: Graph>(
+    g: &G,
+    seed: Vertex,
+    cfg: &Config,
+) -> Result<DiameterEstimate, TraversalError> {
+    let first = try_bfs(g, seed, cfg)?;
     let Some((far_start, seed_ecc)) = farthest(&first.dist, seed) else {
         // Seed reaches nothing: degenerate estimate.
-        return DiameterEstimate {
+        return Ok(DiameterEstimate {
             diameter_lower_bound: 0,
             far_start: seed,
             far_end: seed,
             seed_eccentricity: 0,
-        };
+        });
     };
-    let second = bfs(g, far_start, cfg);
+    let second = try_bfs(g, far_start, cfg)?;
     let (far_end, second_ecc) = farthest(&second.dist, far_start).unwrap_or((far_start, 0));
     // The bound is the better of the two sweeps: on digraphs the second
     // sweep can start at a sink and see nothing, but the first sweep's
     // eccentricity is still a valid shortest-path length.
-    if second_ecc >= seed_ecc {
+    Ok(if second_ecc >= seed_ecc {
         DiameterEstimate {
             diameter_lower_bound: second_ecc,
             far_start,
@@ -80,14 +86,14 @@ pub fn double_sweep<G: Graph>(g: &G, seed: Vertex, cfg: &Config) -> DiameterEsti
             far_end: far_start,
             seed_eccentricity: seed_ecc,
         }
-    }
+    })
 }
 
 /// Exact eccentricity of `v`: its greatest BFS distance to any reachable
 /// vertex (0 if it reaches nothing).
-pub fn eccentricity<G: Graph>(g: &G, v: Vertex, cfg: &Config) -> u64 {
-    let out = bfs(g, v, cfg);
-    farthest(&out.dist, v).map_or(0, |(_, d)| d)
+pub fn eccentricity<G: Graph>(g: &G, v: Vertex, cfg: &Config) -> Result<u64, TraversalError> {
+    let out = try_bfs(g, v, cfg)?;
+    Ok(farthest(&out.dist, v).map_or(0, |(_, d)| d))
 }
 
 #[cfg(test)]
@@ -106,7 +112,7 @@ mod tests {
     fn path_diameter_exact_from_any_seed() {
         let g = path_graph(20);
         // Directed path: sweeps follow direction, so seed 0 sees it all.
-        let est = double_sweep(&g, 0, &cfg());
+        let est = double_sweep(&g, 0, &cfg()).unwrap();
         assert_eq!(est.diameter_lower_bound, 19);
         assert_eq!(est.far_end, 19);
     }
@@ -114,20 +120,20 @@ mod tests {
     #[test]
     fn cycle_diameter() {
         let g = cycle_graph(12); // undirected: diameter 6
-        let est = double_sweep(&g, 3, &cfg());
+        let est = double_sweep(&g, 3, &cfg()).unwrap();
         assert_eq!(est.diameter_lower_bound, 6);
     }
 
     #[test]
     fn grid_diameter() {
         let g = grid_graph(4, 7); // manhattan diameter (4-1)+(7-1) = 9
-        let est = double_sweep(&g, 9, &cfg());
+        let est = double_sweep(&g, 9, &cfg()).unwrap();
         assert_eq!(est.diameter_lower_bound, 9);
     }
 
     #[test]
     fn star_diameter_two() {
-        let est = double_sweep(&star_graph(30), 0, &cfg());
+        let est = double_sweep(&star_graph(30), 0, &cfg()).unwrap();
         assert_eq!(est.diameter_lower_bound, 2);
         assert_eq!(est.seed_eccentricity, 1, "hub reaches all in one hop");
     }
@@ -139,13 +145,13 @@ mod tests {
         // root→leaf = levels-1... but directed sweeps only descend, so use
         // eccentricity of the root instead.
         let g = binary_tree(6);
-        assert_eq!(eccentricity(&g, 0, &cfg()), 5);
+        assert_eq!(eccentricity(&g, 0, &cfg()).unwrap(), 5);
     }
 
     #[test]
     fn small_world_rmat_has_small_diameter() {
         let g = RmatGenerator::new(RmatParams::RMAT_A, 12, 16, 9).undirected();
-        let est = double_sweep(&g, 0, &cfg());
+        let est = double_sweep(&g, 0, &cfg()).unwrap();
         // "Although sparse, many graphs are connected into giant connected
         // components with small diameters" (paper §I-B).
         assert!(
@@ -159,9 +165,9 @@ mod tests {
     #[test]
     fn isolated_seed_degenerates() {
         let g: CsrGraph<u32> = CsrGraph::empty(4);
-        let est = double_sweep(&g, 2, &cfg());
+        let est = double_sweep(&g, 2, &cfg()).unwrap();
         assert_eq!(est.diameter_lower_bound, 0);
         assert_eq!(est.far_start, 2);
-        assert_eq!(eccentricity(&g, 2, &cfg()), 0);
+        assert_eq!(eccentricity(&g, 2, &cfg()).unwrap(), 0);
     }
 }

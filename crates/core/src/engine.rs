@@ -1,11 +1,12 @@
 //! Persistent traversal engine: one worker pool serving a stream of
 //! concurrent BFS / SSSP / CC queries over a shared graph.
 //!
-//! The one-shot entry points ([`bfs`](fn@crate::bfs), [`sssp`](fn@crate::sssp),
-//! [`connected_components`](crate::connected_components)) spawn and join a
-//! worker pool per call — the right shape for a single big traversal, and
-//! pure overhead for a serving workload that answers many small queries
-//! over one graph. This module keeps the pool alive:
+//! The one-shot entry points ([`try_bfs`](crate::try_bfs),
+//! [`try_sssp`](crate::try_sssp),
+//! [`try_connected_components`](crate::try_connected_components)) spawn
+//! and join a worker pool per call — the right shape for a single big
+//! traversal, and pure overhead for a serving workload that answers many
+//! small queries over one graph. This module keeps the pool alive:
 //!
 //! * **Workers spawn once** per [`with_engine`] call and park on their
 //!   mailbox's condvar when idle.
@@ -37,19 +38,17 @@
 //! assert_eq!(stats.queries, 2);
 //! ```
 
-use crate::cc::{cc_prefetch, cc_relax, CcOutput, CcVisitor};
+use crate::cc::{CcHandler, CcOutput, CcVisitor};
 use crate::config::{lg2, Config};
-use crate::error::TraversalError;
+use crate::error::{check_input, settle, TraversalError};
 use crate::result::{TraversalOutput, TraversalStats};
-use crate::sssp::{sssp_prefetch, sssp_relax, SsspVisitor, NO_PARENT};
+use crate::sssp::{SsspHandler, SsspVisitor};
 use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
 use asyncgt_obs::Recorder;
 use asyncgt_vq::{
-    AbortReason, AbortedRun, DynHandler, EngineConfig, EngineStats, FallibleVisitHandler,
-    OwnedStateLease, PushCtx, QueryError, QueryStats, QueryTicket, RunStats, StatePool,
-    SubmitError, Visitor,
+    AbortedRun, DynHandler, EngineConfig, EngineStats, OwnedStateLease, QueryError, QueryStats,
+    QueryTicket, RunStats, StatePool, SubmitError, Visitor,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -153,134 +152,40 @@ impl Visitor for MultiVisitor {
     }
 }
 
-/// Per-query state of a BFS/SSSP query on the engine: the leased label
-/// arrays plus the algorithm knobs, driving the shared
-/// [`sssp_relax`] step.
-struct PathJob<'g, G> {
-    g: &'g G,
-    dist: OwnedStateLease,
-    parent: OwnedStateLease,
-    relaxations: AtomicU64,
-    prune: bool,
-    unit_weights: bool,
-}
-
-impl<'g, G: Graph> FallibleVisitHandler<MultiVisitor> for PathJob<'g, G> {
-    fn try_visit(
-        &self,
-        v: MultiVisitor,
-        ctx: &mut PushCtx<'_, MultiVisitor>,
-    ) -> Result<(), AbortReason> {
-        match v {
-            MultiVisitor::Path(v) => sssp_relax(
-                self.g,
-                &self.dist,
-                &self.parent,
-                &self.relaxations,
-                self.prune,
-                self.unit_weights,
-                v,
-                |nv| ctx.push(MultiVisitor::Path(nv)),
-            ),
-            // Queries never share visitors: a CC visitor carries a CC
-            // query's id and is dispatched to that query's handler.
-            MultiVisitor::Cc(_) => unreachable!("CC visitor routed to a path query"),
-        }
-    }
-
-    fn prepare_batch(&self, batch: &[MultiVisitor]) {
-        sssp_prefetch(
-            self.g,
-            &self.dist,
-            batch.iter().filter_map(|m| match m {
-                MultiVisitor::Path(v) => Some(v),
-                MultiVisitor::Cc(_) => None,
-            }),
-        );
-    }
-}
-
-/// Per-query state of a CC query on the engine, driving the shared
-/// [`cc_relax`] step.
-struct CcJob<'g, G> {
-    g: &'g G,
-    ccid: OwnedStateLease,
-    relaxations: AtomicU64,
-    prune: bool,
-}
-
-impl<'g, G: Graph> FallibleVisitHandler<MultiVisitor> for CcJob<'g, G> {
-    fn try_visit(
-        &self,
-        v: MultiVisitor,
-        ctx: &mut PushCtx<'_, MultiVisitor>,
-    ) -> Result<(), AbortReason> {
-        match v {
-            MultiVisitor::Cc(v) => {
-                cc_relax(self.g, &self.ccid, &self.relaxations, self.prune, v, |nv| {
-                    ctx.push(MultiVisitor::Cc(nv))
-                })
-            }
-            MultiVisitor::Path(_) => unreachable!("path visitor routed to a CC query"),
-        }
-    }
-
-    fn prepare_batch(&self, batch: &[MultiVisitor]) {
-        cc_prefetch(
-            self.g,
-            &self.ccid,
-            batch.iter().filter_map(|m| match m {
-                MultiVisitor::Cc(v) => Some(v),
-                MultiVisitor::Path(_) => None,
-            }),
-        );
-    }
-}
-
-/// Map one query's engine stats onto the one-shot [`TraversalStats`]
-/// shape. `parks` and `inbox_batches` are engine-wide quantities with no
-/// per-query attribution, so they read 0 here; the engine-lifetime totals
-/// are in the [`EngineStats`] returned by [`with_engine`].
-fn stats_of(q: &QueryStats, relaxations: u64, num_threads: usize) -> TraversalStats {
-    TraversalStats {
+/// Settle one query's outcome through the one-shot [`settle`]. `parks`
+/// and `inbox_batches` are engine-wide quantities with no per-query
+/// attribution, so they read 0 here; the engine-lifetime totals are in the
+/// [`EngineStats`] returned by [`with_engine`].
+///
+/// # Panics
+/// If a worker panicked (engine poisoned).
+fn settle_query(
+    res: Result<QueryStats, QueryError>,
+    relaxations: u64,
+    num_threads: usize,
+) -> Result<TraversalStats, TraversalError> {
+    let run = |q: QueryStats| RunStats {
         visitors_executed: q.visitors_executed,
         visitors_pushed: q.visitors_pushed,
         local_pushes: q.local_pushes,
-        parks: 0,
-        inbox_batches: 0,
-        relaxations,
         elapsed: q.elapsed,
         num_threads,
-    }
-}
-
-/// Convert a per-query abort into the one-shot API's [`TraversalError`],
-/// classifying storage failures by downcast exactly like the one-shot path.
-fn error_of(
-    reason: AbortReason,
-    q: &QueryStats,
-    relaxations: u64,
-    num_threads: usize,
-) -> TraversalError {
-    let stats = stats_of(q, relaxations, num_threads);
-    let aborted = AbortedRun {
-        reason,
-        stats: RunStats {
-            visitors_executed: q.visitors_executed,
-            visitors_pushed: q.visitors_pushed,
-            local_pushes: q.local_pushes,
-            parks: 0,
-            inbox_batches: 0,
-            elapsed: q.elapsed,
-            num_threads,
-        },
+        ..RunStats::default()
     };
-    TraversalError::from_abort(aborted, stats)
+    let outcome = match res {
+        Ok(q) => Ok(run(q)),
+        Err(QueryError::Aborted { reason, stats }) => Err(AbortedRun {
+            reason,
+            stats: run(stats),
+        }),
+        Err(QueryError::EnginePoisoned) => panic!("traversal engine poisoned by a worker panic"),
+    };
+    settle(outcome, relaxations)
 }
 
 /// Pending result of a BFS/SSSP query submitted to a [`TraversalEngine`].
 pub struct PathTicket<'env, G: Graph> {
-    job: Arc<PathJob<'env, G>>,
+    job: Arc<SsspHandler<'env, G, OwnedStateLease>>,
     ticket: QueryTicket<'env, MultiVisitor>,
     num_threads: usize,
 }
@@ -294,21 +199,12 @@ impl<'env, G: Graph> PathTicket<'env, G> {
     /// If a worker panicked (engine poisoned); [`with_engine`] re-raises
     /// the original panic when it unwinds.
     pub fn wait(self) -> Result<TraversalOutput, TraversalError> {
-        let res = self.ticket.wait();
-        let relaxed = self.job.relaxations.load(Ordering::Relaxed);
-        match res {
-            Ok(q) => Ok(TraversalOutput {
-                dist: self.job.dist.to_vec(),
-                parent: self.job.parent.to_vec(),
-                stats: stats_of(&q, relaxed, self.num_threads),
-            }),
-            Err(QueryError::Aborted { reason, stats }) => {
-                Err(error_of(reason, &stats, relaxed, self.num_threads))
-            }
-            Err(QueryError::EnginePoisoned) => {
-                panic!("traversal engine poisoned by a worker panic")
-            }
-        }
+        let stats = settle_query(self.ticket.wait(), self.job.relaxed(), self.num_threads)?;
+        Ok(TraversalOutput {
+            dist: self.job.dist.to_vec(),
+            parent: self.job.parent.to_vec(),
+            stats,
+        })
     }
 
     /// Whether the query has already finalized (non-blocking).
@@ -320,7 +216,7 @@ impl<'env, G: Graph> PathTicket<'env, G> {
 /// Pending result of a connected-components query submitted to a
 /// [`TraversalEngine`].
 pub struct CcTicket<'env, G: Graph> {
-    job: Arc<CcJob<'env, G>>,
+    job: Arc<CcHandler<'env, G, OwnedStateLease>>,
     ticket: QueryTicket<'env, MultiVisitor>,
     num_threads: usize,
 }
@@ -332,20 +228,11 @@ impl<'env, G: Graph> CcTicket<'env, G> {
     /// If a worker panicked (engine poisoned); [`with_engine`] re-raises
     /// the original panic when it unwinds.
     pub fn wait(self) -> Result<CcOutput, TraversalError> {
-        let res = self.ticket.wait();
-        let relaxed = self.job.relaxations.load(Ordering::Relaxed);
-        match res {
-            Ok(q) => Ok(CcOutput {
-                ccid: self.job.ccid.to_vec(),
-                stats: stats_of(&q, relaxed, self.num_threads),
-            }),
-            Err(QueryError::Aborted { reason, stats }) => {
-                Err(error_of(reason, &stats, relaxed, self.num_threads))
-            }
-            Err(QueryError::EnginePoisoned) => {
-                panic!("traversal engine poisoned by a worker panic")
-            }
-        }
+        let stats = settle_query(self.ticket.wait(), self.job.relaxed(), self.num_threads)?;
+        Ok(CcOutput {
+            ccid: self.job.ccid.to_vec(),
+            stats,
+        })
     }
 
     /// Whether the query has already finalized (non-blocking).
@@ -383,38 +270,27 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
         self.pool.allocated()
     }
 
-    fn check_sources(&self, sources: &[Vertex]) {
-        let n = self.g.num_vertices();
-        assert!(!sources.is_empty(), "at least one source vertex required");
-        for &source in sources {
-            assert!(
-                source < n,
-                "source vertex {source} out of range ({n} vertices)"
-            );
-        }
-    }
-
+    /// # Panics
+    /// If `sources` is empty or names a vertex outside the graph.
     fn submit_path(
         &self,
         sources: &[Vertex],
         unit_weights: bool,
     ) -> Result<PathTicket<'env, G>, SubmitError> {
-        self.check_sources(sources);
-        let job = Arc::new(PathJob {
-            g: self.g,
-            dist: self.pool.lease_arc(INF_DIST),
-            parent: self.pool.lease_arc(NO_VERTEX),
-            relaxations: AtomicU64::new(0),
-            prune: self.prune,
+        assert!(!sources.is_empty(), "at least one source vertex required");
+        if let Err(e) = check_input(self.g.num_vertices(), sources) {
+            panic!("{e}");
+        }
+        let job = Arc::new(SsspHandler::new(
+            self.g,
+            self.pool.lease_arc(INF_DIST),
+            self.pool.lease_arc(NO_VERTEX),
+            self.prune,
             unit_weights,
-        });
-        let seeds = sources.iter().map(|&s| {
-            MultiVisitor::Path(SsspVisitor {
-                dist: 0,
-                vertex: s as u32,
-                parent: NO_PARENT,
-            })
-        });
+        ));
+        let seeds = sources
+            .iter()
+            .map(|&s| MultiVisitor::Path(SsspVisitor::source(s)));
         let handler: Arc<DynHandler<'env, MultiVisitor>> = job.clone();
         let ticket = self.eng.submit(handler, seeds)?;
         Ok(PathTicket {
@@ -424,29 +300,36 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
         })
     }
 
-    /// Submit a multi-source BFS (unit edge weights); `dist` labels are
-    /// hop counts to the nearest source.
+    /// Submit a multi-source BFS (unit edge weights): `dist[v]` is the hop
+    /// count to the *nearest* source and `parent[v]` a predecessor on such
+    /// a path. Seeding one visitor per source is the same generalization
+    /// the paper's CC algorithm uses by seeding every vertex.
+    ///
+    /// # Panics
+    /// If `sources` is empty or names a vertex outside the graph.
     pub fn submit_bfs(&self, sources: &[Vertex]) -> Result<PathTicket<'env, G>, SubmitError> {
         self.submit_path(sources, true)
     }
 
-    /// Submit a multi-source weighted SSSP.
+    /// Submit a multi-source weighted SSSP: `dist[v]` is the weighted
+    /// distance to the nearest source.
+    ///
+    /// # Panics
+    /// If `sources` is empty or names a vertex outside the graph.
     pub fn submit_sssp(&self, sources: &[Vertex]) -> Result<PathTicket<'env, G>, SubmitError> {
         self.submit_path(sources, false)
     }
 
     /// Submit a connected-components query (every vertex seeds its own id,
     /// exactly like the one-shot
-    /// [`connected_components`](crate::connected_components)).
+    /// [`try_connected_components`](crate::try_connected_components)).
     pub fn submit_cc(&self) -> Result<CcTicket<'env, G>, SubmitError> {
-        let job = Arc::new(CcJob {
-            g: self.g,
-            ccid: self.pool.lease_arc(INF_DIST),
-            relaxations: AtomicU64::new(0),
-            prune: self.prune,
-        });
-        let n = self.g.num_vertices() as u32;
-        let seeds = (0..n).map(|v| MultiVisitor::Cc(CcVisitor { ccid: v, vertex: v }));
+        let job = Arc::new(CcHandler::new(
+            self.g,
+            self.pool.lease_arc(INF_DIST),
+            self.prune,
+        ));
+        let seeds = CcVisitor::seeds(self.g.num_vertices()).map(MultiVisitor::Cc);
         let handler: Arc<DynHandler<'env, MultiVisitor>> = job.clone();
         let ticket = self.eng.submit(handler, seeds)?;
         Ok(CcTicket {
@@ -465,8 +348,8 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
 /// its workers, and reports lifetime [`EngineStats`].
 ///
 /// # Panics
-/// Re-raises any worker (handler) panic after teardown, like the one-shot
-/// API.
+/// If `g` has 2^32 − 1 or more vertices. Re-raises any worker (handler)
+/// panic after teardown, like the one-shot API.
 pub fn with_engine<'env, G, R, T>(
     g: &'env G,
     opts: &EngineOpts,
@@ -478,11 +361,9 @@ where
     R: Recorder,
 {
     let n = g.num_vertices();
-    assert!(
-        n < u32::MAX as u64,
-        "async traversal stores vertex ids as u32 (paper max scale is 2^30); \
-         got {n} vertices"
-    );
+    if let Err(e) = check_input(n, &[]) {
+        panic!("{e}");
+    }
     // One engine-wide bucket class width must serve every algorithm: the
     // CC-style coarse shift keeps the full vertex-id priority span (CC's
     // worst case) inside the bucket ring, and merely coarsens — never
@@ -509,7 +390,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bfs, connected_components, sssp};
+    use crate::{try_bfs, try_connected_components, try_sssp};
     use asyncgt_baselines::serial;
     use asyncgt_graph::generators::{path_graph, RmatGenerator, RmatParams};
     use asyncgt_graph::weights::{weighted_copy, WeightKind};
@@ -527,9 +408,9 @@ mod tests {
     fn mixed_concurrent_queries_match_one_shot_results() {
         let g = test_graph();
         let cfg = Config::with_threads(4);
-        let bfs_expect = bfs(&g, 0, &cfg);
-        let sssp_expect = sssp(&g, 7, &cfg);
-        let cc_expect = connected_components(&g, &cfg);
+        let bfs_expect = try_bfs(&g, 0, &cfg).unwrap();
+        let sssp_expect = try_sssp(&g, 7, &cfg).unwrap();
+        let cc_expect = try_connected_components(&g, &cfg).unwrap();
 
         let opts = EngineOpts {
             cfg: cfg.clone(),

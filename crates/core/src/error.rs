@@ -1,18 +1,21 @@
 //! Typed traversal failures.
 //!
-//! An abortable traversal ([`try_bfs`](crate::try_bfs),
-//! [`try_sssp`](crate::try_sssp),
+//! A traversal ([`try_bfs`](crate::try_bfs), [`try_sssp`](crate::try_sssp),
 //! [`try_connected_components`](crate::try_connected_components)) that
-//! cannot complete — typically because a semi-external adjacency read
-//! exhausted its retry budget — returns a [`TraversalError`] carrying the
-//! classified cause *and* the partial run statistics accumulated before the
-//! abort, so callers can report how far the run got.
+//! cannot start — a source outside the graph, a graph too large for the
+//! `u32` visitor encoding — or cannot complete — typically because a
+//! semi-external adjacency read exhausted its retry budget — returns a
+//! [`TraversalError`]. An abort carries the classified cause *and* the
+//! partial run statistics accumulated before it, so callers can report how
+//! far the run got.
 
 use crate::result::TraversalStats;
+use asyncgt_graph::Vertex;
 use asyncgt_storage::StorageError;
-use asyncgt_vq::{AbortReason, AbortedRun};
+use asyncgt_vq::{AbortReason, AbortedRun, RunStats};
+use std::time::Duration;
 
-/// Why a traversal aborted, with partial statistics from the run.
+/// Why a traversal failed, with the statistics of the run.
 #[derive(Debug)]
 pub enum TraversalError {
     /// A semi-external storage failure (retry-exhausted transient fault,
@@ -20,22 +23,40 @@ pub enum TraversalError {
     Storage(StorageError, TraversalStats),
     /// A handler aborted for a non-storage reason.
     Aborted(AbortReason, TraversalStats),
+    /// The source vertex is not in `0..num_vertices`; nothing ran.
+    InvalidSource {
+        /// The rejected source.
+        source: Vertex,
+        /// Vertices in the graph.
+        num_vertices: u64,
+    },
+    /// The graph has 2^32 − 1 or more vertices: visitors store vertex ids
+    /// as `u32` (the paper's largest graph has 2^30); nothing ran.
+    GraphTooLarge {
+        /// Vertices in the graph.
+        num_vertices: u64,
+    },
 }
 
-impl TraversalError {
-    /// Classify an engine-level abort: storage errors are recovered from
-    /// the type-erased reason by downcast; anything else stays opaque.
-    pub(crate) fn from_abort(aborted: AbortedRun, stats: TraversalStats) -> Self {
-        match aborted.reason.downcast::<StorageError>() {
-            Ok(e) => TraversalError::Storage(*e, stats),
-            Err(reason) => TraversalError::Aborted(reason, stats),
-        }
-    }
+/// The statistics of a run that never started.
+const NOT_RUN: TraversalStats = TraversalStats {
+    visitors_executed: 0,
+    visitors_pushed: 0,
+    local_pushes: 0,
+    parks: 0,
+    inbox_batches: 0,
+    relaxations: 0,
+    elapsed: Duration::ZERO,
+    num_threads: 0,
+};
 
-    /// Partial statistics accumulated before the abort.
+impl TraversalError {
+    /// Statistics accumulated before the failure (all zero for an input
+    /// the traversal rejected up front).
     pub fn stats(&self) -> &TraversalStats {
         match self {
             TraversalError::Storage(_, s) | TraversalError::Aborted(_, s) => s,
+            TraversalError::InvalidSource { .. } | TraversalError::GraphTooLarge { .. } => &NOT_RUN,
         }
     }
 
@@ -43,8 +64,49 @@ impl TraversalError {
     pub fn storage_error(&self) -> Option<&StorageError> {
         match self {
             TraversalError::Storage(e, _) => Some(e),
-            TraversalError::Aborted(..) => None,
+            _ => None,
         }
+    }
+}
+
+/// Reject an input no traversal can run on, before anything is allocated.
+pub(crate) fn check_input(num_vertices: u64, sources: &[Vertex]) -> Result<(), TraversalError> {
+    if num_vertices >= u32::MAX as u64 {
+        return Err(TraversalError::GraphTooLarge { num_vertices });
+    }
+    match sources.iter().find(|&&s| s >= num_vertices) {
+        Some(&source) => Err(TraversalError::InvalidSource {
+            source,
+            num_vertices,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The one conversion from a runtime outcome to the public result: the
+/// run's counters plus the handler's relaxation count, and for an abort the
+/// cause classified — storage errors are recovered from the type-erased
+/// reason by downcast; anything else stays opaque.
+pub(crate) fn settle(
+    outcome: Result<RunStats, AbortedRun>,
+    relaxations: u64,
+) -> Result<TraversalStats, TraversalError> {
+    let stats = |run: RunStats| TraversalStats {
+        visitors_executed: run.visitors_executed,
+        visitors_pushed: run.visitors_pushed,
+        local_pushes: run.local_pushes,
+        parks: run.parks,
+        inbox_batches: run.inbox_batches,
+        relaxations,
+        elapsed: run.elapsed,
+        num_threads: run.num_threads,
+    };
+    match outcome {
+        Ok(run) => Ok(stats(run)),
+        Err(AbortedRun { reason, stats: run }) => Err(match reason.downcast::<StorageError>() {
+            Ok(e) => TraversalError::Storage(*e, stats(run)),
+            Err(reason) => TraversalError::Aborted(reason, stats(run)),
+        }),
     }
 }
 
@@ -61,6 +123,18 @@ impl std::fmt::Display for TraversalError {
                 "traversal aborted after {} visitors: {r}",
                 s.visitors_executed
             ),
+            TraversalError::InvalidSource {
+                source,
+                num_vertices,
+            } => write!(
+                f,
+                "source vertex {source} out of range ({num_vertices} vertices)"
+            ),
+            TraversalError::GraphTooLarge { num_vertices } => write!(
+                f,
+                "graph has {num_vertices} vertices; traversals store vertex ids as u32 \
+                 and need fewer than 2^32 - 1"
+            ),
         }
     }
 }
@@ -70,6 +144,7 @@ impl std::error::Error for TraversalError {
         match self {
             TraversalError::Storage(e, _) => Some(e),
             TraversalError::Aborted(r, _) => Some(r.as_ref()),
+            TraversalError::InvalidSource { .. } | TraversalError::GraphTooLarge { .. } => None,
         }
     }
 }
@@ -87,7 +162,7 @@ mod tests {
             reason,
             stats: Default::default(),
         };
-        let err = TraversalError::from_abort(aborted, TraversalStats::default());
+        let err = settle(Err(aborted), 0).unwrap_err();
         assert!(matches!(
             err,
             TraversalError::Storage(StorageError::Permanent { .. }, _)
@@ -102,7 +177,7 @@ mod tests {
             reason: "handler gave up".into(),
             stats: Default::default(),
         };
-        let err = TraversalError::from_abort(aborted, TraversalStats::default());
+        let err = settle(Err(aborted), 0).unwrap_err();
         assert!(matches!(err, TraversalError::Aborted(..)));
         assert!(err.storage_error().is_none());
         assert!(err.to_string().contains("handler gave up"));

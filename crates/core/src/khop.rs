@@ -200,7 +200,7 @@ mod tests {
     fn visits_far_fewer_than_full_traversal() {
         let g = RmatGenerator::new(RmatParams::RMAT_A, 12, 16, 6).directed();
         let bounded = bfs_bounded(&g, 0, 1, &cfg());
-        let full = crate::bfs(&g, 0, &cfg());
+        let full = crate::try_bfs(&g, 0, &cfg()).unwrap();
         assert!(
             bounded.stats.visitors_executed * 4 < full.stats.visitors_executed,
             "1-hop query must do far less work than a full BFS ({} vs {})",

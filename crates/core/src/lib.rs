@@ -17,7 +17,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use asyncgt::{bfs, sssp, connected_components, Config};
+//! use asyncgt::{try_bfs, try_connected_components, Config};
 //! use asyncgt::graph::generators::{RmatGenerator, RmatParams};
 //!
 //! // A small scale-free graph (the paper's RMAT-A parameters).
@@ -25,14 +25,22 @@
 //! let g = gen.directed();
 //!
 //! let cfg = Config::with_threads(4);
-//! let out = bfs(&g, 0, &cfg);
+//! let out = try_bfs(&g, 0, &cfg)?;
 //! println!("reached {} vertices in {} levels",
 //!          out.reached_count(), out.level_count());
 //!
 //! let und = gen.undirected();
-//! let cc = connected_components(&und, &cfg);
+//! let cc = try_connected_components(&und, &cfg)?;
 //! println!("{} components", cc.component_count());
+//! # Ok::<(), asyncgt::TraversalError>(())
 //! ```
+//!
+//! Each traversal has one entry point and a `_recorded` twin taking a
+//! metrics [`Recorder`](obs::Recorder): [`try_bfs`], [`try_sssp`],
+//! [`try_connected_components`]. Every one returns a typed
+//! [`TraversalError`] — a bad source, an oversized graph, or a storage
+//! failure — instead of panicking. Multi-source and concurrent queries go
+//! to a persistent [`TraversalEngine`] ([`with_engine`]).
 //!
 //! ## Algorithm family
 //!
@@ -57,11 +65,8 @@ pub mod result;
 pub mod sssp;
 pub mod validate;
 
-pub use bfs::{bfs, bfs_multi_source, bfs_recorded, try_bfs, try_bfs_recorded};
-pub use cc::{
-    connected_components, connected_components_recorded, try_connected_components,
-    try_connected_components_recorded, CcOutput,
-};
+pub use bfs::{try_bfs, try_bfs_recorded};
+pub use cc::{try_connected_components, try_connected_components_recorded, CcOutput};
 pub use config::Config;
 pub use diameter::{double_sweep, eccentricity, DiameterEstimate};
 pub use engine::{with_engine, CcTicket, EngineOpts, PathTicket, TraversalEngine};
@@ -69,7 +74,7 @@ pub use error::TraversalError;
 pub use khop::{bfs_bounded, khop_ball};
 pub use pagerank::{pagerank, PageRankOutput, PageRankParams};
 pub use result::{TraversalOutput, TraversalStats};
-pub use sssp::{sssp, sssp_multi_source, sssp_recorded, try_sssp, try_sssp_recorded};
+pub use sssp::{try_sssp, try_sssp_recorded};
 
 /// Re-export of the graph substrate (generators, CSR, I/O, statistics).
 pub use asyncgt_graph as graph;

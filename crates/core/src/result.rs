@@ -1,6 +1,11 @@
-//! Traversal outputs and run statistics.
+//! Traversal outputs, run statistics, and the one-shot driver that
+//! produces them.
 
+use crate::error::{check_input, settle, TraversalError};
 use asyncgt_graph::{stats, Vertex, INF_DIST, NO_VERTEX};
+use asyncgt_obs::{Counter, Recorder};
+use asyncgt_vq::{AbortedRun, AtomicStateArray, RunStats};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Runtime statistics for one asynchronous traversal.
@@ -84,6 +89,62 @@ impl TraversalOutput {
         path.reverse();
         Some(path)
     }
+}
+
+/// A handler's relaxation count, on its own pair of cache lines: every
+/// relax bumps it, and unpadded it would false-share with the handler's
+/// read-mostly fields (graph, label arrays, flags) that every visit reads.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct RelaxCounter(AtomicU64);
+
+impl RelaxCounter {
+    pub(crate) fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// The driver behind every one-shot traversal: check the input, allocate
+/// one label array per entry of `init` (filled with that value), run
+/// `traverse` over them, and extract the labels and statistics. `traverse`
+/// builds the algorithm's handler over the arrays, runs it through
+/// `VisitorQueue::try_run_recorded`, and returns the outcome with the
+/// handler's relaxation count.
+pub(crate) fn one_shot<const K: usize, R: Recorder>(
+    num_vertices: u64,
+    sources: &[Vertex],
+    init: [u64; K],
+    recorder: &R,
+    traverse: impl FnOnce(&[AtomicStateArray; K]) -> (Result<RunStats, AbortedRun>, u64),
+) -> Result<([Vec<u64>; K], TraversalStats), TraversalError> {
+    check_input(num_vertices, sources)?;
+    recorder.phase_start("init_state");
+    let labels = init.map(|x| AtomicStateArray::new(num_vertices as usize, x));
+    recorder.phase_end("init_state");
+
+    recorder.phase_start("traversal");
+    let (outcome, relaxed) = traverse(&labels);
+    recorder.phase_end("traversal");
+    let stats = settle(outcome, relaxed)?;
+    if R::ENABLED {
+        recorder.counter(Counter::Relaxations, relaxed);
+        // Executions that failed the label check: the redundant work behind
+        // the paper's revisit factor (§III-B "possibly requiring multiple
+        // visits per vertex").
+        recorder.counter(
+            Counter::Revisits,
+            stats.visitors_executed.saturating_sub(relaxed),
+        );
+    }
+
+    recorder.phase_start("extract_state");
+    let labels = labels.map(|a| a.to_vec());
+    recorder.phase_end("extract_state");
+    Ok((labels, stats))
 }
 
 #[cfg(test)]

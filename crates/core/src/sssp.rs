@@ -8,22 +8,23 @@
 //! visited at each step, possibly requiring multiple visits per vertex."
 
 use crate::config::Config;
+use crate::engine::MultiVisitor;
 use crate::error::TraversalError;
-use crate::result::{TraversalOutput, TraversalStats};
+use crate::result::{one_shot, RelaxCounter, TraversalOutput};
 use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
-use asyncgt_obs::{Counter, NoopRecorder, Recorder};
+use asyncgt_obs::{NoopRecorder, Recorder};
 use asyncgt_vq::{
-    AbortReason, AtomicStateArray, FallibleVisitHandler, PushCtx, RunStats, Visitor, VisitorQueue,
+    AbortReason, AtomicStateArray, FallibleVisitHandler, PushCtx, Visitor, VisitorQueue,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Deref;
 
 /// The paper's `SSSPVertexVisitor`: a candidate path of length `dist`
 /// reaching `vertex` via `parent`.
 ///
 /// Vertex ids are stored as `u32` (16-byte visitor, halving queue memory
-/// traffic); [`run_sssp`] rejects graphs with ≥ 2^32 − 1 vertices — above
-/// every scale the paper evaluates (max 2^30). `u32::MAX` encodes "no
-/// parent".
+/// traffic); traversals reject graphs with ≥ 2^32 − 1 vertices
+/// ([`TraversalError::GraphTooLarge`]) — above every scale the paper
+/// evaluates (max 2^30). `u32::MAX` encodes "no parent".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SsspVisitor {
     pub dist: u64,
@@ -32,7 +33,18 @@ pub(crate) struct SsspVisitor {
 }
 
 /// In-visitor encoding of [`NO_VERTEX`].
-pub(crate) const NO_PARENT: u32 = u32::MAX;
+const NO_PARENT: u32 = u32::MAX;
+
+impl SsspVisitor {
+    /// Algorithm 1 line 6: a path of length 0 with no parent.
+    pub(crate) fn source(v: Vertex) -> Self {
+        SsspVisitor {
+            dist: 0,
+            vertex: v as u32,
+            parent: NO_PARENT,
+        }
+    }
+}
 
 impl Ord for SsspVisitor {
     /// Primary key: path length ("prioritized based on the visitors' path
@@ -59,212 +71,155 @@ impl Visitor for SsspVisitor {
     }
 }
 
-/// Shared state of one SSSP run (paper Algorithm 2's inputs).
-pub(crate) struct SsspHandler<'a, G> {
-    pub g: &'a G,
-    pub dist: &'a AtomicStateArray,
-    pub parent: &'a AtomicStateArray,
-    pub relaxations: &'a AtomicU64,
+/// State of one BFS/SSSP run (paper Algorithm 2's inputs). The label
+/// arrays are borrowed (`&AtomicStateArray`) by a one-shot run and leased
+/// from the engine's pool (`OwnedStateLease`) by an engine query; the same
+/// relax step serves both.
+pub(crate) struct SsspHandler<'g, G, A> {
+    g: &'g G,
+    pub(crate) dist: A,
+    pub(crate) parent: A,
     /// `Config::prune_pushes`: skip pushes that cannot improve the target.
-    pub prune: bool,
+    prune: bool,
     /// BFS mode: treat every edge weight as 1 (paper §III-B: "we compute a
     /// Breadth First Search by applying our asynchronous SSSP algorithm
     /// with all edge weights equal to 1").
-    pub unit_weights: bool,
-}
-
-/// The SSSP relax step (paper Algorithm 2 lines 8-10), shared by the
-/// one-shot [`SsspHandler`] and the persistent engine's path jobs
-/// ([`crate::engine`]): relax `v.vertex`'s labels if the candidate
-/// improves them, then emit a visitor per out-edge through `push`.
-///
-/// Exclusive access to `v.vertex`'s labels is guaranteed by hash routing,
-/// so the check-then-store needs no atomicity beyond the relaxed cells
-/// themselves.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sssp_relax<G: Graph>(
-    g: &G,
-    dist: &AtomicStateArray,
-    parent: &AtomicStateArray,
-    relaxations: &AtomicU64,
-    prune: bool,
     unit_weights: bool,
-    v: SsspVisitor,
-    mut push: impl FnMut(SsspVisitor),
-) -> Result<(), AbortReason> {
-    let vertex = v.vertex as u64;
-    if v.dist < dist.get(vertex) {
-        dist.set(vertex, v.dist);
-        parent.set(
-            vertex,
-            if v.parent == NO_PARENT {
-                NO_VERTEX
-            } else {
-                v.parent as u64
-            },
-        );
-        relaxations.fetch_add(1, Ordering::Relaxed);
-        // Fallible adjacency iteration: a storage error (retry budget
-        // exhausted, corruption) aborts the whole run cleanly instead
-        // of unwinding a panic through the worker pool. Note the label
-        // was already relaxed; label-correcting algorithms tolerate
-        // that — a retried/restarted run re-relaxes from scratch.
-        g.try_for_each_neighbor(vertex, |t, w| {
-            let nd = v.dist + if unit_weights { 1 } else { w as u64 };
-            // Pruning reads the target's label from a non-owning
-            // thread. Labels only decrease, so a stale value can only
-            // make us push a visitor that will fail its visit-time
-            // check — never skip a necessary one.
-            if prune && nd >= dist.get(t) {
-                return;
-            }
-            push(SsspVisitor {
-                dist: nd,
-                vertex: t as u32,
-                parent: v.vertex,
-            });
-        })?;
-    }
-    Ok(())
+    relaxations: RelaxCounter,
 }
 
-/// The SSSP half of the batch I/O hint: announce the adjacency lists this
-/// service round will read so a semi-external backend can coalesce them
-/// into fewer device requests. Visitors whose candidate no longer improves
-/// the label are filtered: their visit relaxes nothing and reads no
-/// adjacency. The label check uses the same stale-tolerant read as
-/// pruning — labels only decrease, so a stale value can only keep a
-/// vertex in the hint, never drop a needed one.
-pub(crate) fn sssp_prefetch<'v, G: Graph>(
-    g: &G,
-    dist: &AtomicStateArray,
-    batch: impl Iterator<Item = &'v SsspVisitor>,
-) {
-    let targets: Vec<u64> = batch
-        .filter(|v| v.dist < dist.get(v.vertex as u64))
-        .map(|v| v.vertex as u64)
-        .collect();
-    if !targets.is_empty() {
-        g.prefetch_adjacency(&targets);
+impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
+    pub(crate) fn new(g: &'g G, dist: A, parent: A, prune: bool, unit_weights: bool) -> Self {
+        SsspHandler {
+            g,
+            dist,
+            parent,
+            prune,
+            unit_weights,
+            relaxations: RelaxCounter::default(),
+        }
+    }
+
+    /// Label relaxations so far.
+    pub(crate) fn relaxed(&self) -> u64 {
+        self.relaxations.get()
+    }
+
+    /// The SSSP relax step (paper Algorithm 2 lines 8-10): relax
+    /// `v.vertex`'s labels if the candidate improves them, then emit a
+    /// visitor per out-edge through `push`.
+    ///
+    /// Exclusive access to `v.vertex`'s labels is guaranteed by hash
+    /// routing, so the check-then-store needs no atomicity beyond the
+    /// relaxed cells themselves.
+    fn relax(&self, v: SsspVisitor, mut push: impl FnMut(SsspVisitor)) -> Result<(), AbortReason> {
+        let vertex = v.vertex as u64;
+        if v.dist < self.dist.get(vertex) {
+            self.dist.set(vertex, v.dist);
+            self.parent.set(
+                vertex,
+                if v.parent == NO_PARENT {
+                    NO_VERTEX
+                } else {
+                    v.parent as u64
+                },
+            );
+            self.relaxations.bump();
+            // Fallible adjacency iteration: a storage error (retry budget
+            // exhausted, corruption) aborts the whole run cleanly instead
+            // of unwinding a panic through the worker pool. Note the label
+            // was already relaxed; label-correcting algorithms tolerate
+            // that — a retried/restarted run re-relaxes from scratch.
+            // Hoisted out of the edge loop: the handler holds an atomic, so
+            // the optimizer cannot assume its fields survive each push.
+            let (dist, prune, unit_weights) = (&*self.dist, self.prune, self.unit_weights);
+            self.g.try_for_each_neighbor(vertex, |t, w| {
+                let nd = v.dist + if unit_weights { 1 } else { w as u64 };
+                // Pruning reads the target's label from a non-owning
+                // thread. Labels only decrease, so a stale value can only
+                // make us push a visitor that will fail its visit-time
+                // check — never skip a necessary one.
+                if prune && nd >= dist.get(t) {
+                    return;
+                }
+                push(SsspVisitor {
+                    dist: nd,
+                    vertex: t as u32,
+                    parent: v.vertex,
+                });
+            })?;
+        }
+        Ok(())
+    }
+
+    /// The batch I/O hint: announce the adjacency lists this service round
+    /// will read so a semi-external backend can coalesce them into fewer
+    /// device requests. Visitors whose candidate no longer improves the
+    /// label are filtered: their visit relaxes nothing and reads no
+    /// adjacency. The label check uses the same stale-tolerant read as
+    /// pruning — labels only decrease, so a stale value can only keep a
+    /// vertex in the hint, never drop a needed one.
+    fn prefetch<'v>(&self, batch: impl Iterator<Item = &'v SsspVisitor>) {
+        let targets: Vec<u64> = batch
+            .filter(|v| v.dist < self.dist.get(v.vertex as u64))
+            .map(|v| v.vertex as u64)
+            .collect();
+        if !targets.is_empty() {
+            self.g.prefetch_adjacency(&targets);
+        }
     }
 }
 
-impl<'a, G: Graph> FallibleVisitHandler<SsspVisitor> for SsspHandler<'a, G> {
+/// One-shot route: bare visitors, no dispatch.
+impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<SsspVisitor>
+    for SsspHandler<'_, G, A>
+{
     fn try_visit(
         &self,
         v: SsspVisitor,
         ctx: &mut PushCtx<'_, SsspVisitor>,
     ) -> Result<(), AbortReason> {
-        sssp_relax(
-            self.g,
-            self.dist,
-            self.parent,
-            self.relaxations,
-            self.prune,
-            self.unit_weights,
-            v,
-            |nv| ctx.push(nv),
-        )
+        self.relax(v, |nv| ctx.push(nv))
     }
 
     fn prepare_batch(&self, batch: &[SsspVisitor]) {
-        sssp_prefetch(self.g, self.dist, batch.iter());
+        self.prefetch(batch.iter());
     }
 }
 
-/// Build a [`TraversalStats`] from engine [`RunStats`] plus the handler's
-/// relaxation count (also used for the partial stats of an aborted run).
-pub(crate) fn make_stats(run: &RunStats, relaxed: u64) -> TraversalStats {
-    TraversalStats {
-        visitors_executed: run.visitors_executed,
-        visitors_pushed: run.visitors_pushed,
-        local_pushes: run.local_pushes,
-        parks: run.parks,
-        inbox_batches: run.inbox_batches,
-        relaxations: relaxed,
-        elapsed: run.elapsed,
-        num_threads: run.num_threads,
+/// Engine route: a query's visitors reach only its own handler, so a CC
+/// visitor never arrives here.
+impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<MultiVisitor>
+    for SsspHandler<'_, G, A>
+{
+    fn try_visit(
+        &self,
+        v: MultiVisitor,
+        ctx: &mut PushCtx<'_, MultiVisitor>,
+    ) -> Result<(), AbortReason> {
+        match v {
+            MultiVisitor::Path(v) => self.relax(v, |nv| ctx.push(MultiVisitor::Path(nv))),
+            MultiVisitor::Cc(_) => unreachable!("CC visitor routed to a path query"),
+        }
+    }
+
+    fn prepare_batch(&self, batch: &[MultiVisitor]) {
+        self.prefetch(batch.iter().filter_map(|m| match m {
+            MultiVisitor::Path(v) => Some(v),
+            MultiVisitor::Cc(_) => None,
+        }));
     }
 }
 
-pub(crate) fn run_sssp<G: Graph>(
+/// One BFS (`unit_weights`) or SSSP run from `source`.
+pub(crate) fn run_path<G: Graph, R: Recorder>(
     g: &G,
     source: Vertex,
-    cfg: &Config,
-    unit_weights: bool,
-) -> TraversalOutput {
-    run_sssp_multi_recorded(g, &[source], cfg, unit_weights, &NoopRecorder)
-}
-
-pub(crate) fn run_sssp_multi<G: Graph>(
-    g: &G,
-    sources: &[Vertex],
-    cfg: &Config,
-    unit_weights: bool,
-) -> TraversalOutput {
-    run_sssp_multi_recorded(g, sources, cfg, unit_weights, &NoopRecorder)
-}
-
-/// Infallible wrapper: the historical API contract is that a storage
-/// failure panics, so callers that cannot abort keep working unchanged.
-pub(crate) fn run_sssp_multi_recorded<G: Graph, R: Recorder>(
-    g: &G,
-    sources: &[Vertex],
-    cfg: &Config,
-    unit_weights: bool,
-    recorder: &R,
-) -> TraversalOutput {
-    try_run_sssp_multi_recorded(g, sources, cfg, unit_weights, recorder)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-pub(crate) fn try_run_sssp_multi_recorded<G: Graph, R: Recorder>(
-    g: &G,
-    sources: &[Vertex],
     cfg: &Config,
     unit_weights: bool,
     recorder: &R,
 ) -> Result<TraversalOutput, TraversalError> {
     let n = g.num_vertices();
-    assert!(!sources.is_empty(), "at least one source vertex required");
-    for &source in sources {
-        assert!(
-            source < n,
-            "source vertex {source} out of range ({n} vertices)"
-        );
-    }
-    assert!(
-        n < u32::MAX as u64,
-        "async traversal stores vertex ids as u32 (paper max scale is 2^30); \
-         got {n} vertices"
-    );
-
-    // Paper Algorithm 1: dist/parent arrays initialized to ∞.
-    recorder.phase_start("init_state");
-    let dist = AtomicStateArray::new(n as usize, INF_DIST);
-    let parent = AtomicStateArray::new(n as usize, NO_VERTEX);
-    let relaxations = AtomicU64::new(0);
-    recorder.phase_end("init_state");
-
-    let handler = SsspHandler {
-        g,
-        dist: &dist,
-        parent: &parent,
-        relaxations: &relaxations,
-        prune: cfg.prune_pushes,
-        unit_weights,
-    };
-
-    // Algorithm 1 line 6: queue a visitor per source with path length 0 and
-    // no parent, then wait for all queued work to finish.
-    let init: Vec<SsspVisitor> = sources
-        .iter()
-        .map(|&source| SsspVisitor {
-            dist: 0,
-            vertex: source as u32,
-            parent: NO_PARENT,
-        })
-        .collect();
     // Priority classes: exact levels for BFS; for weighted SSSP the
     // tentative-distance span of a frontier is about one max edge weight
     // (~n under the paper's UW distribution), so lg(n) − 9 buckets it into
@@ -274,46 +229,40 @@ pub(crate) fn try_run_sssp_multi_recorded<G: Graph, R: Recorder>(
     } else {
         crate::config::lg2(n).saturating_sub(9)
     };
-    recorder.phase_start("traversal");
-    let result = VisitorQueue::try_run_recorded(&cfg.vq(default_shift), &handler, init, recorder);
-    recorder.phase_end("traversal");
-    let run = match result {
-        Ok(run) => run,
-        Err(aborted) => {
-            let stats = make_stats(&aborted.stats, relaxations.load(Ordering::Relaxed));
-            return Err(TraversalError::from_abort(aborted, stats));
-        }
-    };
-
-    let relaxed = relaxations.load(Ordering::Relaxed);
-    if R::ENABLED {
-        recorder.counter(Counter::Relaxations, relaxed);
-        // Executions that failed the label check: the redundant work behind
-        // the paper's revisit factor (§III-B "possibly requiring multiple
-        // visits per vertex").
-        recorder.counter(
-            Counter::Revisits,
-            run.visitors_executed.saturating_sub(relaxed),
-        );
-    }
-
-    recorder.phase_start("extract_state");
-    let out = TraversalOutput {
-        dist: dist.to_vec(),
-        parent: parent.to_vec(),
-        stats: make_stats(&run, relaxed),
-    };
-    recorder.phase_end("extract_state");
-    Ok(out)
+    let vq = cfg.vq(default_shift);
+    // Paper Algorithm 1: dist/parent arrays initialized to ∞; one visitor
+    // at the source, then wait for all queued work to finish.
+    let ([dist, parent], stats) = one_shot(
+        n,
+        &[source],
+        [INF_DIST, NO_VERTEX],
+        recorder,
+        |[dist, parent]| {
+            let h = SsspHandler::new(g, dist, parent, cfg.prune_pushes, unit_weights);
+            let seed = [SsspVisitor::source(source)];
+            (
+                VisitorQueue::try_run_recorded(&vq, &h, seed, recorder),
+                h.relaxed(),
+            )
+        },
+    )?;
+    Ok(TraversalOutput {
+        dist,
+        parent,
+        stats,
+    })
 }
 
 /// Asynchronous Single-Source Shortest Paths from `source`.
 ///
 /// Edge weights must be non-negative (they are unsigned by construction);
-/// unweighted graphs behave as if every weight were 1.
+/// unweighted graphs behave as if every weight were 1. A storage failure
+/// that exhausts its retry budget (or any other handler abort) returns
+/// `Err` with the classified [`TraversalError`] and partial statistics; an
+/// out-of-range source or an oversized graph is rejected before the run.
 ///
 /// ```
-/// use asyncgt::{sssp, Config};
+/// use asyncgt::{try_sssp, Config};
 /// use asyncgt::graph::GraphBuilder;
 ///
 /// let g: asyncgt::CsrGraph = GraphBuilder::new(3)
@@ -321,55 +270,31 @@ pub(crate) fn try_run_sssp_multi_recorded<G: Graph, R: Recorder>(
 ///     .add_weighted_edge(0, 2, 1)
 ///     .add_weighted_edge(2, 1, 2)
 ///     .build();
-/// let out = sssp(&g, 0, &Config::with_threads(2));
+/// let out = try_sssp(&g, 0, &Config::with_threads(2))?;
 /// assert_eq!(out.dist, vec![0, 3, 1]);
 /// assert_eq!(out.path_to(1), Some(vec![0, 2, 1]));
+/// # Ok::<(), asyncgt::TraversalError>(())
 /// ```
-pub fn sssp<G: Graph>(g: &G, source: Vertex, cfg: &Config) -> TraversalOutput {
-    run_sssp(g, source, cfg, false)
-}
-
-/// [`sssp`] with a metrics [`Recorder`] (e.g.
-/// [`ShardedRecorder`](asyncgt_obs::ShardedRecorder)) collecting phase
-/// spans, per-worker counters, and service-time histograms. `sssp` itself
-/// is this with [`NoopRecorder`], which compiles the instrumentation out.
-pub fn sssp_recorded<G: Graph, R: Recorder>(
-    g: &G,
-    source: Vertex,
-    cfg: &Config,
-    recorder: &R,
-) -> TraversalOutput {
-    run_sssp_multi_recorded(g, &[source], cfg, false, recorder)
-}
-
-/// Multi-source asynchronous SSSP: `dist[v]` is the weighted distance to
-/// the nearest of `sources` (a "Voronoi" assignment over the sources, via
-/// the parent pointers). Seeding several visitors instead of one is the
-/// same generalization the paper's CC algorithm uses.
-pub fn sssp_multi_source<G: Graph>(g: &G, sources: &[Vertex], cfg: &Config) -> TraversalOutput {
-    run_sssp_multi(g, sources, cfg, false)
-}
-
-/// Fallible [`sssp`]: a storage failure that exhausts its retry budget (or
-/// any other handler abort) returns `Err` with the classified
-/// [`TraversalError`] and partial statistics, instead of panicking. This is
-/// the API to use for semi-external graphs on storage that can fail.
 pub fn try_sssp<G: Graph>(
     g: &G,
     source: Vertex,
     cfg: &Config,
 ) -> Result<TraversalOutput, TraversalError> {
-    try_run_sssp_multi_recorded(g, &[source], cfg, false, &NoopRecorder)
+    run_path(g, source, cfg, false, &NoopRecorder)
 }
 
-/// [`try_sssp`] with a metrics [`Recorder`].
+/// [`try_sssp`] with a metrics [`Recorder`] (e.g.
+/// [`ShardedRecorder`](asyncgt_obs::ShardedRecorder)) collecting phase
+/// spans, per-worker counters, and service-time histograms. `try_sssp`
+/// itself is this with [`NoopRecorder`], which compiles the
+/// instrumentation out.
 pub fn try_sssp_recorded<G: Graph, R: Recorder>(
     g: &G,
     source: Vertex,
     cfg: &Config,
     recorder: &R,
 ) -> Result<TraversalOutput, TraversalError> {
-    try_run_sssp_multi_recorded(g, &[source], cfg, false, recorder)
+    run_path(g, source, cfg, false, recorder)
 }
 
 #[cfg(test)]
@@ -407,7 +332,7 @@ mod tests {
         // purposefully selected to require multiple visits per vertex";
         // final distances are 0, 2, 5, 6, 8.
         for threads in [1, 2, 8] {
-            let out = sssp(&figure3_graph(), 0, &Config::with_threads(threads));
+            let out = try_sssp(&figure3_graph(), 0, &Config::with_threads(threads)).unwrap();
             assert_eq!(out.dist, vec![0, 2, 5, 6, 8], "threads={threads}");
             assert_eq!(out.path_to(4), Some(vec![0, 2, 3, 4]));
         }
@@ -420,7 +345,7 @@ mod tests {
             let wg = weighted_copy(&g, kind, 5);
             let expect = serial::dijkstra(&wg, 0);
             for threads in [1, 4, 32] {
-                let out = sssp(&wg, 0, &Config::with_threads(threads));
+                let out = try_sssp(&wg, 0, &Config::with_threads(threads)).unwrap();
                 assert_eq!(out.dist, expect.dist, "{kind:?} threads={threads}");
             }
         }
@@ -430,8 +355,8 @@ mod tests {
     fn pruning_preserves_results() {
         let g = RmatGenerator::new(RmatParams::RMAT_B, 10, 8, 3).directed();
         let wg = weighted_copy(&g, WeightKind::Uniform, 9);
-        let base = sssp(&wg, 0, &Config::with_threads(4));
-        let pruned = sssp(&wg, 0, &Config::with_threads(4).with_pruning());
+        let base = try_sssp(&wg, 0, &Config::with_threads(4)).unwrap();
+        let pruned = try_sssp(&wg, 0, &Config::with_threads(4).with_pruning()).unwrap();
         assert_eq!(base.dist, pruned.dist);
         assert!(
             pruned.stats.visitors_pushed <= base.stats.visitors_pushed,
@@ -446,7 +371,7 @@ mod tests {
             WeightKind::Uniform,
             2,
         );
-        let out = sssp(&g, 0, &Config::with_threads(8));
+        let out = try_sssp(&g, 0, &Config::with_threads(8)).unwrap();
         let expect = serial::dijkstra(&g, 0);
         for v in 0..g.num_vertices() {
             if let Some(path) = out.path_to(v) {
@@ -475,7 +400,7 @@ mod tests {
         // Paper Fig. 2: a path graph serializes the traversal but must
         // still complete and be exact.
         let g = path_graph(500);
-        let out = sssp(&g, 0, &Config::with_threads(16));
+        let out = try_sssp(&g, 0, &Config::with_threads(16)).unwrap();
         for v in 0..500 {
             assert_eq!(out.dist[v as usize], v);
         }
@@ -490,16 +415,29 @@ mod tests {
             WeightKind::LogUniform,
             4,
         );
-        let out = sssp(&g, 0, &Config::with_threads(8));
+        let out = try_sssp(&g, 0, &Config::with_threads(8)).unwrap();
         assert!(out.stats.relaxations >= out.reached_count());
         assert!(out.stats.visitors_executed >= out.stats.relaxations);
         assert!(out.revisit_factor() >= 1.0);
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_range_source_panics() {
+    fn out_of_range_source_is_a_typed_error() {
         let g = path_graph(4);
-        let _ = sssp(&g, 99, &Config::default());
+        let err = try_sssp(&g, 99, &Config::default()).unwrap_err();
+        assert!(matches!(
+            err,
+            TraversalError::InvalidSource {
+                source: 99,
+                num_vertices: 4
+            }
+        ));
+        assert_eq!(err.stats().visitors_executed, 0);
+        assert_eq!(
+            err.to_string(),
+            "source vertex 99 out of range (4 vertices)"
+        );
+        // `n` itself is the first id out of range.
+        assert!(crate::try_bfs(&g, 4, &Config::default()).is_err());
     }
 }

@@ -135,14 +135,14 @@ pub fn check_components<G: Graph>(g: &G, ccid: &[Vertex]) -> Result<(), String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bfs, connected_components, sssp, Config};
+    use crate::{try_bfs, try_connected_components, try_sssp, Config};
     use asyncgt_graph::generators::{grid_graph, RmatGenerator, RmatParams};
     use asyncgt_graph::weights::{weighted_copy, WeightKind};
 
     #[test]
     fn accepts_valid_bfs() {
         let g = RmatGenerator::new(RmatParams::RMAT_A, 9, 8, 5).directed();
-        let out = bfs(&g, 0, &Config::with_threads(4));
+        let out = try_bfs(&g, 0, &Config::with_threads(4)).unwrap();
         check_shortest_paths(&g, 0, &out, true).unwrap();
     }
 
@@ -153,14 +153,14 @@ mod tests {
             WeightKind::LogUniform,
             1,
         );
-        let out = sssp(&g, 0, &Config::with_threads(4));
+        let out = try_sssp(&g, 0, &Config::with_threads(4)).unwrap();
         check_shortest_paths(&g, 0, &out, false).unwrap();
     }
 
     #[test]
     fn rejects_tampered_distance() {
         let g = grid_graph(5, 5);
-        let mut out = bfs(&g, 0, &Config::with_threads(2));
+        let mut out = try_bfs(&g, 0, &Config::with_threads(2)).unwrap();
         out.dist[7] += 1;
         assert!(check_shortest_paths(&g, 0, &out, true).is_err());
     }
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn rejects_tampered_parent() {
         let g = grid_graph(5, 5);
-        let mut out = bfs(&g, 0, &Config::with_threads(2));
+        let mut out = try_bfs(&g, 0, &Config::with_threads(2)).unwrap();
         out.parent[24] = 0; // corner can't descend from the far corner
         assert!(check_shortest_paths(&g, 0, &out, true).is_err());
     }
@@ -176,14 +176,14 @@ mod tests {
     #[test]
     fn accepts_valid_cc() {
         let g = RmatGenerator::new(RmatParams::RMAT_A, 9, 4, 7).undirected();
-        let out = connected_components(&g, &Config::with_threads(4));
+        let out = try_connected_components(&g, &Config::with_threads(4)).unwrap();
         check_components(&g, &out.ccid).unwrap();
     }
 
     #[test]
     fn rejects_cross_edge_labels() {
         let g = grid_graph(3, 3);
-        let out = connected_components(&g, &Config::with_threads(2));
+        let out = try_connected_components(&g, &Config::with_threads(2)).unwrap();
         let mut bad = out.ccid.clone();
         bad[4] = 4; // claims its own component inside the single grid CC
         assert!(check_components(&g, &bad).is_err());

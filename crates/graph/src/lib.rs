@@ -23,16 +23,12 @@
 //! [`SemGraph`]: https://docs.rs/asyncgt-storage
 
 pub mod builder;
-pub mod centrality;
 pub mod csr;
 pub mod generators;
 pub mod io;
 pub mod relabel;
-pub mod scc;
 pub mod stats;
-pub mod subgraph;
 pub mod traits;
-pub mod triangles;
 pub mod weights;
 
 pub use builder::GraphBuilder;

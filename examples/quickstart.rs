@@ -7,10 +7,10 @@
 
 use asyncgt::graph::generators::{RmatGenerator, RmatParams};
 use asyncgt::graph::Graph;
-use asyncgt::{bfs, connected_components, sssp, Config};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, Config, TraversalError};
 use asyncgt_examples::arg;
 
-fn main() {
+fn main() -> Result<(), TraversalError> {
     let scale: u32 = arg("--scale", 14);
     let threads: usize = arg("--threads", 32);
 
@@ -26,7 +26,7 @@ fn main() {
     let cfg = Config::with_threads(threads);
 
     // --- BFS ---------------------------------------------------------
-    let out = bfs(&g, 0, &cfg);
+    let out = try_bfs(&g, 0, &cfg)?;
     println!("\nasynchronous BFS from vertex 0 ({threads} threads):");
     println!(
         "  reached      : {} ({:.1}%)",
@@ -43,7 +43,7 @@ fn main() {
     // --- SSSP --------------------------------------------------------
     use asyncgt::graph::weights::{weighted_copy, WeightKind};
     let wg = weighted_copy(&g, WeightKind::Uniform, 7);
-    let out = sssp(&wg, 0, &cfg);
+    let out = try_sssp(&wg, 0, &cfg)?;
     println!("\nasynchronous SSSP (uniform weights):");
     println!("  reached      : {}", out.reached_count());
     println!(
@@ -61,9 +61,10 @@ fn main() {
 
     // --- CC ----------------------------------------------------------
     let und = gen.undirected();
-    let out = connected_components(&und, &cfg);
+    let out = try_connected_components(&und, &cfg)?;
     println!("\nasynchronous connected components (undirected copy):");
     println!("  components   : {}", out.component_count());
     println!("  largest      : {} vertices", out.largest_component_size());
     println!("  elapsed      : {:?}", out.stats.elapsed);
+    Ok(())
 }

@@ -11,7 +11,7 @@
 //! ```
 
 use asyncgt::graph::{CsrGraph, Graph, GraphBuilder};
-use asyncgt::{sssp, Config};
+use asyncgt::{try_sssp, Config};
 use asyncgt_baselines::serial;
 use asyncgt_examples::arg;
 
@@ -68,7 +68,8 @@ fn main() {
     );
 
     let depot = 0;
-    let out = sssp(&g, depot, &Config::with_threads(threads));
+    let out = try_sssp(&g, depot, &Config::with_threads(threads))
+        .expect("depot is vertex 0 of a non-empty in-memory graph");
     println!(
         "\nasync SSSP from depot (vertex {depot}), {threads} threads: {:?}",
         out.stats.elapsed

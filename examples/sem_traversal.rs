@@ -11,7 +11,7 @@ use asyncgt::graph::generators::{RmatGenerator, RmatParams};
 use asyncgt::obs::{render_summary, ShardedRecorder};
 use asyncgt::storage::reader::SemConfig;
 use asyncgt::storage::{write_sem_graph, DeviceModel, SemGraph, SimulatedFlash};
-use asyncgt::{bfs, bfs_recorded, Config};
+use asyncgt::{try_bfs, try_bfs_recorded, Config};
 use asyncgt_baselines::serial;
 use asyncgt_examples::arg;
 use std::sync::Arc;
@@ -66,9 +66,10 @@ fn main() {
         // any setting (the assert below holds for every io_batch).
         let cfg = Config::with_threads(threads).with_io_batch(16);
         let out = match &recorder {
-            Some(r) => bfs_recorded(&sem, 0, &cfg, r.as_ref()),
-            None => bfs(&sem, 0, &cfg),
-        };
+            Some(r) => try_bfs_recorded(&sem, 0, &cfg, r.as_ref()),
+            None => try_bfs(&sem, 0, &cfg),
+        }
+        .expect("SEM BFS");
         assert_eq!(out.dist, im.dist, "SEM result must match in-memory");
         let io = sem.io_stats();
         println!(

@@ -10,7 +10,7 @@
 
 use asyncgt::graph::generators::{webgraph_like, WebGraphParams};
 use asyncgt::graph::{stats, Graph};
-use asyncgt::{connected_components, Config};
+use asyncgt::{try_connected_components, Config};
 use asyncgt_examples::{arg, bar};
 use std::collections::HashMap;
 
@@ -32,7 +32,8 @@ fn main() {
         deg.mean, deg.max, deg.zeros
     );
 
-    let out = connected_components(&g, &Config::with_threads(threads));
+    let out = try_connected_components(&g, &Config::with_threads(threads))
+        .expect("in-memory CC cannot fail");
     println!(
         "\nasync CC ({threads} threads): {} components in {:?}",
         out.component_count(),

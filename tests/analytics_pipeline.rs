@@ -1,18 +1,13 @@
 //! Integration tests for the analytics layer built on the traversal
-//! building blocks: PageRank / diameter / k-hop / subgraph extraction /
-//! triangles, including over semi-external storage — the "many graph
+//! building blocks: PageRank / diameter / k-hop, including over
+//! semi-external storage — the "many graph
 //! analysis algorithms and applications" the paper positions its
 //! traversals as building blocks for.
 
 use asyncgt::storage::write_sem_graph;
-use asyncgt::{
-    bfs_bounded, connected_components, double_sweep, khop_ball, pagerank, Config, PageRankParams,
-    SemGraph, INF_DIST,
-};
+use asyncgt::{bfs_bounded, double_sweep, pagerank, Config, PageRankParams, SemGraph, INF_DIST};
 use asyncgt_baselines::power_iteration;
 use asyncgt_graph::generators::{webgraph_like, RmatGenerator, RmatParams, WebGraphParams};
-use asyncgt_graph::subgraph::{component, induced, Subgraph};
-use asyncgt_graph::triangles::{count_triangles, count_triangles_parallel};
 use asyncgt_graph::Graph;
 use asyncgt_integration_tests::scratch;
 
@@ -53,62 +48,14 @@ fn khop_over_sem_matches_in_memory() {
 }
 
 #[test]
-fn component_extraction_pipeline() {
-    // CC on a fragmented web graph → extract the giant component →
-    // its own CC must be a single component covering everything.
-    let g = webgraph_like(&WebGraphParams {
-        num_vertices: 4096,
-        avg_degree: 6,
-        host_size: 64,
-        intra_host_prob: 0.8,
-        copy_prob: 0.5,
-        isolated_frac: 0.05,
-        seed: 63,
-    });
-    let cc = connected_components(&g, &Config::with_threads(8));
-    assert!(cc.component_count() > 1);
-
-    // The giant component's label is the most frequent ccid.
-    use std::collections::HashMap;
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    for &c in &cc.ccid {
-        *counts.entry(c).or_insert(0) += 1;
-    }
-    let (&giant, &size) = counts.iter().max_by_key(|&(_, &s)| s).unwrap();
-
-    let sub: Subgraph = component(&g, &cc.ccid, giant);
-    assert_eq!(sub.graph.num_vertices(), size);
-    let sub_cc = connected_components(&sub.graph, &Config::with_threads(4));
-    assert_eq!(sub_cc.component_count(), 1, "giant component is connected");
-}
-
-#[test]
-fn khop_ball_to_subgraph_to_triangles() {
-    // Ego-net analysis: 2-hop ball around a hub, extracted and measured.
-    let g = RmatGenerator::new(RmatParams::RMAT_B, 10, 8, 64).undirected();
-    // Pick the max-degree hub.
-    let hub = (0..g.num_vertices())
-        .max_by_key(|&v| g.out_degree(v))
-        .unwrap();
-    let ball = khop_ball(&g, hub, 2, &Config::with_threads(4));
-    assert!(ball.len() > 10, "hub ego-net should be sizable");
-
-    let ego: Subgraph = induced(&g, &ball);
-    let serial = count_triangles(&ego.graph);
-    assert_eq!(count_triangles_parallel(&ego.graph, 4), serial);
-    // A scale-free 2-hop ego net around a hub is never triangle-free.
-    assert!(serial > 0, "expected triangles in the hub ego-net");
-}
-
-#[test]
 fn diameter_consistent_between_im_and_sem() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 9, 8, 65).undirected();
     let path = scratch("analytics_diam.agt");
     write_sem_graph(&path, &g).unwrap();
     let sem = SemGraph::open(&path).unwrap();
 
-    let im = double_sweep(&g, 0, &Config::with_threads(4));
-    let se = double_sweep(&sem, 0, &Config::with_threads(8));
+    let im = double_sweep(&g, 0, &Config::with_threads(4)).unwrap();
+    let se = double_sweep(&sem, 0, &Config::with_threads(8)).unwrap();
     assert_eq!(im.diameter_lower_bound, se.diameter_lower_bound);
 }
 

@@ -9,10 +9,22 @@
 use asyncgt::obs::{NoopRecorder, ShardedRecorder};
 use asyncgt::storage::reader::SemConfig;
 use asyncgt::storage::{write_sem_graph, FaultPlan, FaultyDevice, RetryPolicy, SemGraph};
-use asyncgt::{bfs, connected_components, sssp, with_engine, Config, EngineOpts, TraversalError};
+use asyncgt::{
+    try_bfs, try_connected_components, try_sssp, with_engine, Config, EngineOpts, TraversalError,
+};
 use asyncgt_integration_tests::{random_graph, random_undirected, scratch};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Duration;
+
+/// Every test here starts worker threads named `vq-worker-*`. The idle-CPU
+/// test reads those threads' CPU time from `/proc`, so it holds this lock
+/// exclusively and the other tests share it.
+static WORKERS: RwLock<()> = RwLock::new(());
+
+fn shared_workers() -> RwLockReadGuard<'static, ()> {
+    // A sibling's failure poisons the lock; its `()` holds no state.
+    WORKERS.read().unwrap_or_else(|e| e.into_inner())
+}
 
 fn opts(threads: usize, max_concurrent: usize) -> EngineOpts {
     EngineOpts {
@@ -25,12 +37,19 @@ fn opts(threads: usize, max_concurrent: usize) -> EngineOpts {
 
 #[test]
 fn mixed_queries_on_one_engine_match_serial() {
+    let _workers = shared_workers();
     let g = random_undirected(600, 2_400, 7);
     let cfg = Config::with_threads(4);
     let sources = [0u64, 17, 99, 300, 599];
-    let serial_bfs: Vec<_> = sources.iter().map(|&s| bfs(&g, s, &cfg)).collect();
-    let serial_sssp: Vec<_> = sources.iter().map(|&s| sssp(&g, s, &cfg)).collect();
-    let serial_cc = connected_components(&g, &cfg);
+    let serial_bfs: Vec<_> = sources
+        .iter()
+        .map(|&s| try_bfs(&g, s, &cfg).unwrap())
+        .collect();
+    let serial_sssp: Vec<_> = sources
+        .iter()
+        .map(|&s| try_sssp(&g, s, &cfg).unwrap())
+        .collect();
+    let serial_cc = try_connected_components(&g, &cfg).unwrap();
 
     let ((bfs_out, sssp_out, cc_out), stats) = with_engine(&g, &opts(4, 8), &NoopRecorder, |eng| {
         // Submit the full mixed batch before waiting on anything, so
@@ -66,10 +85,14 @@ fn mixed_queries_on_one_engine_match_serial() {
 
 #[test]
 fn sixty_four_concurrent_queries_are_byte_identical() {
+    let _workers = shared_workers();
     let g = random_graph(400, 3_000, 50, 11);
     let cfg = Config::with_threads(4);
     let sources: Vec<u64> = (0..64).map(|i| (i * 13) % 400).collect();
-    let serial: Vec<_> = sources.iter().map(|&s| sssp(&g, s, &cfg)).collect();
+    let serial: Vec<_> = sources
+        .iter()
+        .map(|&s| try_sssp(&g, s, &cfg).unwrap())
+        .collect();
 
     let (engine_out, stats) = with_engine(&g, &opts(4, 64), &NoopRecorder, |eng| {
         let tickets: Vec<_> = sources
@@ -96,6 +119,7 @@ fn sixty_four_concurrent_queries_are_byte_identical() {
 
 #[test]
 fn workers_spawn_exactly_once_across_many_queries() {
+    let _workers = shared_workers();
     let g = random_graph(300, 1_500, 20, 3);
     let rec = ShardedRecorder::new(4);
     let (_, stats) = with_engine(&g, &opts(4, 4), &rec, |eng| {
@@ -139,13 +163,17 @@ fn faulty_config(plan: FaultPlan, cache_blocks: usize) -> SemConfig {
 
 #[test]
 fn sem_engine_with_absorbed_faults_matches_in_memory() {
+    let _workers = shared_workers();
     let g = random_undirected(500, 2_000, 23);
     let path = scratch("engine_sem_transient.agt");
     write_sem_graph(&path, &g).unwrap();
     let cfg = Config::with_threads(4);
     let sources = [0u64, 50, 250, 499];
-    let serial: Vec<_> = sources.iter().map(|&s| bfs(&g, s, &cfg)).collect();
-    let serial_cc = connected_components(&g, &cfg);
+    let serial: Vec<_> = sources
+        .iter()
+        .map(|&s| try_bfs(&g, s, &cfg).unwrap())
+        .collect();
+    let serial_cc = try_connected_components(&g, &cfg).unwrap();
 
     let sem = SemGraph::open_with(&path, faulty_config(FaultPlan::transient(2, 0.4), 64)).unwrap();
     let ((bfs_out, cc_out), _) = with_engine(&sem, &opts(4, 8), &NoopRecorder, |eng| {
@@ -172,6 +200,7 @@ fn sem_engine_with_absorbed_faults_matches_in_memory() {
 
 #[test]
 fn aborted_query_leaves_sibling_queries_exact() {
+    let _workers = shared_workers();
     // Permanent faults hit a schedule-chosen subset of blocks, so queries
     // whose reachable adjacency avoids them succeed while the rest abort.
     // The fault schedule is a pure function of (seed, block) and faulty
@@ -253,10 +282,12 @@ fn worker_cpu_ticks() -> u64 {
 
 /// Regression test for the idle-spin burn: parked workers awaiting work
 /// must not consume CPU. Measures only the named `vq-worker-*` threads,
-/// so concurrent tests in this binary don't pollute the reading.
+/// and holds `WORKERS` exclusively so no sibling test's workers (same
+/// names) run during the reading.
 #[cfg(target_os = "linux")]
 #[test]
 fn idle_engine_burns_near_zero_cpu() {
+    let _alone = WORKERS.write().unwrap_or_else(|e| e.into_inner());
     let g = random_graph(200, 800, 10, 13);
     with_engine(&g, &opts(8, 8), &NoopRecorder, |eng| {
         // Settle: one tiny query, then let every worker park.

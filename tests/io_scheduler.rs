@@ -20,7 +20,7 @@
 
 use asyncgt::storage::reader::SemConfig;
 use asyncgt::storage::{write_sem_graph, FaultPlan, FaultyDevice, RetryPolicy, SemGraph};
-use asyncgt::{bfs, connected_components, sssp, try_bfs, try_sssp, Config};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, Config};
 use asyncgt_graph::generators::{RmatGenerator, RmatParams};
 use asyncgt_graph::weights::{weighted_copy, WeightKind};
 use asyncgt_integration_tests::scratch;
@@ -43,7 +43,7 @@ fn batched_drain_coalesces_device_reads_with_identical_results() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 12, 16, 41).directed();
     let path = scratch("iosched_coalesce.agt");
     write_sem_graph(&path, &g).unwrap();
-    let expect = bfs(&g, 0, &Config::with_threads(4));
+    let expect = try_bfs(&g, 0, &Config::with_threads(4)).unwrap();
 
     let cfg = || SemConfig {
         block_size: 512,
@@ -52,14 +52,14 @@ fn batched_drain_coalesces_device_reads_with_identical_results() {
     };
 
     let sem = open(&path, cfg());
-    let unbatched = bfs(&sem, 0, &Config::with_threads(8).with_io_batch(1));
+    let unbatched = try_bfs(&sem, 0, &Config::with_threads(8).with_io_batch(1)).unwrap();
     assert_eq!(unbatched.dist, expect.dist);
     let io1 = sem.io_stats();
     assert_eq!(io1.blocks_coalesced, 0, "io_batch=1 must not schedule");
     assert_eq!(io1.reads_merged, 0);
 
     let sem = open(&path, cfg());
-    let batched = bfs(&sem, 0, &Config::with_threads(8).with_io_batch(64));
+    let batched = try_bfs(&sem, 0, &Config::with_threads(8).with_io_batch(64)).unwrap();
     assert_eq!(batched.dist, expect.dist);
     let io64 = sem.io_stats();
 
@@ -89,9 +89,9 @@ fn scheduler_is_equivalent_across_knobs() {
     write_sem_graph(&pw, &gw).unwrap();
     write_sem_graph(&pu, &gu).unwrap();
 
-    let ref_bfs = bfs(&gd, 0, &Config::with_threads(4));
-    let ref_sssp = sssp(&gw, 0, &Config::with_threads(4));
-    let ref_cc = connected_components(&gu, &Config::with_threads(4));
+    let ref_bfs = try_bfs(&gd, 0, &Config::with_threads(4)).unwrap();
+    let ref_sssp = try_sssp(&gw, 0, &Config::with_threads(4)).unwrap();
+    let ref_cc = try_connected_components(&gu, &Config::with_threads(4)).unwrap();
 
     for (readahead, prefetch_threads) in [(0usize, 0usize), (4, 2)] {
         let cfg = || SemConfig {
@@ -108,11 +108,11 @@ fn scheduler_is_equivalent_across_knobs() {
                     "threads={threads} io_batch={io_batch} \
                      readahead={readahead} prefetch={prefetch_threads}"
                 );
-                let out = bfs(&open(&pd, cfg()), 0, &tc);
+                let out = try_bfs(&open(&pd, cfg()), 0, &tc).unwrap();
                 assert_eq!(out.dist, ref_bfs.dist, "BFS {tag}");
-                let out = sssp(&open(&pw, cfg()), 0, &tc);
+                let out = try_sssp(&open(&pw, cfg()), 0, &tc).unwrap();
                 assert_eq!(out.dist, ref_sssp.dist, "SSSP {tag}");
-                let out = connected_components(&open(&pu, cfg()), &tc);
+                let out = try_connected_components(&open(&pu, cfg()), &tc).unwrap();
                 assert_eq!(out.ccid, ref_cc.ccid, "CC {tag}");
             }
         }
@@ -130,8 +130,8 @@ fn scheduler_is_equivalent_under_transient_faults() {
     let pw = scratch("iosched_fault_sssp.agt");
     write_sem_graph(&pd, &gd).unwrap();
     write_sem_graph(&pw, &gw).unwrap();
-    let ref_bfs = bfs(&gd, 0, &Config::with_threads(4));
-    let ref_sssp = sssp(&gw, 0, &Config::with_threads(4));
+    let ref_bfs = try_bfs(&gd, 0, &Config::with_threads(4)).unwrap();
+    let ref_sssp = try_sssp(&gw, 0, &Config::with_threads(4)).unwrap();
 
     let cfg = |seed| SemConfig {
         block_size: 4096,
@@ -170,7 +170,7 @@ fn cache_counters_only_count_adjacency_serving_lookups() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 11, 8, 45).directed();
     let path = scratch("iosched_stats.agt");
     write_sem_graph(&path, &g).unwrap();
-    let expect = bfs(&g, 0, &Config::with_threads(4));
+    let expect = try_bfs(&g, 0, &Config::with_threads(4)).unwrap();
 
     // Cache enabled, no scheduler: every adjacency-serving lookup is a hit
     // or a miss, and every miss is exactly one device read.
@@ -182,7 +182,7 @@ fn cache_counters_only_count_adjacency_serving_lookups() {
             ..SemConfig::default()
         },
     );
-    let out = bfs(&sem, 0, &Config::with_threads(8).with_io_batch(1));
+    let out = try_bfs(&sem, 0, &Config::with_threads(8).with_io_batch(1)).unwrap();
     assert_eq!(out.dist, expect.dist);
     let io = sem.io_stats();
     assert!(io.cache_hits + io.cache_misses > 0);
@@ -203,7 +203,7 @@ fn cache_counters_only_count_adjacency_serving_lookups() {
                 ..SemConfig::default()
             },
         );
-        let out = bfs(&sem, 0, &Config::with_threads(8).with_io_batch(io_batch));
+        let out = try_bfs(&sem, 0, &Config::with_threads(8).with_io_batch(io_batch)).unwrap();
         assert_eq!(out.dist, expect.dist, "io_batch={io_batch}");
         let io = sem.io_stats();
         assert_eq!(io.cache_hits, 0, "io_batch={io_batch}");

@@ -9,8 +9,8 @@ use asyncgt::graph::weights::{weighted_copy, WeightKind};
 use asyncgt::storage::reader::SemConfig;
 use asyncgt::storage::{write_sem_graph, SemGraph};
 use asyncgt::{
-    bfs, bfs_recorded, connected_components, connected_components_recorded, sssp, sssp_recorded,
-    Config,
+    try_bfs, try_bfs_recorded, try_connected_components, try_connected_components_recorded,
+    try_sssp, try_sssp_recorded, Config,
 };
 use asyncgt_integration_tests::scratch;
 use asyncgt_obs::{HistKind, MetricsSnapshot, ShardedRecorder};
@@ -27,22 +27,24 @@ fn recording_does_not_change_results() {
 
     let rec = ShardedRecorder::new(THREADS);
     assert_eq!(
-        bfs(&g, 0, &cfg).dist,
-        bfs_recorded(&g, 0, &cfg, &rec).dist,
+        try_bfs(&g, 0, &cfg).unwrap().dist,
+        try_bfs_recorded(&g, 0, &cfg, &rec).unwrap().dist,
         "BFS distances must not depend on instrumentation"
     );
 
     let rec = ShardedRecorder::new(THREADS);
     assert_eq!(
-        sssp(&wg, 0, &cfg).dist,
-        sssp_recorded(&wg, 0, &cfg, &rec).dist,
+        try_sssp(&wg, 0, &cfg).unwrap().dist,
+        try_sssp_recorded(&wg, 0, &cfg, &rec).unwrap().dist,
         "SSSP distances must not depend on instrumentation"
     );
 
     let rec = ShardedRecorder::new(THREADS);
     assert_eq!(
-        connected_components(&und, &cfg).ccid,
-        connected_components_recorded(&und, &cfg, &rec).ccid,
+        try_connected_components(&und, &cfg).unwrap().ccid,
+        try_connected_components_recorded(&und, &cfg, &rec)
+            .unwrap()
+            .ccid,
         "CC labels must not depend on instrumentation"
     );
 }
@@ -51,7 +53,7 @@ fn recording_does_not_change_results() {
 fn counters_balance_and_match_run_stats() {
     let g = RmatGenerator::new(RmatParams::RMAT_B, 11, 8, 7).directed();
     let rec = ShardedRecorder::new(THREADS);
-    let out = bfs_recorded(&g, 0, &Config::with_threads(THREADS), &rec);
+    let out = try_bfs_recorded(&g, 0, &Config::with_threads(THREADS), &rec).unwrap();
     let snap = rec.snapshot();
 
     // Termination detection guarantees the queue drained completely.
@@ -112,7 +114,7 @@ fn counters_balance_and_match_run_stats() {
 fn snapshot_round_trips_through_json() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 10, 8, 3).directed();
     let rec = ShardedRecorder::new(4);
-    let _ = bfs_recorded(&g, 0, &Config::with_threads(4), &rec);
+    let _ = try_bfs_recorded(&g, 0, &Config::with_threads(4), &rec).unwrap();
     let snap = rec.snapshot();
 
     let text = snap.to_json_string();
@@ -149,7 +151,7 @@ fn sem_run_captures_io_metrics() {
     )
     .unwrap();
 
-    let out = bfs_recorded(&sem, 0, &Config::with_threads(THREADS), rec.as_ref());
+    let out = try_bfs_recorded(&sem, 0, &Config::with_threads(THREADS), rec.as_ref()).unwrap();
     assert!(out.reached_count() > 0);
 
     let io = sem.io_stats();

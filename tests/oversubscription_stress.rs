@@ -2,7 +2,7 @@
 //! threads on a machine with far fewer cores must remain correct, terminate,
 //! and not deadlock — including with handler panics and back-to-back runs.
 
-use asyncgt::{bfs, connected_components, sssp, Config};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, Config};
 use asyncgt_baselines::serial;
 use asyncgt_graph::generators::{RmatGenerator, RmatParams};
 use asyncgt_graph::weights::{weighted_copy, WeightKind};
@@ -13,7 +13,7 @@ use asyncgt_vq::{PushCtx, VisitHandler, Visitor, VisitorQueue, VqConfig};
 fn bfs_at_256_threads() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 11, 8, 21).directed();
     let expect = serial::bfs(&g, 0);
-    let out = bfs(&g, 0, &Config::with_threads(256));
+    let out = try_bfs(&g, 0, &Config::with_threads(256)).unwrap();
     assert_eq!(out.dist, expect.dist);
     assert_eq!(out.stats.num_threads, 256);
 }
@@ -27,7 +27,7 @@ fn sssp_at_512_threads() {
         1,
     );
     let expect = serial::dijkstra(&g, 0);
-    let out = sssp(&g, 0, &Config::with_threads(512));
+    let out = try_sssp(&g, 0, &Config::with_threads(512)).unwrap();
     assert_eq!(out.dist, expect.dist);
 }
 
@@ -35,7 +35,7 @@ fn sssp_at_512_threads() {
 fn cc_at_256_threads() {
     let g = random_undirected(2000, 6000, 23);
     let expect = serial::connected_components(&g);
-    let out = connected_components(&g, &Config::with_threads(256));
+    let out = try_connected_components(&g, &Config::with_threads(256)).unwrap();
     assert_eq!(out.ccid, expect);
 }
 
@@ -45,7 +45,7 @@ fn back_to_back_runs_share_no_state() {
     let expect = serial::bfs(&g, 0);
     for i in 0..8 {
         let threads = 1 << (i % 8); // 1..128
-        let out = bfs(&g, 0, &Config::with_threads(threads));
+        let out = try_bfs(&g, 0, &Config::with_threads(threads)).unwrap();
         assert_eq!(out.dist, expect.dist, "iteration {i}, threads {threads}");
     }
 }
@@ -136,7 +136,7 @@ fn random_visitor_panic_at_8x_oversubscription_unwinds_promptly() {
 fn empty_and_tiny_workloads_at_many_threads() {
     // More threads than work items: most workers never see a visitor.
     let g = RmatGenerator::new(RmatParams::RMAT_A, 6, 4, 25).directed();
-    let out = bfs(&g, 0, &Config::with_threads(200));
+    let out = try_bfs(&g, 0, &Config::with_threads(200)).unwrap();
     assert_eq!(out.dist, serial::bfs(&g, 0).dist);
 }
 
@@ -147,9 +147,9 @@ fn mixed_thread_counts_converge_identically() {
         WeightKind::LogUniform,
         9,
     );
-    let reference = sssp(&g, 0, &Config::with_threads(1));
+    let reference = try_sssp(&g, 0, &Config::with_threads(1)).unwrap();
     for threads in [2usize, 7, 33, 100, 256] {
-        let out = sssp(&g, 0, &Config::with_threads(threads));
+        let out = try_sssp(&g, 0, &Config::with_threads(threads)).unwrap();
         assert_eq!(out.dist, reference.dist, "threads={threads}");
     }
 }

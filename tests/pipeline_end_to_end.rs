@@ -4,7 +4,7 @@
 
 use asyncgt::storage::{write_sem_graph, SemGraph};
 use asyncgt::validate::{check_components, check_shortest_paths};
-use asyncgt::{bfs, connected_components, sssp, Config};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, Config};
 use asyncgt_graph::generators::{RmatGenerator, RmatParams};
 use asyncgt_graph::weights::{assign_weights, WeightKind};
 use asyncgt_graph::{io, Graph, GraphBuilder};
@@ -30,14 +30,14 @@ fn full_pipeline_binary_edge_list() {
     // 3. Build the in-memory CSR and run SSSP.
     let g = GraphBuilder::from_edges(n, loaded, true).build::<u32>();
     let cfg = Config::with_threads(16);
-    let im = sssp(&g, 0, &cfg);
+    let im = try_sssp(&g, 0, &cfg).unwrap();
     check_shortest_paths(&g, 0, &im, false).unwrap();
 
     // 4. Serialize to the SEM format and traverse semi-externally.
     let semf = scratch("pipeline.agt");
     write_sem_graph(&semf, &g).unwrap();
     let sem = SemGraph::open(&semf).unwrap();
-    let se = sssp(&sem, 0, &cfg);
+    let se = try_sssp(&sem, 0, &cfg).unwrap();
     assert_eq!(se.dist, im.dist);
     // Parent arrays may differ between runs when shortest paths tie; each
     // must independently satisfy the shortest-path-tree invariants.
@@ -61,7 +61,7 @@ fn full_pipeline_text_edge_list() {
         .symmetrize()
         .dedup()
         .build::<u32>();
-    let out = connected_components(&g, &Config::with_threads(8));
+    let out = try_connected_components(&g, &Config::with_threads(8)).unwrap();
     check_components(&g, &out.ccid).unwrap();
 }
 
@@ -70,7 +70,7 @@ fn bfs_stats_columns_are_consistent() {
     // The experiment tables derive their columns from these accessors; make
     // sure they are internally consistent on a realistic workload.
     let g = RmatGenerator::new(RmatParams::RMAT_A, 11, 16, 32).directed();
-    let out = bfs(&g, 0, &Config::with_threads(32));
+    let out = try_bfs(&g, 0, &Config::with_threads(32)).unwrap();
     check_shortest_paths(&g, 0, &out, true).unwrap();
 
     let reached = out.reached_count();
@@ -98,8 +98,8 @@ fn sem_file_is_portable_across_opens() {
     // Multiple concurrent SemGraph instances over the same file.
     let sem1 = SemGraph::open(&path).unwrap();
     let sem2 = SemGraph::open(&path).unwrap();
-    let a = bfs(&sem1, 0, &Config::with_threads(8));
-    let b = bfs(&sem2, 0, &Config::with_threads(2));
+    let a = try_bfs(&sem1, 0, &Config::with_threads(8)).unwrap();
+    let b = try_bfs(&sem2, 0, &Config::with_threads(2)).unwrap();
     assert_eq!(a.dist, b.dist);
     assert_eq!(sem1.num_edges(), g.num_edges());
 }

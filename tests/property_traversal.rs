@@ -2,8 +2,9 @@
 //! asynchronous traversals must match the serial references and satisfy
 //! their structural invariants, for arbitrary thread counts and sources.
 
+use asyncgt::obs::NoopRecorder;
 use asyncgt::validate::{check_components, check_shortest_paths};
-use asyncgt::{bfs, connected_components, sssp, Config};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, with_engine, Config, EngineOpts};
 use asyncgt_baselines::{serial, union_find};
 use asyncgt_graph::traits::WeightedEdgeList;
 use asyncgt_graph::{CsrGraph, Graph, GraphBuilder};
@@ -45,7 +46,7 @@ proptest! {
     fn async_sssp_equals_dijkstra(g in arb_graph(), threads in 1usize..12, src in 0u64..120) {
         let src = src % g.num_vertices();
         let expect = serial::dijkstra(&g, src);
-        let out = sssp(&g, src, &Config::with_threads(threads));
+        let out = try_sssp(&g, src, &Config::with_threads(threads)).unwrap();
         prop_assert_eq!(&out.dist, &expect.dist);
         prop_assert!(check_shortest_paths(&g, src, &out, false).is_ok());
     }
@@ -54,7 +55,7 @@ proptest! {
     fn async_bfs_equals_serial(g in arb_graph(), threads in 1usize..12, src in 0u64..120) {
         let src = src % g.num_vertices();
         let expect = serial::bfs(&g, src);
-        let out = bfs(&g, src, &Config::with_threads(threads));
+        let out = try_bfs(&g, src, &Config::with_threads(threads)).unwrap();
         prop_assert_eq!(&out.dist, &expect.dist);
         prop_assert!(check_shortest_paths(&g, src, &out, true).is_ok());
     }
@@ -62,7 +63,7 @@ proptest! {
     #[test]
     fn async_cc_equals_union_find(g in arb_undirected(), threads in 1usize..12) {
         let expect = union_find::connected_components(&g);
-        let out = connected_components(&g, &Config::with_threads(threads));
+        let out = try_connected_components(&g, &Config::with_threads(threads)).unwrap();
         prop_assert_eq!(&out.ccid, &expect);
         prop_assert!(check_components(&g, &out.ccid).is_ok());
     }
@@ -70,14 +71,14 @@ proptest! {
     #[test]
     fn pruning_never_changes_results(g in arb_graph(), src in 0u64..120) {
         let src = src % g.num_vertices();
-        let base = sssp(&g, src, &Config::with_threads(4));
-        let pruned = sssp(&g, src, &Config::with_threads(4).with_pruning());
+        let base = try_sssp(&g, src, &Config::with_threads(4)).unwrap();
+        let pruned = try_sssp(&g, src, &Config::with_threads(4).with_pruning()).unwrap();
         prop_assert_eq!(&base.dist, &pruned.dist);
         // The push-count comparison needs a deterministic schedule: with
         // multiple threads either run can race into a luckier visit order
         // and push fewer visitors regardless of pruning.
-        let base1 = sssp(&g, src, &Config::with_threads(1));
-        let pruned1 = sssp(&g, src, &Config::with_threads(1).with_pruning());
+        let base1 = try_sssp(&g, src, &Config::with_threads(1)).unwrap();
+        let pruned1 = try_sssp(&g, src, &Config::with_threads(1).with_pruning()).unwrap();
         prop_assert_eq!(&base1.dist, &pruned1.dist);
         prop_assert!(pruned1.stats.visitors_pushed <= base1.stats.visitors_pushed);
     }
@@ -85,7 +86,7 @@ proptest! {
     #[test]
     fn bfs_distance_is_hop_count_of_returned_path(g in arb_graph(), src in 0u64..120) {
         let src = src % g.num_vertices();
-        let out = bfs(&g, src, &Config::with_threads(4));
+        let out = try_bfs(&g, src, &Config::with_threads(4)).unwrap();
         for v in 0..g.num_vertices() {
             if let Some(path) = out.path_to(v) {
                 prop_assert_eq!(path.len() as u64 - 1, out.dist[v as usize]);
@@ -128,7 +129,10 @@ proptest! {
         let mut sources: Vec<u64> = raw_sources.into_iter().map(|s| s % n).collect();
         sources.sort_unstable();
         sources.dedup();
-        let multi = asyncgt::bfs_multi_source(&g, &sources, &Config::with_threads(4));
+        let opts = EngineOpts::with_threads(4);
+        let (multi, _) = with_engine(&g, &opts, &NoopRecorder, |eng| {
+            eng.submit_bfs(&sources).unwrap().wait().unwrap()
+        });
         for v in 0..n as usize {
             let want = sources
                 .iter()
@@ -141,7 +145,7 @@ proptest! {
 
     #[test]
     fn cc_labels_partition_the_graph(g in arb_undirected()) {
-        let out = connected_components(&g, &Config::with_threads(6));
+        let out = try_connected_components(&g, &Config::with_threads(6)).unwrap();
         // Labels are attained minima: ccid[label] == label and label <= v.
         for v in 0..g.num_vertices() {
             let c = out.ccid[v as usize];

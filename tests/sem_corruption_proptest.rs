@@ -10,7 +10,7 @@
 
 use asyncgt::storage::reader::SemConfig;
 use asyncgt::storage::{write_sem_graph, SemGraph};
-use asyncgt::{bfs, try_bfs, Config};
+use asyncgt::{try_bfs, Config};
 use asyncgt_graph::generators::{RmatGenerator, RmatParams};
 use asyncgt_graph::CsrGraph;
 use asyncgt_integration_tests::scratch;
@@ -26,7 +26,7 @@ fn fixture() -> &'static (CsrGraph<u32>, Vec<u8>, Vec<u64>) {
         let path = scratch("corrupt_fixture.agt");
         write_sem_graph(&path, &g).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let dist = bfs(&g, 0, &Config::with_threads(2)).dist;
+        let dist = try_bfs(&g, 0, &Config::with_threads(2)).unwrap().dist;
         (g, bytes, dist)
     })
 }

@@ -4,7 +4,7 @@
 
 use asyncgt::storage::reader::SemConfig;
 use asyncgt::storage::{write_sem_graph, DeviceModel, SemGraph, SimulatedFlash};
-use asyncgt::{bfs, connected_components, sssp, Config};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, Config};
 use asyncgt_graph::generators::{RmatGenerator, RmatParams};
 use asyncgt_graph::weights::{weighted_copy, WeightKind};
 use asyncgt_graph::Graph;
@@ -17,7 +17,7 @@ fn sem_bfs_equals_in_memory_across_block_sizes() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 10, 8, 5).directed();
     let path = scratch("sem_bfs.agt");
     write_sem_graph(&path, &g).unwrap();
-    let expect = bfs(&g, 0, &Config::with_threads(4));
+    let expect = try_bfs(&g, 0, &Config::with_threads(4)).unwrap();
 
     for block_size in [64, 4096, 1 << 20] {
         for cache_blocks in [0usize, 16, 1024] {
@@ -32,7 +32,7 @@ fn sem_bfs_equals_in_memory_across_block_sizes() {
                 },
             )
             .unwrap();
-            let out = bfs(&sem, 0, &Config::with_threads(16));
+            let out = try_bfs(&sem, 0, &Config::with_threads(16)).unwrap();
             assert_eq!(
                 out.dist, expect.dist,
                 "block_size={block_size} cache={cache_blocks}"
@@ -53,8 +53,8 @@ fn sem_sssp_weighted_round_trip() {
     let sem = SemGraph::open(&path).unwrap();
     assert!(sem.is_weighted());
 
-    let expect = sssp(&g, 0, &Config::with_threads(4));
-    let out = sssp(&sem, 0, &Config::with_threads(32));
+    let expect = try_sssp(&g, 0, &Config::with_threads(4)).unwrap();
+    let out = try_sssp(&sem, 0, &Config::with_threads(32)).unwrap();
     assert_eq!(out.dist, expect.dist);
     // Parents may differ on shortest-path ties; validate them structurally.
     asyncgt::validate::check_shortest_paths(&sem, 0, &out, false).unwrap();
@@ -67,8 +67,8 @@ fn sem_cc_equals_in_memory() {
     write_sem_graph(&path, &g).unwrap();
     let sem = SemGraph::open(&path).unwrap();
 
-    let expect = connected_components(&g, &Config::with_threads(4));
-    let out = connected_components(&sem, &Config::with_threads(32));
+    let expect = try_connected_components(&g, &Config::with_threads(4)).unwrap();
+    let out = try_connected_components(&sem, &Config::with_threads(32)).unwrap();
     assert_eq!(out.ccid, expect.ccid);
     assert_eq!(out.component_count(), expect.component_count());
 }
@@ -80,7 +80,7 @@ fn sem_through_simulated_devices_matches() {
     let g = RmatGenerator::new(RmatParams::RMAT_B, 9, 8, 8).directed();
     let path = scratch("sem_dev.agt");
     write_sem_graph(&path, &g).unwrap();
-    let expect = bfs(&g, 0, &Config::with_threads(4));
+    let expect = try_bfs(&g, 0, &Config::with_threads(4)).unwrap();
 
     for channels in [1u32, 4, 32] {
         let device = Arc::new(SimulatedFlash::new(DeviceModel {
@@ -99,7 +99,7 @@ fn sem_through_simulated_devices_matches() {
             },
         )
         .unwrap();
-        let out = bfs(&sem, 0, &Config::with_threads(64));
+        let out = try_bfs(&sem, 0, &Config::with_threads(64)).unwrap();
         assert_eq!(out.dist, expect.dist, "channels={channels}");
         assert!(device.total_reads() > 0, "device must have been exercised");
     }
@@ -119,7 +119,7 @@ fn sem_u64_index_width_traverses() {
     write_sem_graph(&path, &g).unwrap();
     let sem = SemGraph::open(&path).unwrap();
     assert_eq!(sem.header().index_width, 8);
-    let out = bfs(&sem, 0, &Config::with_threads(4));
+    let out = try_bfs(&sem, 0, &Config::with_threads(4)).unwrap();
     for v in 0..100u64 {
         assert_eq!(out.dist[v as usize], v);
     }
@@ -132,7 +132,7 @@ fn io_stats_reflect_traversal() {
     write_sem_graph(&path, &g).unwrap();
     let sem = SemGraph::open(&path).unwrap();
 
-    let out = bfs(&sem, 0, &Config::with_threads(8));
+    let out = try_bfs(&sem, 0, &Config::with_threads(8)).unwrap();
     let io = sem.io_stats();
     // Every relaxed vertex with out-edges triggers exactly one adjacency
     // read per relaxation; label correcting may add more, never fewer.

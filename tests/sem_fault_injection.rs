@@ -12,10 +12,7 @@
 use asyncgt::obs::ShardedRecorder;
 use asyncgt::storage::reader::SemConfig;
 use asyncgt::storage::{write_sem_graph, FaultPlan, FaultyDevice, RetryPolicy, SemGraph};
-use asyncgt::{
-    bfs, connected_components, sssp, try_bfs, try_connected_components, try_sssp, Config,
-    TraversalError,
-};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, Config, TraversalError};
 use asyncgt_graph::generators::{RmatGenerator, RmatParams};
 use asyncgt_graph::weights::{weighted_copy, WeightKind};
 use asyncgt_integration_tests::scratch;
@@ -68,7 +65,7 @@ fn transient_faults_preserve_bfs_results() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 10, 8, 31).directed();
     let path = scratch("fault_bfs.agt");
     write_sem_graph(&path, &g).unwrap();
-    let expect = bfs(&g, 0, &Config::with_threads(4));
+    let expect = try_bfs(&g, 0, &Config::with_threads(4)).unwrap();
 
     for seed in fault_seeds() {
         let sem =
@@ -97,7 +94,7 @@ fn transient_faults_preserve_sssp_results() {
     );
     let path = scratch("fault_sssp.agt");
     write_sem_graph(&path, &g).unwrap();
-    let expect = sssp(&g, 0, &Config::with_threads(4));
+    let expect = try_sssp(&g, 0, &Config::with_threads(4)).unwrap();
 
     for seed in fault_seeds() {
         let sem =
@@ -114,7 +111,7 @@ fn transient_faults_preserve_cc_results() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 10, 4, 33).undirected();
     let path = scratch("fault_cc.agt");
     write_sem_graph(&path, &g).unwrap();
-    let expect = connected_components(&g, &Config::with_threads(4));
+    let expect = try_connected_components(&g, &Config::with_threads(4)).unwrap();
 
     for seed in fault_seeds() {
         let sem =
@@ -133,7 +130,7 @@ fn every_read_faulting_once_is_still_absorbed() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 9, 8, 34).directed();
     let path = scratch("fault_all.agt");
     write_sem_graph(&path, &g).unwrap();
-    let expect = bfs(&g, 0, &Config::with_threads(4));
+    let expect = try_bfs(&g, 0, &Config::with_threads(4)).unwrap();
 
     let sem = SemGraph::open_with(&path, faulty_config(FaultPlan::transient(5, 1.0), 0)).unwrap();
     let out = try_bfs(&sem, 0, &sem_traversal_config(8)).unwrap();
@@ -203,7 +200,10 @@ fn sparse_permanent_faults_abort_mid_run() {
         Err(other) => panic!("expected Storage error, got: {other}"),
         // A 5% schedule can in principle miss every touched block; the
         // result must then match the reference exactly.
-        Ok(out) => assert_eq!(out.dist, bfs(&g, 0, &Config::with_threads(4)).dist),
+        Ok(out) => assert_eq!(
+            out.dist,
+            try_bfs(&g, 0, &Config::with_threads(4)).unwrap().dist
+        ),
     }
 }
 
@@ -240,7 +240,10 @@ fn disabled_fault_injection_changes_nothing() {
 
     let sem = SemGraph::open(&path).unwrap();
     let out = try_bfs(&sem, 0, &Config::with_threads(8)).unwrap();
-    assert_eq!(out.dist, bfs(&g, 0, &Config::with_threads(4)).dist);
+    assert_eq!(
+        out.dist,
+        try_bfs(&g, 0, &Config::with_threads(4)).unwrap().dist
+    );
     let io = sem.io_stats();
     assert_eq!(io.retries, 0);
     assert_eq!(io.faults_absorbed, 0);

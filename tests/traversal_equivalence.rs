@@ -3,7 +3,7 @@
 //! serial textbook implementations. These tests sweep random graphs, RMAT
 //! graphs, and degenerate structures across thread counts.
 
-use asyncgt::{bfs, connected_components, sssp, Config};
+use asyncgt::{try_bfs, try_connected_components, try_sssp, Config};
 use asyncgt_baselines::{delta_stepping, level_sync, serial, union_find};
 use asyncgt_graph::generators::{
     binary_tree, complete_graph, cycle_graph, grid_graph, path_graph, star_graph, RmatGenerator,
@@ -20,7 +20,7 @@ fn bfs_equals_serial_on_random_graphs() {
         let g = random_graph(300, 1800, 1, seed);
         let expect = serial::bfs(&g, 0);
         for &t in THREADS {
-            let out = bfs(&g, 0, &Config::with_threads(t));
+            let out = try_bfs(&g, 0, &Config::with_threads(t)).unwrap();
             assert_eq!(out.dist, expect.dist, "seed={seed} threads={t}");
         }
     }
@@ -32,7 +32,7 @@ fn sssp_equals_dijkstra_on_random_graphs() {
         let g = random_graph(250, 1500, 1000, seed + 100);
         let expect = serial::dijkstra(&g, 0);
         for &t in THREADS {
-            let out = sssp(&g, 0, &Config::with_threads(t));
+            let out = try_sssp(&g, 0, &Config::with_threads(t)).unwrap();
             assert_eq!(out.dist, expect.dist, "seed={seed} threads={t}");
         }
     }
@@ -45,7 +45,7 @@ fn sssp_with_zero_weight_edges() {
     for seed in 0..4 {
         let g = random_graph(200, 1200, 3, seed + 500); // many zero/small weights
         let expect = serial::dijkstra(&g, 0);
-        let out = sssp(&g, 0, &Config::with_threads(8));
+        let out = try_sssp(&g, 0, &Config::with_threads(8)).unwrap();
         assert_eq!(out.dist, expect.dist, "seed={seed}");
     }
 }
@@ -56,7 +56,7 @@ fn cc_equals_serial_on_random_graphs() {
         let g = random_undirected(300, 500, seed + 200);
         let expect = serial::connected_components(&g);
         for &t in THREADS {
-            let out = connected_components(&g, &Config::with_threads(t));
+            let out = try_connected_components(&g, &Config::with_threads(t)).unwrap();
             assert_eq!(out.ccid, expect, "seed={seed} threads={t}");
         }
     }
@@ -72,20 +72,28 @@ fn all_algorithms_agree_on_rmat() {
         // BFS: serial == level-sync == async.
         let b_ser = serial::bfs(&d, 0);
         assert_eq!(level_sync::bfs(&d, 0, 4).dist, b_ser.dist);
-        assert_eq!(bfs(&d, 0, &Config::with_threads(16)).dist, b_ser.dist);
+        assert_eq!(
+            try_bfs(&d, 0, &Config::with_threads(16)).unwrap().dist,
+            b_ser.dist
+        );
 
         // SSSP: dijkstra == delta-stepping == async.
         let w = weighted_copy(&d, WeightKind::LogUniform, 3);
         let s_ser = serial::dijkstra(&w, 0);
         assert_eq!(delta_stepping::sssp(&w, 0, 64).dist, s_ser.dist);
-        assert_eq!(sssp(&w, 0, &Config::with_threads(16)).dist, s_ser.dist);
+        assert_eq!(
+            try_sssp(&w, 0, &Config::with_threads(16)).unwrap().dist,
+            s_ser.dist
+        );
 
         // CC: serial BFS == union-find == label-prop == async.
         let c_ser = serial::connected_components(&u);
         assert_eq!(union_find::connected_components(&u), c_ser);
         assert_eq!(level_sync::connected_components(&u, 4), c_ser);
         assert_eq!(
-            connected_components(&u, &Config::with_threads(16)).ccid,
+            try_connected_components(&u, &Config::with_threads(16))
+                .unwrap()
+                .ccid,
             c_ser
         );
     }
@@ -96,30 +104,38 @@ fn degenerate_structures() {
     let cfg = Config::with_threads(8);
     // Chain (paper Fig. 2 worst case).
     let chain = path_graph(1000);
-    assert_eq!(bfs(&chain, 0, &cfg).dist, serial::bfs(&chain, 0).dist);
+    assert_eq!(
+        try_bfs(&chain, 0, &cfg).unwrap().dist,
+        serial::bfs(&chain, 0).dist
+    );
     // Star (extreme hub).
     let star = star_graph(1000);
-    assert_eq!(connected_components(&star, &cfg).component_count(), 1);
+    assert_eq!(
+        try_connected_components(&star, &cfg)
+            .unwrap()
+            .component_count(),
+        1
+    );
     // Complete graph (every pair adjacent).
     let k = complete_graph(64);
-    let out = bfs(&k, 5, &cfg);
+    let out = try_bfs(&k, 5, &cfg).unwrap();
     assert_eq!(out.level_count(), 2);
     assert_eq!(out.reached_count(), 64);
     // Cycle, binary tree, grid.
     for g in [cycle_graph(501), grid_graph(25, 40)] {
-        assert_eq!(bfs(&g, 0, &cfg).dist, serial::bfs(&g, 0).dist);
+        assert_eq!(try_bfs(&g, 0, &cfg).unwrap().dist, serial::bfs(&g, 0).dist);
     }
     let t = binary_tree(10);
-    assert_eq!(bfs(&t, 0, &cfg).dist, serial::bfs(&t, 0).dist);
+    assert_eq!(try_bfs(&t, 0, &cfg).unwrap().dist, serial::bfs(&t, 0).dist);
 }
 
 #[test]
 fn single_vertex_graph() {
     let g = asyncgt::CsrGraph::<u32>::empty(1);
     let cfg = Config::with_threads(4);
-    let out = bfs(&g, 0, &cfg);
+    let out = try_bfs(&g, 0, &cfg).unwrap();
     assert_eq!(out.dist, vec![0]);
-    let cc = connected_components(&g, &cfg);
+    let cc = try_connected_components(&g, &cfg).unwrap();
     assert_eq!(cc.ccid, vec![0]);
 }
 
@@ -127,9 +143,9 @@ fn single_vertex_graph() {
 fn repeated_runs_are_deterministic_in_result() {
     // The execution order is nondeterministic; the *results* never are.
     let g = random_graph(400, 2400, 50, 7);
-    let first = sssp(&g, 0, &Config::with_threads(16));
+    let first = try_sssp(&g, 0, &Config::with_threads(16)).unwrap();
     for _ in 0..5 {
-        let again = sssp(&g, 0, &Config::with_threads(16));
+        let again = try_sssp(&g, 0, &Config::with_threads(16)).unwrap();
         assert_eq!(again.dist, first.dist);
     }
 }
