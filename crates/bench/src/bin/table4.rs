@@ -159,7 +159,7 @@ fn main() {
         )
         .unwrap();
         let mut snap = rec.snapshot();
-        snap.io = Some(sem.io_stats().into());
+        snap.io = Some(sem.io_stats());
         std::fs::write(&out_path, snap.to_json_string()).expect("write ASYNCGT_METRICS_JSON");
         println!();
         println!(

@@ -461,7 +461,7 @@ fn cmd_queries(args: &Args) -> Result<(), CliError> {
     }
     if let Some(rec) = &recorder {
         let mut snap = rec.snapshot();
-        snap.io = Some(io_stats.into());
+        snap.io = Some(io_stats);
         if args.has("metrics") {
             println!("\n{}", render_summary(&snap));
         }
@@ -669,7 +669,7 @@ fn traverse(args: &Args, algo: Algo) -> Result<(), CliError> {
 
     if let Some(rec) = &recorder {
         let mut snap = rec.snapshot();
-        snap.io = Some(io_stats.into());
+        snap.io = Some(io_stats);
         if args.has("metrics") {
             println!("\n{}", render_summary(&snap));
         }

@@ -22,18 +22,6 @@ pub struct Config {
     /// fidelity; the `ablation` bench measures its effect.
     pub prune_pushes: bool,
 
-    /// Priority-class width override for the bucketed queues, as a right
-    /// shift of the visitor priority. `None` (default) picks per
-    /// algorithm: exact levels for BFS, `lg(n) − 9` for weighted SSSP
-    /// (delta-stepping-like classes), `lg(n) − 10` for CC (the whole id
-    /// space fits the bucket ring).
-    pub priority_shift: Option<u32>,
-
-    /// Sort each queue bucket before draining (see
-    /// [`VqConfig::sort_buckets`]) — the paper's SEM semi-sort. On by
-    /// default; the `ablation` bench quantifies it.
-    pub sort_buckets: bool,
-
     /// Visitors a worker drains per service round (see
     /// [`VqConfig::batch_drain`]). At values above 1, semi-external
     /// traversals announce each semi-sorted batch to the storage layer's
@@ -64,13 +52,13 @@ impl Config {
         self
     }
 
-    /// Derive the underlying visitor-queue configuration.
-    /// `default_shift` is the per-algorithm class width used when the user
-    /// did not override [`Config::priority_shift`].
-    pub(crate) fn vq(&self, default_shift: u32) -> VqConfig {
+    /// Derive the underlying visitor-queue configuration. `shift` is the
+    /// algorithm's priority-class width: exact levels for BFS, `lg(n) − 9`
+    /// for weighted SSSP (delta-stepping-like classes), `lg(n) − 10` for
+    /// CC and the engine (the whole id space fits the bucket ring).
+    pub(crate) fn vq(&self, shift: u32) -> VqConfig {
         let mut vq = VqConfig::with_threads(self.num_threads);
-        vq.priority_shift = self.priority_shift.unwrap_or(default_shift);
-        vq.sort_buckets = self.sort_buckets;
+        vq.priority_shift = shift;
         vq.batch_drain = self.io_batch.max(1);
         vq
     }
@@ -86,8 +74,6 @@ impl Default for Config {
         Config {
             num_threads: VqConfig::default().num_threads,
             prune_pushes: false,
-            priority_shift: None,
-            sort_buckets: true,
             io_batch: 1,
         }
     }
@@ -111,13 +97,9 @@ mod tests {
 
     #[test]
     fn vq_config_inherits_fields() {
-        let mut c = Config::with_threads(9);
-        c.priority_shift = Some(3);
-        c.sort_buckets = false;
-        let vq = c.vq(0);
+        let vq = Config::with_threads(9).vq(3);
         assert_eq!(vq.num_threads, 9);
         assert_eq!(vq.priority_shift, 3);
-        assert!(!vq.sort_buckets);
         assert_eq!(vq.batch_drain, 1, "default stays single-visitor");
     }
 

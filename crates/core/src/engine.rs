@@ -56,8 +56,7 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct EngineOpts {
     /// Traversal/runtime knobs shared with the one-shot API (threads,
-    /// pruning, batch drain…). [`Config::priority_shift`]
-    /// overrides the engine-wide bucket class width; the default is the
+    /// pruning, batch drain). The engine-wide bucket class width is the
     /// CC-style coarse `lg(n) − 10`, which keeps every algorithm's
     /// priority span inside the bucket ring for mixed workloads.
     pub cfg: Config,

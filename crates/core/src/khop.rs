@@ -8,61 +8,54 @@
 //! neighborhood (plus its frontier), not the graph.
 
 use crate::config::Config;
-use crate::result::{TraversalOutput, TraversalStats};
+use crate::error::TraversalError;
+use crate::result::{one_shot, RelaxCounter, TraversalOutput};
+use crate::sssp::{SsspVisitor, NO_PARENT};
 use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
-use asyncgt_vq::{AtomicStateArray, PushCtx, VisitHandler, Visitor, VisitorQueue};
-use std::sync::atomic::{AtomicU64, Ordering};
+use asyncgt_obs::NoopRecorder;
+use asyncgt_vq::{AbortReason, AtomicStateArray, FallibleVisitHandler, PushCtx, VisitorQueue};
 
-/// BFS visitor with a depth horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct HopVisitor {
-    depth: u64,
-    vertex: u32,
-    parent: u32,
-}
-
-impl Visitor for HopVisitor {
-    fn target(&self) -> u64 {
-        self.vertex as u64
-    }
-    fn priority(&self) -> u64 {
-        self.depth
-    }
-}
-
+/// BFS relax step with a depth horizon, over the BFS/SSSP visitor (its
+/// `dist` is the hop count).
 struct KhopHandler<'a, G> {
     g: &'a G,
     dist: &'a AtomicStateArray,
     parent: &'a AtomicStateArray,
-    relaxations: &'a AtomicU64,
+    relaxations: RelaxCounter,
     max_depth: u64,
 }
 
-impl<'a, G: Graph> VisitHandler<HopVisitor> for KhopHandler<'a, G> {
-    fn visit(&self, v: HopVisitor, ctx: &mut PushCtx<'_, HopVisitor>) {
+impl<G: Graph> FallibleVisitHandler<SsspVisitor> for KhopHandler<'_, G> {
+    fn try_visit(
+        &self,
+        v: SsspVisitor,
+        ctx: &mut PushCtx<'_, SsspVisitor>,
+    ) -> Result<(), AbortReason> {
         let vertex = v.vertex as u64;
-        if v.depth < self.dist.get(vertex) {
-            self.dist.set(vertex, v.depth);
-            self.parent.set(
-                vertex,
-                if v.parent == u32::MAX {
-                    NO_VERTEX
-                } else {
-                    v.parent as u64
-                },
-            );
-            self.relaxations.fetch_add(1, Ordering::Relaxed);
-            if v.depth == self.max_depth {
-                return; // horizon: member of the k-hop ball, not expanded
-            }
-            self.g.for_each_neighbor(vertex, |t, _| {
-                ctx.push(HopVisitor {
-                    depth: v.depth + 1,
-                    vertex: t as u32,
-                    parent: v.vertex,
-                });
-            });
+        if v.dist >= self.dist.get(vertex) {
+            return Ok(());
         }
+        self.dist.set(vertex, v.dist);
+        self.parent.set(
+            vertex,
+            if v.parent == NO_PARENT {
+                NO_VERTEX
+            } else {
+                v.parent as u64
+            },
+        );
+        self.relaxations.bump();
+        if v.dist == self.max_depth {
+            return Ok(()); // horizon: member of the k-hop ball, not expanded
+        }
+        self.g.try_for_each_neighbor(vertex, |t, _| {
+            ctx.push(SsspVisitor {
+                dist: v.dist + 1,
+                vertex: t as u32,
+                parent: v.vertex,
+            });
+        })?;
+        Ok(())
     }
 }
 
@@ -73,71 +66,65 @@ impl<'a, G: Graph> VisitHandler<HopVisitor> for KhopHandler<'a, G> {
 /// exact BFS distances (a shorter path through outside the ball cannot
 /// exist for unweighted BFS).
 ///
+/// Fails like [`try_bfs`](crate::try_bfs): an out-of-range source or an
+/// oversized graph is rejected before the run, and a storage failure
+/// aborts it with partial statistics.
+///
 /// ```
 /// use asyncgt::{bfs_bounded, Config, INF_DIST};
 /// use asyncgt::graph::generators::path_graph;
 ///
 /// let g = path_graph(10);
-/// let out = bfs_bounded(&g, 0, 3, &Config::with_threads(2));
+/// let out = bfs_bounded(&g, 0, 3, &Config::with_threads(2))?;
 /// assert_eq!(out.dist[3], 3);
 /// assert_eq!(out.dist[4], INF_DIST); // beyond the horizon
+/// # Ok::<(), asyncgt::TraversalError>(())
 /// ```
 pub fn bfs_bounded<G: Graph>(
     g: &G,
     source: Vertex,
     max_depth: u64,
     cfg: &Config,
-) -> TraversalOutput {
-    let n = g.num_vertices();
-    assert!(
-        source < n,
-        "source vertex {source} out of range ({n} vertices)"
-    );
-    assert!(
-        n < u32::MAX as u64,
-        "async traversal stores vertex ids as u32; got {n} vertices"
-    );
-
-    let dist = AtomicStateArray::new(n as usize, INF_DIST);
-    let parent = AtomicStateArray::new(n as usize, NO_VERTEX);
-    let relaxations = AtomicU64::new(0);
-    let handler = KhopHandler {
-        g,
-        dist: &dist,
-        parent: &parent,
-        relaxations: &relaxations,
-        max_depth,
-    };
-    let init = HopVisitor {
-        depth: 0,
-        vertex: source as u32,
-        parent: u32::MAX,
-    };
-    let run = VisitorQueue::run(&cfg.vq(0), &handler, [init]);
-
-    TraversalOutput {
-        dist: dist.to_vec(),
-        parent: parent.to_vec(),
-        stats: TraversalStats {
-            visitors_executed: run.visitors_executed,
-            visitors_pushed: run.visitors_pushed,
-            local_pushes: run.local_pushes,
-            parks: run.parks,
-            inbox_batches: run.inbox_batches,
-            relaxations: relaxations.into_inner(),
-            elapsed: run.elapsed,
-            num_threads: run.num_threads,
+) -> Result<TraversalOutput, TraversalError> {
+    let ([dist, parent], stats) = one_shot(
+        g.num_vertices(),
+        &[source],
+        [INF_DIST, NO_VERTEX],
+        &NoopRecorder,
+        |[dist, parent]| {
+            let h = KhopHandler {
+                g,
+                dist,
+                parent,
+                relaxations: RelaxCounter::default(),
+                max_depth,
+            };
+            let seed = [SsspVisitor::source(source)];
+            (
+                VisitorQueue::try_run(&cfg.vq(0), &h, seed),
+                h.relaxations.get(),
+            )
         },
-    }
+    )?;
+    Ok(TraversalOutput {
+        dist,
+        parent,
+        stats,
+    })
 }
 
 /// The vertex ids within `max_depth` hops of `source` (the "k-hop ball"),
-/// in ascending order.
-pub fn khop_ball<G: Graph>(g: &G, source: Vertex, max_depth: u64, cfg: &Config) -> Vec<Vertex> {
-    let out = bfs_bounded(g, source, max_depth, cfg);
-    (0..g.num_vertices())
+/// in ascending order. Fails like [`bfs_bounded`].
+pub fn khop_ball<G: Graph>(
+    g: &G,
+    source: Vertex,
+    max_depth: u64,
+    cfg: &Config,
+) -> Result<Vec<Vertex>, TraversalError> {
+    let out = bfs_bounded(g, source, max_depth, cfg)?;
+    Ok((0..g.num_vertices())
         .filter(|&v| out.dist[v as usize] != INF_DIST)
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -155,7 +142,7 @@ mod tests {
     #[test]
     fn horizon_cuts_exactly() {
         let g = path_graph(20);
-        let out = bfs_bounded(&g, 0, 5, &cfg());
+        let out = bfs_bounded(&g, 0, 5, &cfg()).unwrap();
         for v in 0..=5u64 {
             assert_eq!(out.dist[v as usize], v);
         }
@@ -169,7 +156,7 @@ mod tests {
         let g = RmatGenerator::new(RmatParams::RMAT_A, 10, 8, 91).directed();
         let full = serial::bfs(&g, 0);
         let k = 2;
-        let out = bfs_bounded(&g, 0, k, &cfg());
+        let out = bfs_bounded(&g, 0, k, &cfg()).unwrap();
         for v in 0..g.num_vertices() as usize {
             if full.dist[v] <= k {
                 assert_eq!(out.dist[v], full.dist[v], "vertex {v}");
@@ -183,7 +170,7 @@ mod tests {
     fn ball_membership() {
         let g = grid_graph(9, 9);
         let center = 4 * 9 + 4;
-        let ball = khop_ball(&g, center, 2, &cfg());
+        let ball = khop_ball(&g, center, 2, &cfg()).unwrap();
         // Manhattan ball of radius 2 in an open grid: 13 cells.
         assert_eq!(ball.len(), 13);
         assert!(ball.contains(&center));
@@ -192,14 +179,14 @@ mod tests {
     #[test]
     fn depth_zero_is_just_the_source() {
         let g = binary_tree(5);
-        let ball = khop_ball(&g, 0, 0, &cfg());
+        let ball = khop_ball(&g, 0, 0, &cfg()).unwrap();
         assert_eq!(ball, vec![0]);
     }
 
     #[test]
     fn visits_far_fewer_than_full_traversal() {
         let g = RmatGenerator::new(RmatParams::RMAT_A, 12, 16, 6).directed();
-        let bounded = bfs_bounded(&g, 0, 1, &cfg());
+        let bounded = bfs_bounded(&g, 0, 1, &cfg()).unwrap();
         let full = crate::try_bfs(&g, 0, &cfg()).unwrap();
         assert!(
             bounded.stats.visitors_executed * 4 < full.stats.visitors_executed,
@@ -207,5 +194,22 @@ mod tests {
             bounded.stats.visitors_executed,
             full.stats.visitors_executed
         );
+    }
+
+    #[test]
+    fn out_of_range_source_is_a_typed_error() {
+        let g = path_graph(5);
+        let err = bfs_bounded(&g, 5, 2, &cfg()).unwrap_err();
+        assert!(matches!(
+            err,
+            TraversalError::InvalidSource {
+                source: 5,
+                num_vertices: 5
+            }
+        ));
+        assert!(matches!(
+            khop_ball(&g, 99, 1, &cfg()),
+            Err(TraversalError::InvalidSource { source: 99, .. })
+        ));
     }
 }

@@ -33,7 +33,7 @@ pub(crate) struct SsspVisitor {
 }
 
 /// In-visitor encoding of [`NO_VERTEX`].
-const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 impl SsspVisitor {
     /// Algorithm 1 line 6: a path of length 0 with no parent.

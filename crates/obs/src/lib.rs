@@ -4,7 +4,15 @@
 //! [`NoopRecorder`] sets `ENABLED = false` so instrumentation
 //! constant-folds away, while [`ShardedRecorder`] aggregates per-worker
 //! counters, log2 histograms, phase spans and a termination timeline
-//! into a [`MetricsSnapshot`] with a stable, versioned JSON schema.
+//! into a [`MetricsSnapshot`] with a stable, versioned JSON schema
+//! (version 3).
+//!
+//! Every count has one counting site. The runtime counts visitors,
+//! pushes, parks and inbox batches in its own stats and forwards them to
+//! the recorder when a worker settles; storage counts I/O in its own
+//! [`IoStats`], which a snapshot carries as its `io` section. The
+//! recorder adds only what nothing else holds: histograms, gauges,
+//! phases, the timeline, and engine query outcomes.
 //!
 //! Layering: this crate depends only on `std`. The vq, storage, core,
 //! cli and bench crates depend on it — storage through the object-safe
@@ -21,5 +29,5 @@ pub use hist::{HistSnapshot, LogHistogram};
 pub use recorder::{Counter, Gauge, HistKind, MetricSink, NoopRecorder, Recorder, ShardedRecorder};
 pub use render::render_summary;
 pub use snapshot::{
-    IoSnapshot, MetricsSnapshot, PhaseSpan, TimelineEvent, WorkerCounters, SCHEMA_VERSION,
+    IoStats, MetricsSnapshot, PhaseSpan, TimelineEvent, WorkerCounters, SCHEMA_VERSION,
 };

@@ -14,9 +14,15 @@
 //! histograms are relaxed atomics in the worker's own shard, so recording
 //! never contends across workers.
 //!
+//! The recorder never counts an event the runtime already counts. The
+//! runtime's own stats are the one counting site; the worker forwards
+//! their deltas here when it settles its ledger, so per-worker counters
+//! cost a few calls per few hundred visitors, not one per visitor.
+//!
 //! The storage layer sits below the generic runtime and talks to an
-//! [`MetricSink`] trait object instead; its events are microsecond-scale
-//! I/O operations, where dynamic dispatch is noise.
+//! [`MetricSink`] trait object instead. The sink only feeds latency and
+//! size histograms: storage's own I/O counters ([`IoStats`](crate::IoStats))
+//! are the only place I/O counts live.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -28,7 +34,8 @@ use crate::snapshot::{
     HistogramsSnapshot, MetricsSnapshot, PhaseSpan, TimelineEvent, WorkerCounters, SCHEMA_VERSION,
 };
 
-/// Monotonic event counters, recorded per worker shard.
+/// Monotonic event counters, recorded per worker shard. Storage I/O
+/// counts are not here: they live in [`IoStats`](crate::IoStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
@@ -52,27 +59,6 @@ pub enum Counter {
     Relaxations,
     /// Visitor executions on an already-visited vertex.
     Revisits,
-    /// Adjacency block reads issued to storage.
-    StorageReads,
-    /// Block-cache hits.
-    CacheHits,
-    /// Block-cache misses.
-    CacheMisses,
-    /// Bytes read from storage.
-    BytesRead,
-    /// Block reads re-issued after a retryable fault.
-    Retries,
-    /// Injected or observed faults absorbed by a successful retry.
-    FaultsAbsorbed,
-    /// Faults that exhausted the retry budget and aborted the read.
-    FaultsFatal,
-    /// Device reads saved by merging adjacent blocks into one request
-    /// (`demand_blocks - 1` per coalesced run).
-    BlocksCoalesced,
-    /// Scheduler runs that merged two or more demanded blocks.
-    ReadsMerged,
-    /// Adjacency block lookups served by a speculative readahead block.
-    ReadaheadHits,
     /// Queries accepted by `Engine::submit` (admitted or queued).
     QueriesSubmitted,
     /// Queries that ran to completion (termination detected).
@@ -85,7 +71,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 14] = [
         Counter::VisitorsPushed,
         Counter::VisitorsExecuted,
         Counter::LocalPushes,
@@ -96,16 +82,6 @@ impl Counter {
         Counter::OutboxFlushes,
         Counter::Relaxations,
         Counter::Revisits,
-        Counter::StorageReads,
-        Counter::CacheHits,
-        Counter::CacheMisses,
-        Counter::BytesRead,
-        Counter::Retries,
-        Counter::FaultsAbsorbed,
-        Counter::FaultsFatal,
-        Counter::BlocksCoalesced,
-        Counter::ReadsMerged,
-        Counter::ReadaheadHits,
         Counter::QueriesSubmitted,
         Counter::QueriesCompleted,
         Counter::QueriesAborted,
@@ -125,16 +101,6 @@ impl Counter {
             Counter::OutboxFlushes => "outbox_flushes",
             Counter::Relaxations => "relaxations",
             Counter::Revisits => "revisits",
-            Counter::StorageReads => "storage_reads",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
-            Counter::BytesRead => "bytes_read",
-            Counter::Retries => "retries",
-            Counter::FaultsAbsorbed => "faults_absorbed",
-            Counter::FaultsFatal => "faults_fatal",
-            Counter::BlocksCoalesced => "blocks_coalesced",
-            Counter::ReadsMerged => "reads_merged",
-            Counter::ReadaheadHits => "readahead_hits",
             Counter::QueriesSubmitted => "queries_submitted",
             Counter::QueriesCompleted => "queries_completed",
             Counter::QueriesAborted => "queries_aborted",
@@ -296,35 +262,24 @@ impl<R: Recorder> Recorder for &R {
 }
 
 /// Object-safe sink for the storage layer, which sits below the generic
-/// runtime and reports through `Arc<dyn MetricSink>`.
+/// runtime and reports through `Arc<dyn MetricSink>`. It receives only
+/// what storage's own counters cannot hold: latencies and sizes, one
+/// histogram observation each.
 pub trait MetricSink: Send + Sync {
-    /// One positioned adjacency read: device latency and payload size.
-    fn io_read(&self, latency_ns: u64, bytes: u64);
+    /// One device read: its latency.
+    fn io_read(&self, latency_ns: u64);
 
-    /// One block-cache lookup.
-    fn cache_access(&self, hit: bool);
+    /// A block read that succeeded after retrying: nanoseconds from the
+    /// first failure to the success, backoff included.
+    fn io_retry(&self, latency_ns: u64);
 
-    /// A block read that succeeded after `attempts` failed attempts;
-    /// `latency_ns` spans first failure to eventual success, backoff
-    /// included. Default no-op keeps older sinks source-compatible.
-    fn io_retry(&self, _attempts: u64, _latency_ns: u64) {}
-
-    /// One fault outcome: absorbed by retry (`fatal == false`) or
-    /// surfaced to the caller after exhausting the budget.
-    fn io_fault(&self, _fatal: bool) {}
-
-    /// One I/O-scheduler run issued as a single device read:
-    /// `demand_blocks` adjacent blocks the batch demanded, `total_blocks`
-    /// including speculative readahead. Default no-op keeps older sinks
-    /// source-compatible.
-    fn sched_run(&self, _demand_blocks: u64, _total_blocks: u64) {}
+    /// One I/O-scheduler run issued as a single device read, covering
+    /// `total_blocks` blocks (demand plus readahead).
+    fn sched_run(&self, total_blocks: u64);
 
     /// One prefetch batch dispatched with `runs` coalesced reads in
     /// flight.
-    fn sched_batch(&self, _runs: u64) {}
-
-    /// An adjacency block lookup served by a speculative readahead block.
-    fn readahead_hit(&self) {}
+    fn sched_batch(&self, runs: u64);
 }
 
 thread_local! {
@@ -547,53 +502,20 @@ impl Recorder for ShardedRecorder {
 }
 
 impl MetricSink for ShardedRecorder {
-    fn io_read(&self, latency_ns: u64, bytes: u64) {
-        self.counter(Counter::StorageReads, 1);
-        self.counter(Counter::BytesRead, bytes);
+    fn io_read(&self, latency_ns: u64) {
         self.observe(HistKind::ReadLatencyNs, latency_ns);
     }
 
-    fn cache_access(&self, hit: bool) {
-        self.counter(
-            if hit {
-                Counter::CacheHits
-            } else {
-                Counter::CacheMisses
-            },
-            1,
-        );
-    }
-
-    fn io_retry(&self, attempts: u64, latency_ns: u64) {
-        self.counter(Counter::Retries, attempts);
+    fn io_retry(&self, latency_ns: u64) {
         self.observe(HistKind::RetryLatencyNs, latency_ns);
     }
 
-    fn io_fault(&self, fatal: bool) {
-        self.counter(
-            if fatal {
-                Counter::FaultsFatal
-            } else {
-                Counter::FaultsAbsorbed
-            },
-            1,
-        );
-    }
-
-    fn sched_run(&self, demand_blocks: u64, total_blocks: u64) {
-        self.counter(Counter::BlocksCoalesced, demand_blocks.saturating_sub(1));
-        if demand_blocks >= 2 {
-            self.counter(Counter::ReadsMerged, 1);
-        }
+    fn sched_run(&self, total_blocks: u64) {
         self.observe(HistKind::CoalescedReadBlocks, total_blocks);
     }
 
     fn sched_batch(&self, runs: u64) {
         self.observe(HistKind::InflightDepth, runs);
-    }
-
-    fn readahead_hit(&self) {
-        self.counter(Counter::ReadaheadHits, 1);
     }
 }
 
@@ -641,20 +563,14 @@ mod tests {
         let r = ShardedRecorder::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
-                r.counter(Counter::StorageReads, 5);
+                r.counter(Counter::QueriesSubmitted, 5);
             });
         });
         let snap = r.snapshot();
         // Totals include the overflow shard; per-worker rows do not.
-        assert_eq!(snap.counter("storage_reads"), 5);
-        assert_eq!(
-            snap.per_worker[0].counters[Counter::StorageReads as usize],
-            0
-        );
-        assert_eq!(
-            snap.per_worker[1].counters[Counter::StorageReads as usize],
-            0
-        );
+        assert_eq!(snap.counter("queries_submitted"), 5);
+        assert_eq!(snap.per_worker[0].counter("queries_submitted"), 0);
+        assert_eq!(snap.per_worker[1].counter("queries_submitted"), 0);
     }
 
     #[test]
@@ -673,18 +589,14 @@ mod tests {
     }
 
     #[test]
-    fn metric_sink_routes_to_counters_and_histogram() {
+    fn metric_sink_routes_reads_to_latency_histogram() {
         let r = ShardedRecorder::new(1);
         let sink: &dyn MetricSink = &r;
-        sink.io_read(1500, 4096);
-        sink.io_read(900, 4096);
-        sink.cache_access(true);
-        sink.cache_access(false);
+        sink.io_read(1500);
+        sink.io_read(900);
         let snap = r.snapshot();
-        assert_eq!(snap.counter("storage_reads"), 2);
-        assert_eq!(snap.counter("bytes_read"), 8192);
-        assert_eq!(snap.counter("cache_hits"), 1);
-        assert_eq!(snap.counter("cache_misses"), 1);
+        // The sink counts nothing: storage's IoStats holds the I/O counts.
+        assert!(snap.counters.iter().all(|&(_, v)| v == 0));
         let lat = snap.histograms.get(HistKind::ReadLatencyNs);
         assert_eq!(lat.count, 2);
         assert_eq!(lat.sum, 2400);
@@ -694,14 +606,10 @@ mod tests {
     fn metric_sink_routes_scheduler_events() {
         let r = ShardedRecorder::new(1);
         let sink: &dyn MetricSink = &r;
-        sink.sched_run(4, 6); // 4 demanded blocks + 2 readahead, one read
-        sink.sched_run(1, 1); // singleton run: nothing coalesced
+        sink.sched_run(6); // 4 demanded blocks + 2 readahead, one read
+        sink.sched_run(1); // singleton run
         sink.sched_batch(2);
-        sink.readahead_hit();
         let snap = r.snapshot();
-        assert_eq!(snap.counter("blocks_coalesced"), 3);
-        assert_eq!(snap.counter("reads_merged"), 1);
-        assert_eq!(snap.counter("readahead_hits"), 1);
         let runs = snap.histograms.get(HistKind::CoalescedReadBlocks);
         assert_eq!(runs.count, 2);
         assert_eq!(runs.sum, 7);
@@ -709,17 +617,11 @@ mod tests {
     }
 
     #[test]
-    fn metric_sink_routes_retry_and_fault_events() {
+    fn metric_sink_routes_retry_latency() {
         let r = ShardedRecorder::new(1);
         let sink: &dyn MetricSink = &r;
-        sink.io_retry(3, 250_000);
-        sink.io_fault(false);
-        sink.io_fault(false);
-        sink.io_fault(true);
+        sink.io_retry(250_000);
         let snap = r.snapshot();
-        assert_eq!(snap.counter("retries"), 3);
-        assert_eq!(snap.counter("faults_absorbed"), 2);
-        assert_eq!(snap.counter("faults_fatal"), 1);
         let lat = snap.histograms.get(HistKind::RetryLatencyNs);
         assert_eq!(lat.count, 1);
         assert_eq!(lat.sum, 250_000);

@@ -127,7 +127,7 @@ pub fn render_summary(snap: &MetricsSnapshot) -> String {
 mod tests {
     use super::*;
     use crate::recorder::{Counter, HistKind, Recorder, ShardedRecorder};
-    use crate::snapshot::IoSnapshot;
+    use crate::snapshot::IoStats;
 
     #[test]
     fn renders_all_sections() {
@@ -142,7 +142,7 @@ mod tests {
         r.timeline("worker_exit");
         r.register_worker(usize::MAX);
         let mut snap = r.snapshot();
-        snap.io = Some(IoSnapshot {
+        snap.io = Some(IoStats {
             adjacency_reads: 1,
             cache_hits: 1,
             cache_misses: 0,
@@ -172,6 +172,6 @@ mod tests {
     fn empty_snapshot_renders_without_panic() {
         let r = ShardedRecorder::new(0);
         let text = render_summary(&r.snapshot());
-        assert!(text.contains("metrics (schema v2"));
+        assert!(text.contains("metrics (schema v3"));
     }
 }

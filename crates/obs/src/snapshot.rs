@@ -4,13 +4,15 @@
 //! it with `--metrics-json`, the bench bins attach it to BENCH_*.json
 //! trajectories, and the integration tests round-trip it. The JSON
 //! schema is versioned ([`SCHEMA_VERSION`]); additive changes keep the
-//! version, field renames or removals bump it.
+//! version, field renames or removals bump it. Version 3 removed the
+//! storage counters from `counters`: I/O counts appear only in `io`,
+//! which is storage's own [`IoStats`].
 //!
-//! Schema (version 2):
+//! Schema (version 3):
 //!
 //! ```json
 //! {
-//!   "schema_version": 2,
+//!   "schema_version": 3,
 //!   "num_workers": 4,
 //!   "elapsed_secs": 0.123,
 //!   "counters": { "visitors_pushed": 100, ... },
@@ -37,7 +39,7 @@ use crate::json::{self, Value};
 use crate::recorder::HistKind;
 
 /// Version of the JSON schema emitted by [`MetricsSnapshot::to_json`].
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Counter values for one worker shard, in [`crate::Counter::ALL`] order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,32 +100,47 @@ pub struct TimelineEvent {
     pub label: String,
 }
 
-/// Storage-layer totals carried alongside the recorder data. Mirrors the
-/// storage crate's `IoStats`; defined here (rather than imported) because
-/// the storage crate depends on this one.
+/// Cumulative I/O counters of one semi-external graph: what
+/// `SemGraph::io_stats` returns (the storage crate re-exports this type)
+/// and what a snapshot's `io` section holds. Defined here because the
+/// storage crate depends on this one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoSnapshot {
+pub struct IoStats {
+    /// Adjacency-list fetches (one per `for_each_neighbor` on a non-empty
+    /// vertex — the paper's one-I/O-per-visit unit).
     pub adjacency_reads: u64,
+    /// Adjacency-serving block lookups answered by the cache. Always `0`
+    /// when the cache is disabled; scheduler probes are never counted.
     pub cache_hits: u64,
+    /// Adjacency-serving block lookups the cache could not answer. Always
+    /// `0` when the cache is disabled. With the cache enabled,
+    /// `cache_hits + cache_misses` equals the number of adjacency-serving
+    /// block lookups.
     pub cache_misses: u64,
+    /// Bytes fetched from the device/file.
     pub bytes_read: u64,
-    /// Device read operations (single-block fetches plus coalesced runs).
+    /// Device read operations actually issued: single-block fetches plus
+    /// coalesced scheduler runs (each run is one read, however many
+    /// blocks it covers). Retried attempts book only on success.
     pub block_fetches: u64,
     /// Block reads re-issued after a retryable fault.
     pub retries: u64,
-    /// Faults absorbed by a successful retry.
+    /// Faults absorbed by a successful retry (the traversal never saw
+    /// them).
     pub faults_absorbed: u64,
-    /// Faults that exhausted the retry budget.
+    /// Faults that exhausted the retry budget and surfaced as errors.
     pub faults_fatal: u64,
-    /// Device reads saved by merging adjacent blocks into one request.
+    /// Device reads saved by merging adjacent demanded blocks into one
+    /// request (`demand - 1` per scheduler run).
     pub blocks_coalesced: u64,
     /// Scheduler runs that merged two or more demanded blocks.
     pub reads_merged: u64,
-    /// Adjacency block lookups served by a speculative readahead block.
+    /// Adjacency block lookups served by a speculative readahead block
+    /// (each readahead block counts at most once, on first use).
     pub readahead_hits: u64,
 }
 
-impl IoSnapshot {
+impl IoStats {
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -150,7 +167,7 @@ pub struct MetricsSnapshot {
     pub phases: Vec<PhaseSpan>,
     pub timeline: Vec<TimelineEvent>,
     /// Storage totals, present for semi-external-memory runs.
-    pub io: Option<IoSnapshot>,
+    pub io: Option<IoStats>,
 }
 
 impl MetricsSnapshot {
@@ -494,7 +511,7 @@ impl MetricsSnapshot {
                 // Fault and scheduler fields are additive (schema version
                 // unchanged): absent in older snapshots, default to zero.
                 let opt = |f: &str| io.get(f).and_then(Value::as_u64).unwrap_or(0);
-                Some(IoSnapshot {
+                Some(IoStats {
                     adjacency_reads: num("adjacency_reads")?,
                     cache_hits: num("cache_hits")?,
                     cache_misses: num("cache_misses")?,
@@ -544,7 +561,7 @@ mod tests {
         // Unregister so later tests on this thread use the overflow shard.
         r.register_worker(usize::MAX);
         let mut snap = r.snapshot();
-        snap.io = Some(IoSnapshot {
+        snap.io = Some(IoStats {
             adjacency_reads: 4,
             cache_hits: 3,
             cache_misses: 1,
@@ -580,7 +597,7 @@ mod tests {
         let snap = sample_snapshot();
         assert_eq!(snap.to_json_string(), snap.to_json_string());
         let text = snap.to_json_string();
-        assert!(text.contains("\"schema_version\": 2"));
+        assert!(text.contains("\"schema_version\": 3"));
         assert!(text.contains("\"visitors_pushed\": 10"));
         assert!(text.contains("\"service_time_ns\""));
         assert!(text.contains("\"adjacency_reads\": 4"));
@@ -600,7 +617,7 @@ mod tests {
         let snap = sample_snapshot();
         let text = snap
             .to_json_string()
-            .replace("\"schema_version\": 2", "\"schema_version\": 999");
+            .replace("\"schema_version\": 3", "\"schema_version\": 999");
         assert!(MetricsSnapshot::from_json_str(&text)
             .unwrap_err()
             .contains("schema_version"));
@@ -622,13 +639,13 @@ mod tests {
 
     #[test]
     fn io_hit_rate() {
-        let io = IoSnapshot {
+        let io = IoStats {
             adjacency_reads: 10,
             cache_hits: 8,
             cache_misses: 2,
-            ..IoSnapshot::default()
+            ..IoStats::default()
         };
         assert!((io.cache_hit_rate() - 0.8).abs() < 1e-9);
-        assert_eq!(IoSnapshot::default().cache_hit_rate(), 0.0);
+        assert_eq!(IoStats::default().cache_hit_rate(), 0.0);
     }
 }

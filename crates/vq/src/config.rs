@@ -20,12 +20,6 @@ pub struct VqConfig {
     /// [`Visitor::priority`]: crate::Visitor::priority
     pub priority_shift: u32,
 
-    /// Sort each priority bucket before draining it. Within a bucket this
-    /// yields exact `(priority, vertex-id)` order — the paper's §IV-C
-    /// *semi-sort* that raises storage access locality for semi-external
-    /// graphs (and costs a sequential `sort_unstable` per bucket).
-    pub sort_buckets: bool,
-
     /// Upper bound on visitors a worker drains from its queue per service
     /// round (`1` preserves strict pop-visit-pop order). Draining a batch
     /// first exposes the whole semi-sorted batch to the handler through
@@ -50,15 +44,14 @@ impl VqConfig {
 }
 
 impl Default for VqConfig {
-    /// One worker per available core, exact priorities, semi-sorted
-    /// buckets, single-visitor drains.
+    /// One worker per available core, exact priorities, single-visitor
+    /// drains.
     fn default() -> Self {
         VqConfig {
             num_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             priority_shift: 0,
-            sort_buckets: true,
             batch_drain: 1,
         }
     }

@@ -893,6 +893,57 @@ mod tests {
     }
 
     #[test]
+    fn recorder_counters_equal_summed_query_stats() {
+        use asyncgt_obs::ShardedRecorder;
+        let cfg = EngineConfig {
+            max_concurrent: 8,
+            ..EngineConfig::with_vq(VqConfig::with_threads(4))
+        };
+        let rec = ShardedRecorder::new(4);
+        let lens = [300u64, 1_000, 2_500, 4_000];
+        let handlers: Vec<Arc<ChainHandler>> = lens
+            .iter()
+            .map(|&end| {
+                Arc::new(ChainHandler {
+                    end,
+                    visits: AtomicU64::new(0),
+                })
+            })
+            .collect();
+        let (results, stats) = scoped(&cfg, &rec, |engine| {
+            let tickets: Vec<_> = handlers
+                .iter()
+                .map(|h| {
+                    engine
+                        .submit(Arc::clone(h) as Arc<DynHandler<'_, Chain>>, [Chain(0)])
+                        .unwrap()
+                })
+                .collect();
+            let results: Vec<QueryStats> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+            // A finalized query's counts are visible to a live snapshot.
+            let executed: u64 = results.iter().map(|q| q.visitors_executed).sum();
+            assert_eq!(rec.snapshot().counter("visitors_executed"), executed);
+            results
+        });
+        let snap = rec.snapshot();
+        let sum = |f: fn(&QueryStats) -> u64| results.iter().map(f).sum::<u64>();
+        assert_eq!(
+            snap.counter("visitors_executed"),
+            sum(|q| q.visitors_executed)
+        );
+        assert_eq!(snap.counter("visitors_pushed"), sum(|q| q.visitors_pushed));
+        assert_eq!(snap.counter("local_pushes"), sum(|q| q.local_pushes));
+        assert_eq!(
+            snap.counter("local_pushes") + snap.counter("remote_pushes"),
+            sum(|q| q.visitors_pushed) - lens.len() as u64,
+            "every push except the driver-side seeds is local or remote"
+        );
+        assert_eq!(snap.counter("parks"), stats.parks);
+        assert_eq!(snap.counter("inbox_batches"), stats.inbox_batches);
+        assert_eq!(snap.counter("queries_completed"), lens.len() as u64);
+    }
+
+    #[test]
     fn aborted_query_leaves_siblings_untouched() {
         let cfg = EngineConfig::with_vq(VqConfig::with_threads(4));
         let good = Arc::new(ChainHandler {

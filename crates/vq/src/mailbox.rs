@@ -28,7 +28,7 @@
 
 use crate::bucket::BucketQueue;
 use crate::visitor::Visitor;
-use asyncgt_obs::{Counter, Gauge, HistKind, Recorder};
+use asyncgt_obs::{Gauge, HistKind, Recorder};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -40,6 +40,8 @@ pub(crate) struct IdleOutcome {
     pub drained: u64,
     /// Times the owner parked while waiting.
     pub parks: u64,
+    /// Parks that ended by a notify rather than the timeout.
+    pub wakes: u64,
     /// The exit condition (termination/halt) became true.
     pub exit: bool,
 }
@@ -149,21 +151,17 @@ impl<V: Visitor> Mailbox<V> {
                 return out;
             }
             out.parks += 1;
-            if R::ENABLED {
-                rec.counter(Counter::Parks, 1);
-            }
-            let wait = self.cv.wait_for(&mut mail, timeout);
-            if R::ENABLED && !wait.timed_out() {
-                rec.counter(Counter::Wakes, 1);
+            if !self.cv.wait_for(&mut mail, timeout).timed_out() {
+                out.wakes += 1;
             }
         }
     }
 }
 
-/// Record the inbox-batch and queue-depth metrics of a non-empty drain.
+/// Record the batch-size and queue-depth histograms of a non-empty drain
+/// (the worker counts the drain itself).
 fn record_drain<V: Visitor, R: Recorder>(heap: &BucketQueue<V>, moved: u64, rec: &R) {
     if R::ENABLED && moved > 0 {
-        rec.counter(Counter::InboxBatches, 1);
         rec.observe(HistKind::InboxBatchSize, moved);
         let depth = heap.len() as u64;
         rec.observe(HistKind::QueueDepth, depth);

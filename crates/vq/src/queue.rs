@@ -816,6 +816,47 @@ mod tests {
     }
 
     #[test]
+    fn recorder_is_fed_per_settle_not_per_visitor() {
+        use asyncgt_obs::{Counter, Recorder};
+
+        /// Counts `counter` calls, and the executed visitors they carry.
+        #[derive(Default)]
+        struct Counting {
+            calls: AtomicU64,
+            executed: AtomicU64,
+        }
+        impl Recorder for Counting {
+            const ENABLED: bool = true;
+            fn counter(&self, c: Counter, n: u64) {
+                self.calls.fetch_add(1, AO::Relaxed);
+                if c == Counter::VisitorsExecuted {
+                    self.executed.fetch_add(n, AO::Relaxed);
+                }
+            }
+        }
+
+        let h = FanHandler {
+            max_depth: 16,
+            visits: AtomicU64::new(0),
+        };
+        let rec = Counting::default();
+        let s = VisitorQueue::run_recorded(
+            &VqConfig::with_threads(1),
+            &h,
+            [Fan { depth: 0, id: 0 }],
+            &rec,
+        );
+        assert_eq!(s.visitors_executed, (1 << 17) - 1);
+        assert_eq!(rec.executed.load(AO::Relaxed), s.visitors_executed);
+        let calls = rec.calls.load(AO::Relaxed);
+        assert!(
+            calls * 32 < s.visitors_executed,
+            "{calls} counter calls for {} visitors",
+            s.visitors_executed
+        );
+    }
+
+    #[test]
     fn recorded_run_matches_plain_run_and_counts_balance() {
         use asyncgt_obs::ShardedRecorder;
 

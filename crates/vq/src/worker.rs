@@ -26,11 +26,16 @@
 //! §14). A handler `Err` aborts its query: the first reason is kept, and
 //! the query's remaining visitors drain out unexecuted, so the counter
 //! still reaches zero. A handler panic poisons the whole pool.
+//!
+//! The ledger and [`WorkerTotals`] are also the only place the worker
+//! counts events. A recorder is fed from them — the ledger forwards its
+//! deltas when it settles, the totals forward each increment — so the
+//! per-visitor path makes no recorder counter call (DESIGN.md §11).
 
 use crate::bucket::BucketQueue;
 use crate::config::VqConfig;
 use crate::engine::Tagged;
-use crate::mailbox::Mailbox;
+use crate::mailbox::{IdleOutcome, Mailbox};
 use crate::queue::route_of;
 use crate::visitor::{AbortReason, FallibleVisitHandler, Visitor};
 use asyncgt_obs::{Counter, HistKind, Recorder};
@@ -160,14 +165,32 @@ struct Ledger {
     pushed: u64,
     local: u64,
     dropped: u64,
+    /// Outbox deliveries; a worker-wide count that only the recorder
+    /// reads, carried here so it is forwarded with the rest.
+    flushes: u64,
 }
 
 const DEBT_FLUSH: u64 = 256;
 
 impl Ledger {
-    /// Flush into `t`. Returns whether this settle drove the query's
-    /// pending counter to zero (its caller must then finish the query).
-    fn settle(&mut self, t: &Tally) -> bool {
+    /// Flush into `t`, forwarding the same deltas to `rec` first. Returns
+    /// whether this settle drove the query's pending counter to zero (its
+    /// caller must then finish the query).
+    fn settle<R: Recorder>(&mut self, t: &Tally, rec: &R) -> bool {
+        if R::ENABLED {
+            for (c, n) in [
+                (Counter::VisitorsExecuted, self.executed),
+                (Counter::VisitorsPushed, self.pushed),
+                (Counter::LocalPushes, self.local),
+                (Counter::RemotePushes, self.pushed - self.local),
+                (Counter::OutboxFlushes, self.flushes),
+            ] {
+                if n > 0 {
+                    rec.counter(c, n);
+                }
+            }
+        }
+        self.flushes = 0;
         if self.executed > 0 {
             t.executed.fetch_add(self.executed, Ordering::Relaxed);
             self.executed = 0;
@@ -199,7 +222,7 @@ fn settle<V: Visitor, P: Route<V>, R: Recorder>(
     led: &mut Ledger,
     recorder: &R,
 ) {
-    if led.settle(p.tally(q)) {
+    if led.settle(p.tally(q), recorder) {
         p.finish(q, recorder);
     }
 }
@@ -360,11 +383,37 @@ pub(crate) const SPIN_ITERS: u32 = 16;
 /// core; right under oversubscription). Each burst doubles in length.
 const SPIN_HINT_ITERS: u32 = 6;
 
-/// Lifetime totals of one worker, summed over the pool at join.
+/// Lifetime totals of one worker, summed over the pool at join: the one
+/// place parks and inbox batches are counted. Each increment is forwarded
+/// to the recorder as it happens, so a snapshot of a live engine sees it.
 #[derive(Default)]
 pub(crate) struct WorkerTotals {
     pub(crate) parks: u64,
     pub(crate) inbox_batches: u64,
+}
+
+impl WorkerTotals {
+    /// Book one inbox drain that moved `moved` visitors.
+    fn drained<R: Recorder>(&mut self, moved: u64, rec: &R) {
+        if moved > 0 {
+            self.inbox_batches += 1;
+            if R::ENABLED {
+                rec.counter(Counter::InboxBatches, 1);
+            }
+        }
+    }
+
+    /// Book one idle wait: its parks, wakes and drain.
+    fn idled<R: Recorder>(&mut self, idle: &IdleOutcome, rec: &R) {
+        self.parks += idle.parks;
+        if R::ENABLED && idle.parks > 0 {
+            rec.counter(Counter::Parks, idle.parks);
+            if idle.wakes > 0 {
+                rec.counter(Counter::Wakes, idle.wakes);
+            }
+        }
+        self.drained(idle.drained, rec);
+    }
 }
 
 /// Spawn one worker per mailbox of `p` (threads named `vq-worker-{id}`, so
@@ -448,7 +497,9 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
 ) -> WorkerTotals {
     let inboxes = p.inboxes();
     let inbox = &inboxes[id];
-    let mut heap: BucketQueue<P::Item> = BucketQueue::new(cfg.priority_shift, cfg.sort_buckets);
+    // Buckets always semi-sort: the paper's §IV-C order, which raises
+    // storage access locality for semi-external graphs.
+    let mut heap: BucketQueue<P::Item> = BucketQueue::new(cfg.priority_shift, true);
     let mut outbox: Outbox<P::Item> = Outbox::new(inboxes.len());
     let mut totals = WorkerTotals::default();
     let poison_guard = PoisonGuard(p, std::marker::PhantomData);
@@ -479,10 +530,7 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
     'outer: loop {
         // Merge any mail into the private heap so priorities interleave.
         if inbox.has_mail() {
-            let moved = inbox.drain(&mut heap, recorder);
-            if moved > 0 {
-                totals.inbox_batches += 1;
-            }
+            totals.drained(inbox.drain(&mut heap, recorder), recorder);
         }
 
         // Drain up to `batch_drain` visitors for this service round.
@@ -573,12 +621,6 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
                     // under-counts while other workers may be settling it.
                     tally.pending.fetch_add(local_pushes, Ordering::Relaxed);
                 }
-                if R::ENABLED {
-                    recorder.counter(Counter::VisitorsExecuted, 1);
-                    recorder.counter(Counter::VisitorsPushed, pushed);
-                    recorder.counter(Counter::LocalPushes, local_pushes);
-                    recorder.counter(Counter::RemotePushes, pushed - local_pushes);
-                }
                 led.executed += 1;
                 led.pushed += pushed;
                 led.local += local_pushes;
@@ -593,14 +635,10 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
                     settle(p, q, &mut led, recorder);
                 }
                 if !outbox.ready.is_empty() {
-                    if R::ENABLED {
-                        recorder.counter(Counter::OutboxFlushes, 1);
-                    }
+                    led.flushes += 1;
                     outbox.flush_ready(inboxes);
                 } else if outbox.staged >= outbox_max_staged {
-                    if R::ENABLED {
-                        recorder.counter(Counter::OutboxFlushes, 1);
-                    }
+                    led.flushes += 1;
                     outbox.flush(inboxes);
                 }
             }
@@ -610,8 +648,8 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
         // Out of local work: deliver staged mail (other workers may be
         // waiting on it), then settle the ledger so the current query's
         // counter is exact before this worker goes quiet.
-        if R::ENABLED && outbox.staged > 0 {
-            recorder.counter(Counter::OutboxFlushes, 1);
+        if outbox.staged > 0 {
+            led.flushes += 1;
         }
         outbox.flush(inboxes);
         if let Some(q) = cur.take() {
@@ -641,12 +679,9 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
         // Park until mail arrives or the policy says stop; any mail found
         // is drained into the heap before idle_wait returns.
         let idle = inbox.idle_wait(&mut heap, || p.stopping(), P::PARK, recorder);
-        totals.parks += idle.parks;
+        totals.idled(&idle, recorder);
         if idle.exit {
             break 'outer;
-        }
-        if idle.drained > 0 {
-            totals.inbox_batches += 1;
         }
     }
 

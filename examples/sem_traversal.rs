@@ -98,7 +98,7 @@ fn main() {
 
         if let Some(r) = &recorder {
             let mut snap = r.snapshot();
-            snap.io = Some(io.into());
+            snap.io = Some(io);
             println!("\n{}", render_summary(&snap));
         }
     }

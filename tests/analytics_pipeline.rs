@@ -41,8 +41,8 @@ fn khop_over_sem_matches_in_memory() {
     let sem = SemGraph::open(&path).unwrap();
 
     for k in [0u64, 1, 3] {
-        let im = bfs_bounded(&g, 0, k, &Config::with_threads(4));
-        let se = bfs_bounded(&sem, 0, k, &Config::with_threads(16));
+        let im = bfs_bounded(&g, 0, k, &Config::with_threads(4)).unwrap();
+        let se = bfs_bounded(&sem, 0, k, &Config::with_threads(16)).unwrap();
         assert_eq!(im.dist, se.dist, "k = {k}");
     }
 }
@@ -89,7 +89,7 @@ fn pagerank_reference_cross_check_on_webgraph() {
 #[test]
 fn bounded_bfs_respects_unreached_invariants() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 9, 8, 67).directed();
-    let out = bfs_bounded(&g, 0, 2, &Config::with_threads(8));
+    let out = bfs_bounded(&g, 0, 2, &Config::with_threads(8)).unwrap();
     for v in 0..g.num_vertices() as usize {
         if out.dist[v] == INF_DIST {
             assert_eq!(out.parent[v], asyncgt::NO_VERTEX);

@@ -156,11 +156,9 @@ fn sem_run_captures_io_metrics() {
 
     let io = sem.io_stats();
     let mut snap = rec.snapshot();
-    snap.io = Some(io.into());
+    snap.io = Some(io);
 
-    assert_eq!(snap.counter("storage_reads"), io.block_fetches);
-    assert_eq!(snap.counter("cache_hits"), io.cache_hits);
-    assert_eq!(snap.counter("bytes_read"), io.bytes_read);
+    assert!(io.cache_hits > 0 && io.bytes_read > 0);
     // Without the I/O scheduler in play (io_batch = 1) every cache miss is
     // exactly one device read.
     assert_eq!(io.block_fetches, io.cache_misses);
@@ -171,12 +169,8 @@ fn sem_run_captures_io_metrics() {
     );
     assert!(lat.sum > 0);
 
-    // The IoStats plumbing survives the JSON round trip.
+    // The io section is storage's own IoStats and survives the JSON
+    // round trip whole.
     let back = MetricsSnapshot::from_json_str(&snap.to_json_string()).unwrap();
-    let round = back.io.expect("io section present");
-    assert_eq!(round.adjacency_reads, io.adjacency_reads);
-    assert_eq!(round.cache_hits, io.cache_hits);
-    assert_eq!(round.cache_misses, io.cache_misses);
-    assert_eq!(round.block_fetches, io.block_fetches);
-    assert_eq!(round.bytes_read, io.bytes_read);
+    assert_eq!(back.io, Some(io));
 }

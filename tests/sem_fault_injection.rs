@@ -12,9 +12,10 @@
 use asyncgt::obs::ShardedRecorder;
 use asyncgt::storage::reader::SemConfig;
 use asyncgt::storage::{write_sem_graph, FaultPlan, FaultyDevice, RetryPolicy, SemGraph};
-use asyncgt::{try_bfs, try_connected_components, try_sssp, Config, TraversalError};
+use asyncgt::{bfs_bounded, try_bfs, try_connected_components, try_sssp, Config, TraversalError};
 use asyncgt_graph::generators::{RmatGenerator, RmatParams};
 use asyncgt_graph::weights::{weighted_copy, WeightKind};
+use asyncgt_graph::Graph;
 use asyncgt_integration_tests::scratch;
 use std::sync::Arc;
 use std::time::Duration;
@@ -208,6 +209,21 @@ fn sparse_permanent_faults_abort_mid_run() {
 }
 
 #[test]
+fn bounded_bfs_surfaces_permanent_faults_as_storage_errors() {
+    let g = RmatGenerator::new(RmatParams::RMAT_A, 9, 8, 39).directed();
+    let path = scratch("fault_khop.agt");
+    write_sem_graph(&path, &g).unwrap();
+    assert!(g.out_degree(0) > 0, "the source must read adjacency");
+
+    // Every block fails on every attempt: the first read aborts the run.
+    let sem = SemGraph::open_with(&path, faulty_config(FaultPlan::permanent(4, 1.0), 0)).unwrap();
+    match bfs_bounded(&sem, 0, 2, &sem_traversal_config(4)) {
+        Err(TraversalError::Storage(e, _)) => assert!(!e.is_retryable()),
+        other => panic!("expected a Storage error, got {other:?}"),
+    }
+}
+
+#[test]
 fn recorder_sees_retry_and_fault_counters() {
     let g = RmatGenerator::new(RmatParams::RMAT_A, 9, 8, 37).directed();
     let path = scratch("fault_obs.agt");
@@ -221,11 +237,13 @@ fn recorder_sees_retry_and_fault_counters() {
     let sem = SemGraph::open_with(&path, cfg).unwrap();
     asyncgt::try_bfs_recorded(&sem, 0, &sem_traversal_config(8), rec.as_ref()).unwrap();
 
+    // Storage's IoStats counts the faults; the recorder holds only the
+    // retry latencies.
+    let io = sem.io_stats();
+    assert!(io.retries > 0);
+    assert_eq!(io.retries, io.faults_absorbed);
+    assert_eq!(io.faults_fatal, 0);
     let snap = rec.snapshot();
-    assert!(snap.counter("retries") > 0);
-    assert_eq!(snap.counter("retries"), snap.counter("faults_absorbed"));
-    assert_eq!(snap.counter("faults_fatal"), 0);
-    assert_eq!(snap.counter("retries"), sem.io_stats().retries);
     let lat = snap.histograms.get(asyncgt::obs::HistKind::RetryLatencyNs);
     assert!(!lat.is_empty(), "retry latency histogram populated");
 }
