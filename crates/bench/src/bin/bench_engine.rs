@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Bump when the JSON layout changes shape (fields, units, meanings).
-const SCHEMA_VERSION: u64 = 1;
+const SCHEMA_VERSION: u64 = 2;
 
 const SCALE: u32 = 8;
 const EDGE_FACTOR: u64 = 16;
@@ -28,7 +28,9 @@ const CONCURRENCY: [usize; 3] = [1, 8, 64];
 /// runs `concurrency * THREADS` OS threads at peak; the engine always
 /// runs exactly `THREADS`.
 const THREADS: usize = 4;
-const RUNS: usize = 3;
+/// Runs per (mode, concurrency) cell; each cell reports the median and
+/// interquartile range over them.
+const RUNS: usize = 11;
 
 fn source(i: usize, n: u64) -> u64 {
     (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n
@@ -83,17 +85,21 @@ fn run_spawn(g: &CsrGraph, concurrency: usize) -> u64 {
     total
 }
 
-/// Best-of-`RUNS` wall time for one (mode, concurrency) cell; also
-/// returns the summed reached-count so modes can be cross-checked.
-fn measure(f: impl Fn() -> u64) -> (u64, Duration) {
-    let mut best = Duration::MAX;
+/// Run one (mode, concurrency) cell `RUNS` times: its wall-time median
+/// and interquartile range (quartiles by nearest rank), plus the summed
+/// reached-count so modes can be cross-checked.
+fn measure(f: impl Fn() -> u64) -> (u64, Duration, Duration) {
     let mut reached = 0;
-    for _ in 0..RUNS {
-        let (r, dt) = time(&f);
-        reached = r;
-        best = best.min(dt);
-    }
-    (reached, best)
+    let mut times: Vec<Duration> = (0..RUNS)
+        .map(|_| time(&f))
+        .map(|(r, dt)| {
+            reached = r;
+            dt
+        })
+        .collect();
+    times.sort();
+    let at = |q: usize| times[q * (RUNS - 1) / 4];
+    (reached, at(2), at(3) - at(1))
 }
 
 fn main() {
@@ -111,30 +117,32 @@ fn main() {
     let mut rows: Vec<Value> = Vec::new();
     let mut summary: Vec<(String, Value)> = Vec::new();
     for c in CONCURRENCY {
-        let (reached_e, dt_e) = measure(|| run_engine(&g, c));
-        let (reached_s, dt_s) = measure(|| run_spawn(&g, c));
+        let (reached_e, med_e, iqr_e) = measure(|| run_engine(&g, c));
+        let (reached_s, med_s, iqr_s) = measure(|| run_spawn(&g, c));
         assert_eq!(
             reached_e, reached_s,
             "engine and spawn-per-query must reach identical vertex sets"
         );
-        let qps_e = QUERIES as f64 / dt_e.as_secs_f64();
-        let qps_s = QUERIES as f64 / dt_s.as_secs_f64();
-        let speedup = qps_e / qps_s;
-        for (mode, dt, qps) in [("engine", dt_e, qps_e), ("spawn", dt_s, qps_s)] {
+        let qps = |d: Duration| QUERIES as f64 / d.as_secs_f64();
+        let speedup = qps(med_e) / qps(med_s);
+        for (mode, med, iqr) in [("engine", med_e, iqr_e), ("spawn", med_s, iqr_s)] {
             rows.push(Value::Obj(vec![
                 ("mode".into(), Value::Str(mode.into())),
                 ("concurrency".into(), Value::Int(c as u64)),
                 ("queries".into(), Value::Int(QUERIES as u64)),
-                ("best_elapsed_s".into(), Value::Float(dt.as_secs_f64())),
-                ("queries_per_sec".into(), Value::Float(qps)),
+                ("median_elapsed_s".into(), Value::Float(med.as_secs_f64())),
+                ("iqr_elapsed_s".into(), Value::Float(iqr.as_secs_f64())),
+                ("queries_per_sec".into(), Value::Float(qps(med))),
                 ("runs".into(), Value::Int(RUNS as u64)),
             ]));
         }
         summary.push((format!("reuse_speedup_at_{c}"), Value::Float(speedup)));
+        let cell =
+            |med, iqr: Duration| format!("{:.1} (IQR {:.2} ms)", qps(med), iqr.as_secs_f64() * 1e3);
         t.row(vec![
             c.to_string(),
-            format!("{qps_e:.1}"),
-            format!("{qps_s:.1}"),
+            cell(med_e, iqr_e),
+            cell(med_s, iqr_s),
             format!("{speedup:.2}x"),
         ]);
     }
@@ -160,15 +168,18 @@ fn main() {
                 (
                     "note".into(),
                     Value::Str(
-                        "engine mode runs a fixed worker pool with per-visitor \
-                         query tagging and dynamic handler dispatch; spawn mode \
-                         runs each query one-shot (bare visitors, monomorphized \
-                         handler) but pays thread spawn/join and runs \
-                         concurrency x threads OS threads at peak. With few cores \
-                         and small queries oversubscription is cheap, so the \
-                         engine's multiplexing overhead can dominate; its bounded \
-                         thread count and admission control pay off with many \
-                         cores or query counts far above the core count"
+                        "engine mode runs a fixed worker pool whose queued \
+                         visitors carry a 4-byte query id (24 B items) and whose \
+                         workers resolve each query through a one-entry cache; \
+                         spawn mode runs each query one-shot (bare 16 B visitors) \
+                         but pays thread spawn/join and runs concurrency x threads \
+                         OS threads at peak. Both call a monomorphized handler. \
+                         With few cores and small queries oversubscription is \
+                         cheap, so the engine's per-query overheads can dominate; \
+                         its bounded thread count and admission control pay off \
+                         with many cores or query counts far above the core count. \
+                         Each cell is the median of its runs; iqr_elapsed_s is the \
+                         spread between its quartiles"
                             .into(),
                     ),
                 ),

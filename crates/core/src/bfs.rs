@@ -56,7 +56,7 @@ pub fn try_bfs_recorded<G: Graph, R: Recorder>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::{with_engine, EngineOpts};
     use asyncgt_baselines::{level_sync, serial};
@@ -159,7 +159,7 @@ mod tests {
 
     /// A vertex count past the `u32` visitor encoding, with no edges: the
     /// check must reject it before allocating any label array.
-    struct Huge;
+    pub(crate) struct Huge;
 
     impl Graph for Huge {
         fn num_vertices(&self) -> u64 {

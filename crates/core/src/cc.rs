@@ -7,9 +7,9 @@
 //! identifier takes over the remainder of both traversals."
 
 use crate::config::Config;
-use crate::engine::MultiVisitor;
 use crate::error::TraversalError;
 use crate::result::{one_shot, RelaxCounter, TraversalStats};
+use crate::sssp::{SsspVisitor, NO_PARENT};
 use asyncgt_graph::{stats, Graph, Vertex, INF_DIST};
 use asyncgt_obs::{NoopRecorder, Recorder};
 use asyncgt_vq::{
@@ -34,6 +34,28 @@ impl CcVisitor {
     /// the starting component id.
     pub(crate) fn seeds(n: u64) -> impl Iterator<Item = CcVisitor> {
         (0..n as u32).map(|v| CcVisitor { ccid: v, vertex: v })
+    }
+}
+
+/// An engine query queues the path visitor for every algorithm: a CC
+/// candidate rides in it as `dist = ccid` with no parent. Both orders are
+/// (priority, vertex), so the encoding keeps CC's queue order.
+impl From<CcVisitor> for SsspVisitor {
+    fn from(v: CcVisitor) -> Self {
+        SsspVisitor {
+            dist: v.ccid as u64,
+            vertex: v.vertex,
+            parent: NO_PARENT,
+        }
+    }
+}
+
+impl From<SsspVisitor> for CcVisitor {
+    fn from(v: SsspVisitor) -> Self {
+        CcVisitor {
+            ccid: v.dist as u32,
+            vertex: v.vertex,
+        }
     }
 }
 
@@ -88,7 +110,11 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
     /// the candidate is smaller, then flood it to every neighbor through
     /// `push`. A storage failure surfacing from the fallible adjacency
     /// read aborts the run cleanly.
-    fn relax(&self, v: CcVisitor, mut push: impl FnMut(CcVisitor)) -> Result<(), AbortReason> {
+    pub(crate) fn relax(
+        &self,
+        v: CcVisitor,
+        mut push: impl FnMut(CcVisitor),
+    ) -> Result<(), AbortReason> {
         let vertex = v.vertex as u64;
         if (v.ccid as u64) < self.ccid.get(vertex) {
             self.ccid.set(vertex, v.ccid as u64);
@@ -112,7 +138,7 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
     /// round will flood, skipping visitors whose candidate id no longer
     /// improves the label (their visit reads nothing). Stale label reads
     /// can only over-include — labels are monotone decreasing.
-    fn prefetch<'v>(&self, batch: impl Iterator<Item = &'v CcVisitor>) {
+    pub(crate) fn prefetch(&self, batch: impl Iterator<Item = CcVisitor>) {
         let targets: Vec<u64> = batch
             .filter(|v| (v.ccid as u64) < self.ccid.get(v.vertex as u64))
             .map(|v| v.vertex as u64)
@@ -123,7 +149,6 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
     }
 }
 
-/// One-shot route: bare visitors, no dispatch.
 impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<CcVisitor>
     for CcHandler<'_, G, A>
 {
@@ -132,31 +157,7 @@ impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<
     }
 
     fn prepare_batch(&self, batch: &[CcVisitor]) {
-        self.prefetch(batch.iter());
-    }
-}
-
-/// Engine route: a query's visitors reach only its own handler, so a path
-/// visitor never arrives here.
-impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<MultiVisitor>
-    for CcHandler<'_, G, A>
-{
-    fn try_visit(
-        &self,
-        v: MultiVisitor,
-        ctx: &mut PushCtx<'_, MultiVisitor>,
-    ) -> Result<(), AbortReason> {
-        match v {
-            MultiVisitor::Cc(v) => self.relax(v, |nv| ctx.push(MultiVisitor::Cc(nv))),
-            MultiVisitor::Path(_) => unreachable!("path visitor routed to a CC query"),
-        }
-    }
-
-    fn prepare_batch(&self, batch: &[MultiVisitor]) {
-        self.prefetch(batch.iter().filter_map(|m| match m {
-            MultiVisitor::Cc(v) => Some(v),
-            MultiVisitor::Path(_) => None,
-        }));
+        self.prefetch(batch.iter().copied());
     }
 }
 

@@ -46,8 +46,8 @@ use crate::sssp::{SsspHandler, SsspVisitor};
 use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
 use asyncgt_obs::Recorder;
 use asyncgt_vq::{
-    AbortedRun, DynHandler, EngineConfig, EngineStats, OwnedStateLease, QueryError, QueryStats,
-    QueryTicket, RunStats, StatePool, SubmitError, Visitor,
+    AbortReason, EngineConfig, EngineStats, FallibleVisitHandler, OwnedStateLease, PushCtx,
+    QueryError, QueryTicket, StatePool, SubmitError,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -99,126 +99,108 @@ impl EngineOpts {
     }
 }
 
-/// A visitor of *some* algorithm multiplexed on one engine: path queries
-/// (BFS and weighted SSSP share [`SsspVisitor`]) or CC floods. The engine's
-/// queues are typed once per pool, so every algorithm's visitor must fit
-/// one type; the enum costs 8 bytes over the bare [`SsspVisitor`] and
-/// dispatches by variant at visit time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MultiVisitor {
-    /// BFS / SSSP candidate path.
-    Path(SsspVisitor),
-    /// CC candidate component id.
-    Cc(CcVisitor),
+/// The one handler type an engine runs: a path query (BFS and weighted
+/// SSSP) or a CC query, each over label arrays leased from the engine's
+/// pool. Every query queues the bare [`SsspVisitor`]; a CC query carries
+/// its candidate component id in `dist` (with `parent = NO_PARENT`), so
+/// the item order — (priority, vertex), then query id — is the paper's
+/// semi-sort for both, and a visit is a `match` on the variant.
+pub(crate) enum QueryJob<'env, G> {
+    /// BFS / SSSP query.
+    Path(SsspHandler<'env, G, OwnedStateLease>),
+    /// CC query.
+    Cc(CcHandler<'env, G, OwnedStateLease>),
 }
 
-impl MultiVisitor {
-    /// Total-order key: (priority, vertex) first — preserving the paper's
-    /// semi-sort across algorithms — then variant, then the remaining
-    /// payload for a well-defined total order.
-    fn key(&self) -> (u64, u64, u8, u32) {
+impl<G: Graph> QueryJob<'_, G> {
+    fn relaxed(&self) -> u64 {
         match self {
-            MultiVisitor::Path(v) => (v.dist, v.vertex as u64, 0, v.parent),
-            MultiVisitor::Cc(v) => (v.ccid as u64, v.vertex as u64, 1, 0),
+            QueryJob::Path(h) => h.relaxed(),
+            QueryJob::Cc(h) => h.relaxed(),
         }
     }
 }
 
-impl Ord for MultiVisitor {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-impl PartialOrd for MultiVisitor {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Visitor for MultiVisitor {
-    fn target(&self) -> u64 {
+impl<G: Graph> FallibleVisitHandler<SsspVisitor> for QueryJob<'_, G> {
+    fn try_visit(
+        &self,
+        v: SsspVisitor,
+        ctx: &mut PushCtx<'_, SsspVisitor>,
+    ) -> Result<(), AbortReason> {
         match self {
-            MultiVisitor::Path(v) => v.target(),
-            MultiVisitor::Cc(v) => v.target(),
+            QueryJob::Path(h) => h.try_visit(v, ctx),
+            QueryJob::Cc(h) => h.relax(v.into(), |nv| ctx.push(nv.into())),
         }
     }
-    fn priority(&self) -> u64 {
+
+    fn prepare_batch(&self, batch: &[SsspVisitor]) {
         match self {
-            MultiVisitor::Path(v) => v.priority(),
-            MultiVisitor::Cc(v) => v.priority(),
+            QueryJob::Path(h) => h.prepare_batch(batch),
+            QueryJob::Cc(h) => h.prefetch(batch.iter().map(|&v| v.into())),
         }
     }
 }
 
-/// Settle one query's outcome through the one-shot [`settle`]. `parks`
-/// and `inbox_batches` are engine-wide quantities with no per-query
-/// attribution, so they read 0 here; the engine-lifetime totals are in the
-/// [`EngineStats`] returned by [`with_engine`].
+type Ticket<'env, G> = QueryTicket<QueryJob<'env, G>>;
+
+/// A submitted query's job and ticket, or the input error that kept it
+/// from running (its ticket is done at once and no label array was leased).
+type Submitted<'env, G> = Result<(Arc<QueryJob<'env, G>>, Ticket<'env, G>), TraversalError>;
+
+/// Wait for a submitted query and settle its outcome through the one-shot
+/// [`settle`], so an abort classifies exactly as in the `try_*` API.
 ///
 /// # Panics
 /// If a worker panicked (engine poisoned).
-fn settle_query(
-    res: Result<QueryStats, QueryError>,
-    relaxations: u64,
-    num_threads: usize,
-) -> Result<TraversalStats, TraversalError> {
-    let run = |q: QueryStats| RunStats {
-        visitors_executed: q.visitors_executed,
-        visitors_pushed: q.visitors_pushed,
-        local_pushes: q.local_pushes,
-        elapsed: q.elapsed,
-        num_threads,
-        ..RunStats::default()
-    };
-    let outcome = match res {
-        Ok(q) => Ok(run(q)),
-        Err(QueryError::Aborted { reason, stats }) => Err(AbortedRun {
-            reason,
-            stats: run(stats),
-        }),
-        Err(QueryError::EnginePoisoned) => panic!("traversal engine poisoned by a worker panic"),
-    };
-    settle(outcome, relaxations)
+fn wait_job<G: Graph>(
+    submitted: Submitted<'_, G>,
+) -> Result<(Arc<QueryJob<'_, G>>, TraversalStats), TraversalError> {
+    let (job, ticket) = submitted?;
+    let outcome = ticket.wait().map_err(|e| match e {
+        QueryError::Aborted(run) => run,
+        QueryError::EnginePoisoned => panic!("traversal engine poisoned by a worker panic"),
+    });
+    let stats = settle(outcome, job.relaxed())?;
+    Ok((job, stats))
+}
+
+fn is_done<G: Graph>(submitted: &Submitted<'_, G>) -> bool {
+    submitted.as_ref().map_or(true, |(_, t)| t.is_done())
 }
 
 /// Pending result of a BFS/SSSP query submitted to a [`TraversalEngine`].
-pub struct PathTicket<'env, G: Graph> {
-    job: Arc<SsspHandler<'env, G, OwnedStateLease>>,
-    ticket: QueryTicket<'env, MultiVisitor>,
-    num_threads: usize,
-}
+pub struct PathTicket<'env, G: Graph>(Submitted<'env, G>);
 
 impl<'env, G: Graph> PathTicket<'env, G> {
     /// Block until the query finalizes, extracting its `dist`/`parent`
     /// labels. An aborted query returns the same classified
-    /// [`TraversalError`] the one-shot `try_*` API produces.
+    /// [`TraversalError`] the one-shot `try_*` API produces, and so does a
+    /// query rejected at submit (out-of-range source, oversized graph).
     ///
     /// # Panics
     /// If a worker panicked (engine poisoned); [`with_engine`] re-raises
     /// the original panic when it unwinds.
     pub fn wait(self) -> Result<TraversalOutput, TraversalError> {
-        let stats = settle_query(self.ticket.wait(), self.job.relaxed(), self.num_threads)?;
+        let (job, stats) = wait_job(self.0)?;
+        let QueryJob::Path(h) = &*job else {
+            unreachable!("a path ticket holds a path query")
+        };
         Ok(TraversalOutput {
-            dist: self.job.dist.to_vec(),
-            parent: self.job.parent.to_vec(),
+            dist: h.dist.to_vec(),
+            parent: h.parent.to_vec(),
             stats,
         })
     }
 
     /// Whether the query has already finalized (non-blocking).
     pub fn is_done(&self) -> bool {
-        self.ticket.is_done()
+        is_done(&self.0)
     }
 }
 
 /// Pending result of a connected-components query submitted to a
 /// [`TraversalEngine`].
-pub struct CcTicket<'env, G: Graph> {
-    job: Arc<CcHandler<'env, G, OwnedStateLease>>,
-    ticket: QueryTicket<'env, MultiVisitor>,
-    num_threads: usize,
-}
+pub struct CcTicket<'env, G: Graph>(Submitted<'env, G>);
 
 impl<'env, G: Graph> CcTicket<'env, G> {
     /// Block until the query finalizes, extracting its component labels.
@@ -227,16 +209,19 @@ impl<'env, G: Graph> CcTicket<'env, G> {
     /// If a worker panicked (engine poisoned); [`with_engine`] re-raises
     /// the original panic when it unwinds.
     pub fn wait(self) -> Result<CcOutput, TraversalError> {
-        let stats = settle_query(self.ticket.wait(), self.job.relaxed(), self.num_threads)?;
+        let (job, stats) = wait_job(self.0)?;
+        let QueryJob::Cc(h) = &*job else {
+            unreachable!("a CC ticket holds a CC query")
+        };
         Ok(CcOutput {
-            ccid: self.job.ccid.to_vec(),
+            ccid: h.ccid.to_vec(),
             stats,
         })
     }
 
     /// Whether the query has already finalized (non-blocking).
     pub fn is_done(&self) -> bool {
-        self.ticket.is_done()
+        is_done(&self.0)
     }
 }
 
@@ -246,7 +231,7 @@ impl<'env, G: Graph> CcTicket<'env, G> {
 /// is `Sync`); every accepted query runs to completion before
 /// [`with_engine`] returns.
 pub struct TraversalEngine<'s, 'env, G: Graph, R: Recorder> {
-    eng: &'s asyncgt_vq::Engine<'s, 'env, MultiVisitor, R>,
+    eng: &'s asyncgt_vq::Engine<'s, SsspVisitor, QueryJob<'env, G>, R>,
     g: &'env G,
     pool: Arc<StatePool>,
     prune: bool,
@@ -269,52 +254,53 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
         self.pool.allocated()
     }
 
-    /// # Panics
-    /// If `sources` is empty or names a vertex outside the graph.
+    /// Check the input, then submit `job` (built only if the input is
+    /// valid, so a rejected query leases no label array).
+    fn submit(
+        &self,
+        sources: &[Vertex],
+        job: impl FnOnce() -> QueryJob<'env, G>,
+        seeds: impl Iterator<Item = SsspVisitor>,
+    ) -> Result<Submitted<'env, G>, SubmitError> {
+        if let Err(e) = check_input(self.g.num_vertices(), sources) {
+            return Ok(Err(e));
+        }
+        let job = Arc::new(job());
+        let ticket = self.eng.submit(Arc::clone(&job), seeds)?;
+        Ok(Ok((job, ticket)))
+    }
+
     fn submit_path(
         &self,
         sources: &[Vertex],
         unit_weights: bool,
     ) -> Result<PathTicket<'env, G>, SubmitError> {
-        assert!(!sources.is_empty(), "at least one source vertex required");
-        if let Err(e) = check_input(self.g.num_vertices(), sources) {
-            panic!("{e}");
-        }
-        let job = Arc::new(SsspHandler::new(
-            self.g,
-            self.pool.lease_arc(INF_DIST),
-            self.pool.lease_arc(NO_VERTEX),
-            self.prune,
-            unit_weights,
-        ));
-        let seeds = sources
-            .iter()
-            .map(|&s| MultiVisitor::Path(SsspVisitor::source(s)));
-        let handler: Arc<DynHandler<'env, MultiVisitor>> = job.clone();
-        let ticket = self.eng.submit(handler, seeds)?;
-        Ok(PathTicket {
-            job,
-            ticket,
-            num_threads: self.num_workers(),
-        })
+        let job = || {
+            QueryJob::Path(SsspHandler::new(
+                self.g,
+                self.pool.lease_arc(INF_DIST),
+                self.pool.lease_arc(NO_VERTEX),
+                self.prune,
+                unit_weights,
+            ))
+        };
+        let seeds = sources.iter().map(|&s| SsspVisitor::source(s));
+        self.submit(sources, job, seeds).map(PathTicket)
     }
 
     /// Submit a multi-source BFS (unit edge weights): `dist[v]` is the hop
     /// count to the *nearest* source and `parent[v]` a predecessor on such
     /// a path. Seeding one visitor per source is the same generalization
-    /// the paper's CC algorithm uses by seeding every vertex.
-    ///
-    /// # Panics
-    /// If `sources` is empty or names a vertex outside the graph.
+    /// the paper's CC algorithm uses by seeding every vertex. With no
+    /// sources every vertex is unreached; a source outside the graph makes
+    /// the ticket's `wait` return [`TraversalError::InvalidSource`].
     pub fn submit_bfs(&self, sources: &[Vertex]) -> Result<PathTicket<'env, G>, SubmitError> {
         self.submit_path(sources, true)
     }
 
     /// Submit a multi-source weighted SSSP: `dist[v]` is the weighted
-    /// distance to the nearest source.
-    ///
-    /// # Panics
-    /// If `sources` is empty or names a vertex outside the graph.
+    /// distance to the nearest source. Sources are checked as for
+    /// [`submit_bfs`](Self::submit_bfs).
     pub fn submit_sssp(&self, sources: &[Vertex]) -> Result<PathTicket<'env, G>, SubmitError> {
         self.submit_path(sources, false)
     }
@@ -323,19 +309,15 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
     /// exactly like the one-shot
     /// [`try_connected_components`](crate::try_connected_components)).
     pub fn submit_cc(&self) -> Result<CcTicket<'env, G>, SubmitError> {
-        let job = Arc::new(CcHandler::new(
-            self.g,
-            self.pool.lease_arc(INF_DIST),
-            self.prune,
-        ));
-        let seeds = CcVisitor::seeds(self.g.num_vertices()).map(MultiVisitor::Cc);
-        let handler: Arc<DynHandler<'env, MultiVisitor>> = job.clone();
-        let ticket = self.eng.submit(handler, seeds)?;
-        Ok(CcTicket {
-            job,
-            ticket,
-            num_threads: self.num_workers(),
-        })
+        let job = || {
+            QueryJob::Cc(CcHandler::new(
+                self.g,
+                self.pool.lease_arc(INF_DIST),
+                self.prune,
+            ))
+        };
+        let seeds = CcVisitor::seeds(self.g.num_vertices()).map(SsspVisitor::from);
+        self.submit(&[], job, seeds).map(CcTicket)
     }
 }
 
@@ -344,11 +326,13 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
 /// Workers are spawned exactly once; `f` submits queries through the
 /// [`TraversalEngine`] handle and waits on the returned tickets. When `f`
 /// returns, the engine drains every accepted query, parks nothing, joins
-/// its workers, and reports lifetime [`EngineStats`].
+/// its workers, and reports lifetime [`EngineStats`]. If `g` has 2^32 − 1
+/// or more vertices, every query's `wait` returns
+/// [`TraversalError::GraphTooLarge`].
 ///
 /// # Panics
-/// If `g` has 2^32 − 1 or more vertices. Re-raises any worker (handler)
-/// panic after teardown, like the one-shot API.
+/// Re-raises any worker (handler) panic after teardown, like the one-shot
+/// API.
 pub fn with_engine<'env, G, R, T>(
     g: &'env G,
     opts: &EngineOpts,
@@ -360,9 +344,6 @@ where
     R: Recorder,
 {
     let n = g.num_vertices();
-    if let Err(e) = check_input(n, &[]) {
-        panic!("{e}");
-    }
     // One engine-wide bucket class width must serve every algorithm: the
     // CC-style coarse shift keeps the full vertex-id priority span (CC's
     // worst case) inside the bucket ring, and merely coarsens — never
@@ -495,11 +476,60 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_range_source_panics() {
+    fn out_of_range_source_is_a_typed_error() {
         let g = path_graph(4);
-        let _ = with_engine(&g, &EngineOpts::default(), &NoopRecorder, |eng| {
-            let _ = eng.submit_bfs(&[99]);
+        let (allocated, _) = with_engine(&g, &EngineOpts::default(), &NoopRecorder, |eng| {
+            let t = eng.submit_bfs(&[0, 99]).unwrap();
+            assert!(t.is_done(), "a rejected query is done at once");
+            let err = t.wait().unwrap_err();
+            assert!(matches!(
+                err,
+                TraversalError::InvalidSource {
+                    source: 99,
+                    num_vertices: 4
+                }
+            ));
+            assert_eq!(*err.stats(), Default::default());
+            let err = eng.submit_sssp(&[4]).unwrap().wait().unwrap_err();
+            assert!(matches!(
+                err,
+                TraversalError::InvalidSource { source: 4, .. }
+            ));
+            eng.state_arrays_allocated()
         });
+        assert_eq!(allocated, 0, "a rejected query leases no label array");
+    }
+
+    #[test]
+    fn empty_source_list_reaches_nothing() {
+        let g = path_graph(4);
+        let (out, stats) = with_engine(&g, &EngineOpts::with_threads(2), &NoopRecorder, |eng| {
+            eng.submit_bfs(&[]).unwrap().wait().unwrap()
+        });
+        assert_eq!(out.dist, [INF_DIST; 4]);
+        assert_eq!(out.parent, [NO_VERTEX; 4]);
+        assert_eq!(out.stats.visitors_executed, 0);
+        assert_eq!(out.stats.relaxations, 0);
+        assert_eq!(stats.queries, 1);
+    }
+
+    #[test]
+    fn oversized_graph_is_a_typed_error() {
+        let g = crate::bfs::tests::Huge;
+        let (allocated, stats) =
+            with_engine(&g, &EngineOpts::with_threads(2), &NoopRecorder, |eng| {
+                let err = eng.submit_bfs(&[0]).unwrap().wait().unwrap_err();
+                assert!(matches!(
+                    err,
+                    TraversalError::GraphTooLarge {
+                        num_vertices: 0xFFFF_FFFF
+                    }
+                ));
+                let err = eng.submit_cc().unwrap().wait().unwrap_err();
+                assert!(matches!(err, TraversalError::GraphTooLarge { .. }));
+                eng.state_arrays_allocated()
+            });
+        assert_eq!(allocated, 0);
+        assert_eq!(stats.queries, 0, "nothing reached the worker pool");
     }
 }

@@ -8,7 +8,6 @@
 //! visited at each step, possibly requiring multiple visits per vertex."
 
 use crate::config::Config;
-use crate::engine::MultiVisitor;
 use crate::error::TraversalError;
 use crate::result::{one_shot, RelaxCounter, TraversalOutput};
 use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
@@ -104,15 +103,23 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
     pub(crate) fn relaxed(&self) -> u64 {
         self.relaxations.get()
     }
+}
 
+impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<SsspVisitor>
+    for SsspHandler<'_, G, A>
+{
     /// The SSSP relax step (paper Algorithm 2 lines 8-10): relax
     /// `v.vertex`'s labels if the candidate improves them, then emit a
-    /// visitor per out-edge through `push`.
+    /// visitor per out-edge.
     ///
     /// Exclusive access to `v.vertex`'s labels is guaranteed by hash
     /// routing, so the check-then-store needs no atomicity beyond the
     /// relaxed cells themselves.
-    fn relax(&self, v: SsspVisitor, mut push: impl FnMut(SsspVisitor)) -> Result<(), AbortReason> {
+    fn try_visit(
+        &self,
+        v: SsspVisitor,
+        ctx: &mut PushCtx<'_, SsspVisitor>,
+    ) -> Result<(), AbortReason> {
         let vertex = v.vertex as u64;
         if v.dist < self.dist.get(vertex) {
             self.dist.set(vertex, v.dist);
@@ -142,7 +149,7 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
                 if prune && nd >= dist.get(t) {
                     return;
                 }
-                push(SsspVisitor {
+                ctx.push(SsspVisitor {
                     dist: nd,
                     vertex: t as u32,
                     parent: v.vertex,
@@ -159,55 +166,15 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
     /// adjacency. The label check uses the same stale-tolerant read as
     /// pruning — labels only decrease, so a stale value can only keep a
     /// vertex in the hint, never drop a needed one.
-    fn prefetch<'v>(&self, batch: impl Iterator<Item = &'v SsspVisitor>) {
+    fn prepare_batch(&self, batch: &[SsspVisitor]) {
         let targets: Vec<u64> = batch
+            .iter()
             .filter(|v| v.dist < self.dist.get(v.vertex as u64))
             .map(|v| v.vertex as u64)
             .collect();
         if !targets.is_empty() {
             self.g.prefetch_adjacency(&targets);
         }
-    }
-}
-
-/// One-shot route: bare visitors, no dispatch.
-impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<SsspVisitor>
-    for SsspHandler<'_, G, A>
-{
-    fn try_visit(
-        &self,
-        v: SsspVisitor,
-        ctx: &mut PushCtx<'_, SsspVisitor>,
-    ) -> Result<(), AbortReason> {
-        self.relax(v, |nv| ctx.push(nv))
-    }
-
-    fn prepare_batch(&self, batch: &[SsspVisitor]) {
-        self.prefetch(batch.iter());
-    }
-}
-
-/// Engine route: a query's visitors reach only its own handler, so a CC
-/// visitor never arrives here.
-impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<MultiVisitor>
-    for SsspHandler<'_, G, A>
-{
-    fn try_visit(
-        &self,
-        v: MultiVisitor,
-        ctx: &mut PushCtx<'_, MultiVisitor>,
-    ) -> Result<(), AbortReason> {
-        match v {
-            MultiVisitor::Path(v) => self.relax(v, |nv| ctx.push(MultiVisitor::Path(nv))),
-            MultiVisitor::Cc(_) => unreachable!("CC visitor routed to a path query"),
-        }
-    }
-
-    fn prepare_batch(&self, batch: &[MultiVisitor]) {
-        self.prefetch(batch.iter().filter_map(|m| match m {
-            MultiVisitor::Path(v) => Some(v),
-            MultiVisitor::Cc(_) => None,
-        }));
     }
 }
 

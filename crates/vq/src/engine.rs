@@ -14,6 +14,10 @@
 //! *termination* is tracked per query: each query has its own in-flight
 //! counter, and the over-count-only argument (DESIGN.md §14) applies per
 //! query id, so query A completing never depends on query B's progress.
+//! An engine serves one concrete handler type `H` (an enum, if queries run
+//! different algorithms): a queued item is the bare visitor plus its
+//! 4-byte query id, and a visit is a monomorphized call on the query's
+//! `Arc<H>`, exactly as in a one-shot run.
 //!
 //! ```text
 //!  submit(handler, seeds)                 workers (spawned once)
@@ -82,8 +86,8 @@
 
 use crate::config::VqConfig;
 use crate::mailbox::Mailbox;
-use crate::queue::route_of;
-use crate::visitor::{AbortReason, FallibleVisitHandler, Visitor};
+use crate::queue::{route_of, AbortedRun, RunStats};
+use crate::visitor::{FallibleVisitHandler, Visitor};
 use crate::worker::{serve, Lanes, Route, Sink, Tally, SPIN_ITERS};
 use asyncgt_obs::{Counter, Gauge, HistKind, Recorder};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -132,11 +136,6 @@ impl EngineConfig {
     }
 }
 
-/// The handler type a query runs: any [`FallibleVisitHandler`] (infallible
-/// [`VisitHandler`](crate::VisitHandler)s qualify via the blanket impl),
-/// type-erased so one engine serves heterogeneous queries.
-pub type DynHandler<'h, V> = dyn FallibleVisitHandler<V> + Send + Sync + 'h;
-
 /// A visitor tagged with the query it belongs to. Ordering is by the
 /// visitor first (priority semantics are unchanged), query id second (a
 /// stable tiebreak so batch semi-sort groups same-query visitors).
@@ -182,9 +181,9 @@ struct QueryDone {
 /// Per-query shared state: its handler, its termination counter and stat
 /// cells (the [`Tally`] workers flush their ledgers into), and the
 /// completion latch its ticket waits on.
-pub(crate) struct QueryShared<'h, V: Visitor> {
+pub(crate) struct QueryShared<H> {
     qid: u32,
-    handler: Arc<DynHandler<'h, V>>,
+    handler: Arc<H>,
     tally: Tally,
     /// Finalizer election: exactly one thread retires the query.
     finished: AtomicBool,
@@ -195,8 +194,8 @@ pub(crate) struct QueryShared<'h, V: Visitor> {
     submitted: Instant,
 }
 
-impl<'h, V: Visitor> QueryShared<'h, V> {
-    fn new(qid: u32, handler: Arc<DynHandler<'h, V>>, seeded: u64) -> Self {
+impl<H> QueryShared<H> {
+    fn new(qid: u32, handler: Arc<H>, seeded: u64) -> Self {
         QueryShared {
             qid,
             handler,
@@ -222,8 +221,8 @@ impl<'h, V: Visitor> QueryShared<'h, V> {
 
 /// A query admitted past `max_concurrent` waiting in the bounded queue,
 /// seeds pre-routed so activation is cheap.
-struct PendingSubmit<'h, V: Visitor> {
-    query: Arc<QueryShared<'h, V>>,
+struct PendingSubmit<V: Visitor, H> {
+    query: Arc<QueryShared<H>>,
     /// Seed visitors grouped by destination queue.
     groups: Vec<Vec<Tagged<V>>>,
     seeded: u64,
@@ -231,7 +230,7 @@ struct PendingSubmit<'h, V: Visitor> {
 
 /// Admission state, guarded by one mutex: how many queries run, how many
 /// wait, and whether the engine is draining.
-struct Admission<'h, V: Visitor> {
+struct Admission<V: Visitor, H> {
     /// Queries currently executing (≤ `max_concurrent`).
     active: usize,
     /// Active plus queued queries — what the graceful drain waits on.
@@ -239,19 +238,19 @@ struct Admission<'h, V: Visitor> {
     /// Set once [`scoped`]'s closure returns: no new submits, existing
     /// queries run to completion.
     draining: bool,
-    queue: VecDeque<PendingSubmit<'h, V>>,
+    queue: VecDeque<PendingSubmit<V, H>>,
 }
 
 /// Everything the workers and the submitting side share.
-struct EngineShared<'h, V: Visitor> {
+pub(crate) struct EngineShared<V: Visitor, H> {
     /// One mailbox per worker, shared by every query (visitors are
     /// [`Tagged`] so ownership of the *stream* stays per-worker while
     /// accounting stays per-query).
     inboxes: Vec<Mailbox<Tagged<V>>>,
     /// Live queries by id. Read per qid-switch on the worker hot path
     /// (amortized by the worker's one-entry query cache).
-    queries: RwLock<HashMap<u32, Arc<QueryShared<'h, V>>>>,
-    admission: Mutex<Admission<'h, V>>,
+    queries: RwLock<HashMap<u32, Arc<QueryShared<H>>>>,
+    admission: Mutex<Admission<V, H>>,
     /// Signalled when admission capacity frees up (submitters wait here).
     submit_cv: Condvar,
     /// Signalled when `total_unfinished` hits zero during a drain.
@@ -269,7 +268,7 @@ struct EngineShared<'h, V: Visitor> {
     finalized: AtomicU64,
 }
 
-impl<'h, V: Visitor> EngineShared<'h, V> {
+impl<V: Visitor, H> EngineShared<V, H> {
     fn new(num_threads: usize) -> Self {
         EngineShared {
             inboxes: (0..num_threads).map(|_| Mailbox::new()).collect(),
@@ -296,7 +295,7 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
     /// worker ever will).
     fn activate(
         &self,
-        query: &Arc<QueryShared<'h, V>>,
+        query: &Arc<QueryShared<H>>,
         mut groups: Vec<Vec<Tagged<V>>>,
         seeded: u64,
     ) -> bool {
@@ -322,11 +321,7 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
     /// outcome, free its admission slot, wake its ticket, and pop the next
     /// queued submit (if any) into the freed slot. Exactly one caller wins
     /// the election; losers return `None`.
-    fn retire<R: Recorder>(
-        &self,
-        q: &QueryShared<'h, V>,
-        recorder: &R,
-    ) -> Option<PendingSubmit<'h, V>> {
+    fn retire<R: Recorder>(&self, q: &QueryShared<H>, recorder: &R) -> Option<PendingSubmit<V, H>> {
         if q.finished.swap(true, Ordering::AcqRel) {
             return None;
         }
@@ -368,7 +363,7 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
     /// successor with no seeds finalizes immediately and frees its slot in
     /// turn — handled iteratively so a burst of empty queries cannot
     /// recurse unboundedly.
-    fn finalize<R: Recorder>(&self, q: &QueryShared<'h, V>, recorder: &R) {
+    fn finalize<R: Recorder>(&self, q: &QueryShared<H>, recorder: &R) {
         let mut next = self.retire(q, recorder);
         while let Some(p) = next {
             let PendingSubmit {
@@ -388,11 +383,11 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
 /// The `Multi` routing policy: visitors carry their query id, a qid
 /// resolves through the query table, and workers park between queries
 /// until engine teardown.
-impl<'h, V: Visitor> Route<V> for EngineShared<'h, V> {
+impl<V: Visitor, H: FallibleVisitHandler<V> + Send + Sync> Route<V> for EngineShared<V, H> {
     type Item = Tagged<V>;
     type Tag = u32;
-    type Query = Arc<QueryShared<'h, V>>;
-    type Handler = DynHandler<'h, V>;
+    type Query = Arc<QueryShared<H>>;
+    type Handler = H;
     const PARK: Duration = ENGINE_PARK;
 
     fn inboxes(&self) -> &[Mailbox<Tagged<V>>] {
@@ -409,26 +404,26 @@ impl<'h, V: Visitor> Route<V> for EngineShared<'h, V> {
         Sink::Multi(lanes, qid)
     }
 
-    fn lookup(&self, qid: u32) -> Option<Arc<QueryShared<'h, V>>> {
+    fn lookup(&self, qid: u32) -> Option<Arc<QueryShared<H>>> {
         self.queries.read().get(&qid).cloned()
     }
 
     #[inline]
-    fn tag_of(q: &Arc<QueryShared<'h, V>>) -> u32 {
+    fn tag_of(q: &Arc<QueryShared<H>>) -> u32 {
         q.qid
     }
 
     #[inline]
-    fn tally<'a>(&'a self, q: &'a Arc<QueryShared<'h, V>>) -> &'a Tally {
+    fn tally<'a>(&'a self, q: &'a Arc<QueryShared<H>>) -> &'a Tally {
         &q.tally
     }
 
     #[inline]
-    fn handler<'a>(&'a self, q: &'a Arc<QueryShared<'h, V>>) -> &'a DynHandler<'h, V> {
-        &*q.handler
+    fn handler<'a>(&'a self, q: &'a Arc<QueryShared<H>>) -> &'a H {
+        &q.handler
     }
 
-    fn finish<R: Recorder>(&self, q: &Arc<QueryShared<'h, V>>, recorder: &R) {
+    fn finish<R: Recorder>(&self, q: &Arc<QueryShared<H>>, recorder: &R) {
         self.finalize(q, recorder);
     }
 
@@ -507,15 +502,10 @@ impl std::error::Error for SubmitError {}
 #[derive(Debug)]
 pub enum QueryError {
     /// The query's handler returned `Err`: the first reason plus the
-    /// partial stats accumulated before its visitors drained out. Sibling
+    /// partial stats accumulated before its visitors drained out
+    /// (`visitors_dropped` counts what drained unexecuted). Sibling
     /// queries are unaffected.
-    Aborted {
-        /// First `Err` the query's handler surfaced.
-        reason: AbortReason,
-        /// Partial statistics (counts cover work before the abort;
-        /// `visitors_dropped` counts what drained unexecuted after it).
-        stats: QueryStats,
-    },
+    Aborted(AbortedRun),
     /// A worker panicked, taking the whole engine down; this query cannot
     /// report a result. [`scoped`] re-raises the panic after teardown.
     EnginePoisoned,
@@ -524,11 +514,7 @@ pub enum QueryError {
 impl std::fmt::Display for QueryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QueryError::Aborted { reason, stats } => write!(
-                f,
-                "query aborted after {} visitors: {}",
-                stats.visitors_executed, reason
-            ),
+            QueryError::Aborted(a) => std::fmt::Display::fmt(a, f),
             QueryError::EnginePoisoned => write!(f, "engine poisoned by a panicked worker"),
         }
     }
@@ -537,28 +523,10 @@ impl std::fmt::Display for QueryError {
 impl std::error::Error for QueryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            QueryError::Aborted { reason, .. } => Some(reason.as_ref()),
+            QueryError::Aborted(a) => std::error::Error::source(a),
             QueryError::EnginePoisoned => None,
         }
     }
-}
-
-/// Statistics for one completed (or aborted) query.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Visitors of this query executed.
-    pub visitors_executed: u64,
-    /// Visitors of this query pushed (seeds included). Equals
-    /// `visitors_executed + visitors_dropped` at finalization.
-    pub visitors_pushed: u64,
-    /// Pushes that stayed on the pushing worker's own queue.
-    pub local_pushes: u64,
-    /// Visitors dropped unexecuted after this query aborted (always 0 for
-    /// a normally terminated query).
-    pub visitors_dropped: u64,
-    /// Submit-to-finalize latency — queueing delay under admission control
-    /// included, which is what a caller experiences.
-    pub elapsed: Duration,
 }
 
 /// Aggregate statistics for one engine lifetime (returned by [`scoped`]).
@@ -577,14 +545,14 @@ pub struct EngineStats {
 }
 
 /// Handle to a live engine inside a [`scoped`] call: submit queries, get
-/// [`QueryTicket`]s back.
-pub struct Engine<'s, 'h, V: Visitor, R: Recorder> {
-    shared: &'s EngineShared<'h, V>,
+/// [`QueryTicket`]s back. Every query runs the same handler type `H`.
+pub struct Engine<'s, V: Visitor, H, R: Recorder> {
+    shared: &'s EngineShared<V, H>,
     recorder: &'s R,
     cfg: &'s EngineConfig,
 }
 
-impl<'s, 'h, V: Visitor, R: Recorder> Engine<'s, 'h, V, R> {
+impl<'s, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync, R: Recorder> Engine<'s, V, H, R> {
     /// Number of worker threads (== number of visitor queues).
     pub fn num_workers(&self) -> usize {
         self.shared.inboxes.len()
@@ -611,11 +579,7 @@ impl<'s, 'h, V: Visitor, R: Recorder> Engine<'s, 'h, V, R> {
     /// the bounded submit queue; if that is full too, the call blocks up to
     /// [`submit_timeout`](EngineConfig::submit_timeout) before returning
     /// [`SubmitError::Rejected`].
-    pub fn submit<I>(
-        &self,
-        handler: Arc<DynHandler<'h, V>>,
-        seeds: I,
-    ) -> Result<QueryTicket<'h, V>, SubmitError>
+    pub fn submit<I>(&self, handler: Arc<H>, seeds: I) -> Result<QueryTicket<H>, SubmitError>
     where
         I: IntoIterator<Item = V>,
     {
@@ -685,21 +649,29 @@ impl<'s, 'h, V: Visitor, R: Recorder> Engine<'s, 'h, V, R> {
             // the single-run engine's accounting.
             self.recorder.counter(Counter::VisitorsPushed, seeded);
         }
-        Ok(QueryTicket { query })
+        Ok(QueryTicket {
+            query,
+            num_threads: num_queues,
+        })
     }
 }
 
 /// A submitted query's completion handle. Dropping it without waiting is
 /// fine — the query still runs to completion (or abort) and [`scoped`]'s
 /// drain covers it.
-pub struct QueryTicket<'h, V: Visitor> {
-    query: Arc<QueryShared<'h, V>>,
+pub struct QueryTicket<H> {
+    query: Arc<QueryShared<H>>,
+    num_threads: usize,
 }
 
-impl<'h, V: Visitor> QueryTicket<'h, V> {
+impl<H> QueryTicket<H> {
     /// Block until the query finalizes; returns its stats, its abort, or
-    /// the engine's poison verdict.
-    pub fn wait(self) -> Result<QueryStats, QueryError> {
+    /// the engine's poison verdict. `elapsed` is the submit-to-finalize
+    /// latency, queueing delay under admission control included — what a
+    /// caller experiences. `parks` and `inbox_batches` are engine-wide
+    /// quantities with no per-query attribution, so they read 0; the
+    /// engine-lifetime totals are in [`EngineStats`].
+    pub fn wait(self) -> Result<RunStats, QueryError> {
         let q = &self.query;
         let mut done = q.done.lock();
         while !done.complete && !done.poisoned {
@@ -711,15 +683,12 @@ impl<'h, V: Visitor> QueryTicket<'h, V> {
             return Err(QueryError::EnginePoisoned);
         }
         let t = &q.tally;
-        let stats = QueryStats {
-            visitors_executed: t.executed.load(Ordering::Acquire),
-            visitors_pushed: t.pushed.load(Ordering::Acquire),
-            local_pushes: t.local_pushes.load(Ordering::Acquire),
-            visitors_dropped: t.dropped.load(Ordering::Acquire),
+        let stats = RunStats {
             elapsed: Duration::from_nanos(q.latency_ns.load(Ordering::Acquire)),
+            ..t.stats(self.num_threads)
         };
         match t.take_abort() {
-            Some(reason) => Err(QueryError::Aborted { reason, stats }),
+            Some(reason) => Err(QueryError::Aborted(AbortedRun { reason, stats })),
             None => Ok(stats),
         }
     }
@@ -741,18 +710,19 @@ impl<'h, V: Visitor> QueryTicket<'h, V> {
 /// Re-raises any worker (handler) panic after all workers have exited. If
 /// `f` itself panics, the engine is poisoned so workers exit before the
 /// panic propagates.
-pub fn scoped<'env, V, R, T>(
+pub fn scoped<V, H, R, T>(
     cfg: &EngineConfig,
     recorder: &R,
-    f: impl FnOnce(&Engine<'_, 'env, V, R>) -> T,
+    f: impl FnOnce(&Engine<'_, V, H, R>) -> T,
 ) -> (T, EngineStats)
 where
-    V: Visitor + 'env,
+    V: Visitor,
+    H: FallibleVisitHandler<V> + Send + Sync,
     R: Recorder,
 {
     let num_threads = cfg.vq.num_threads.max(1);
     let start = Instant::now();
-    let shared: EngineShared<'env, V> = EngineShared::new(num_threads);
+    let shared: EngineShared<V, H> = EngineShared::new(num_threads);
     let (out, totals) = serve(&shared, &cfg.vq, recorder, || {
         // If `f` panics, poison so workers exit and the scope's implicit
         // join completes instead of deadlocking under the unwind.
@@ -792,9 +762,11 @@ where
 const ENGINE_PARK: Duration = Duration::from_millis(250);
 
 /// Poison the engine if the driver closure unwinds (see [`scoped`]).
-struct DriverGuard<'a, 'h, V: Visitor>(&'a EngineShared<'h, V>);
+struct DriverGuard<'a, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync>(
+    &'a EngineShared<V, H>,
+);
 
-impl<'a, 'h, V: Visitor> Drop for DriverGuard<'a, 'h, V> {
+impl<V: Visitor, H: FallibleVisitHandler<V> + Send + Sync> Drop for DriverGuard<'_, V, H> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.poison();
@@ -805,7 +777,7 @@ impl<'a, 'h, V: Visitor> Drop for DriverGuard<'a, 'h, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PushCtx;
+    use crate::{AbortReason, PushCtx};
     use asyncgt_obs::NoopRecorder;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AO};
 
@@ -871,11 +843,7 @@ mod tests {
         let (results, stats) = scoped(&cfg, &NoopRecorder, |engine| {
             let tickets: Vec<_> = handlers
                 .iter()
-                .map(|h| {
-                    engine
-                        .submit(Arc::clone(h) as Arc<DynHandler<'_, Chain>>, [Chain(0)])
-                        .unwrap()
-                })
+                .map(|h| engine.submit(Arc::clone(h), [Chain(0)]).unwrap())
                 .collect();
             tickets
                 .into_iter()
@@ -913,20 +881,16 @@ mod tests {
         let (results, stats) = scoped(&cfg, &rec, |engine| {
             let tickets: Vec<_> = handlers
                 .iter()
-                .map(|h| {
-                    engine
-                        .submit(Arc::clone(h) as Arc<DynHandler<'_, Chain>>, [Chain(0)])
-                        .unwrap()
-                })
+                .map(|h| engine.submit(Arc::clone(h), [Chain(0)]).unwrap())
                 .collect();
-            let results: Vec<QueryStats> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+            let results: Vec<RunStats> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
             // A finalized query's counts are visible to a live snapshot.
             let executed: u64 = results.iter().map(|q| q.visitors_executed).sum();
             assert_eq!(rec.snapshot().counter("visitors_executed"), executed);
             results
         });
         let snap = rec.snapshot();
-        let sum = |f: fn(&QueryStats) -> u64| results.iter().map(f).sum::<u64>();
+        let sum = |f: fn(&RunStats) -> u64| results.iter().map(f).sum::<u64>();
         assert_eq!(
             snap.counter("visitors_executed"),
             sum(|q| q.visitors_executed)
@@ -946,8 +910,11 @@ mod tests {
     #[test]
     fn aborted_query_leaves_siblings_untouched() {
         let cfg = EngineConfig::with_vq(VqConfig::with_threads(4));
-        let good = Arc::new(ChainHandler {
+        // Every query of one engine runs the same handler type; the healthy
+        // sibling is a `FailingChain` that never reaches its failure point.
+        let good = Arc::new(FailingChain {
             end: 20_000,
+            fail_at: u64::MAX,
             visits: AtomicU64::new(0),
         });
         let bad = Arc::new(FailingChain {
@@ -956,18 +923,14 @@ mod tests {
             visits: AtomicU64::new(0),
         });
         let ((good_res, bad_res), _stats) = scoped(&cfg, &NoopRecorder, |engine| {
-            let tg = engine
-                .submit(good.clone() as Arc<DynHandler<'_, Chain>>, [Chain(0)])
-                .unwrap();
-            let tb = engine
-                .submit(bad.clone() as Arc<DynHandler<'_, Chain>>, [Chain(0)])
-                .unwrap();
+            let tg = engine.submit(good.clone(), [Chain(0)]).unwrap();
+            let tb = engine.submit(bad.clone(), [Chain(0)]).unwrap();
             (tg.wait(), tb.wait())
         });
         // The failing query aborted with its reason and exact progress:
         // the chain is sequential, so visits 0..=100 ran.
         match bad_res {
-            Err(QueryError::Aborted { reason, stats }) => {
+            Err(QueryError::Aborted(AbortedRun { reason, stats })) => {
                 assert!(reason.to_string().contains("vertex 100"), "{reason}");
                 assert_eq!(stats.visitors_executed, 101);
                 assert!(stats.visitors_pushed >= stats.visitors_executed);
@@ -1013,27 +976,19 @@ mod tests {
             visits: AtomicU64::new(0),
         });
         let (outcome, stats) = scoped(&cfg, &NoopRecorder, |engine| {
-            let t1 = engine
-                .submit(h.clone() as Arc<DynHandler<'_, Chain>>, [Chain(1)])
-                .unwrap();
+            let t1 = engine.submit(h.clone(), [Chain(1)]).unwrap();
             // Wait until the gated visitor is actually executing so the
             // active slot is provably occupied.
             while engine.active_queries() == 0 {
                 std::thread::yield_now();
             }
-            let t2 = engine
-                .submit(h.clone() as Arc<DynHandler<'_, Chain>>, [Chain(2)])
-                .unwrap();
-            let rejected = engine
-                .submit(h.clone() as Arc<DynHandler<'_, Chain>>, [Chain(3)])
-                .err();
+            let t2 = engine.submit(h.clone(), [Chain(2)]).unwrap();
+            let rejected = engine.submit(h.clone(), [Chain(3)]).err();
             gate.store(true, AO::Release);
             let s1 = t1.wait().unwrap();
             let s2 = t2.wait().unwrap();
             // Capacity freed: submits work again.
-            let t4 = engine
-                .submit(h.clone() as Arc<DynHandler<'_, Chain>>, [Chain(4)])
-                .unwrap();
+            let t4 = engine.submit(h.clone(), [Chain(4)]).unwrap();
             (rejected, s1, s2, t4.wait().unwrap())
         });
         let (rejected, s1, s2, s4) = outcome;
@@ -1055,9 +1010,7 @@ mod tests {
         let (_, stats) = scoped(&cfg, &NoopRecorder, |engine| {
             // Submit and immediately drop the ticket: the drain must still
             // run the query to completion before workers shut down.
-            let _ = engine
-                .submit(h.clone() as Arc<DynHandler<'_, Chain>>, [Chain(0)])
-                .unwrap();
+            let _ = engine.submit(h.clone(), [Chain(0)]).unwrap();
         });
         assert_eq!(h.visits.load(AO::Relaxed), 5_000);
         assert_eq!(stats.queries, 1);
@@ -1072,7 +1025,7 @@ mod tests {
         });
         let (qs, stats) = scoped(&cfg, &NoopRecorder, |engine| {
             engine
-                .submit(h.clone() as Arc<DynHandler<'_, Chain>>, std::iter::empty())
+                .submit(h.clone(), std::iter::empty())
                 .unwrap()
                 .wait()
                 .unwrap()
@@ -1093,14 +1046,16 @@ mod tests {
         }
         let cfg = EngineConfig::with_vq(VqConfig::with_threads(2));
         let result = std::panic::catch_unwind(|| {
-            scoped(&cfg, &NoopRecorder, |engine: &Engine<'_, '_, Chain, _>| {
-                let t = engine
-                    .submit(Arc::new(Bomb) as Arc<DynHandler<'_, Chain>>, [Chain(0)])
-                    .unwrap();
-                // The ticket resolves as poisoned (not a hang) even though
-                // the panic is re-raised at scope exit.
-                matches!(t.wait(), Err(QueryError::EnginePoisoned))
-            })
+            scoped(
+                &cfg,
+                &NoopRecorder,
+                |engine: &Engine<'_, Chain, Bomb, _>| {
+                    let t = engine.submit(Arc::new(Bomb), [Chain(0)]).unwrap();
+                    // The ticket resolves as poisoned (not a hang) even though
+                    // the panic is re-raised at scope exit.
+                    matches!(t.wait(), Err(QueryError::EnginePoisoned))
+                },
+            )
         });
         assert!(result.is_err(), "handler panic must propagate");
     }
@@ -1147,7 +1102,7 @@ mod tests {
                 .map(|q| {
                     engine
                         .submit(
-                            hops.clone() as Arc<DynHandler<'_, HopV>>,
+                            hops.clone(),
                             [HopV {
                                 vertex: q * 1_000,
                                 left: 99,
@@ -1184,7 +1139,7 @@ mod tests {
             let mut closed = Instant::now();
             scoped(&cfg, &NoopRecorder, |engine| {
                 engine
-                    .submit(h.clone() as Arc<DynHandler<'_, Chain>>, [Chain(0)])
+                    .submit(h.clone(), [Chain(0)])
                     .unwrap()
                     .wait()
                     .unwrap();
@@ -1212,7 +1167,7 @@ mod tests {
             &NoopRecorder,
             |engine| {
                 engine
-                    .submit(h.clone() as Arc<DynHandler<'_, Chain>>, [Chain(0)])
+                    .submit(h.clone(), [Chain(0)])
                     .unwrap()
                     .wait()
                     .unwrap()

@@ -64,9 +64,8 @@
 //! graph — the serving workload — use the persistent [`engine`]: workers
 //! are spawned once, park when idle, and multiplex concurrent queries with
 //! per-query termination and isolation (see [`engine::scoped`]). Both run
-//! the same worker loop; a one-shot run queues the bare visitor and calls
-//! its handler without dynamic dispatch, so it pays nothing for the
-//! engine's multiplexing.
+//! the same worker loop and call a monomorphized handler; a one-shot run
+//! queues the bare visitor, an engine query tags it with a 4-byte query id.
 
 #![warn(missing_docs)]
 
@@ -81,10 +80,7 @@ pub mod visitor;
 mod worker;
 
 pub use config::VqConfig;
-pub use engine::{
-    scoped, DynHandler, Engine, EngineConfig, EngineStats, QueryError, QueryStats, QueryTicket,
-    SubmitError,
-};
+pub use engine::{scoped, Engine, EngineConfig, EngineStats, QueryError, QueryTicket, SubmitError};
 pub use queue::{AbortedRun, RunStats, VisitorQueue};
 pub use state::{AtomicStateArray, OwnedStateLease, StateLease, StatePool};
 pub use visitor::{AbortReason, FallibleVisitHandler, VisitHandler, Visitor};

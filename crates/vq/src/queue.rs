@@ -29,9 +29,9 @@
 //! The worker loop itself is `crate::worker::engine_worker`, the one loop
 //! the persistent [`Engine`](crate::engine::Engine) runs too. What this
 //! module adds is its **`Single`** routing policy: the queues carry the
-//! bare visitor `V` (no query tag), the handler is called as a
-//! monomorphized `&H` (no `dyn`), and there is no query table, admission
-//! or ticket — one `Tally` holds the pending counter, and workers exit
+//! bare visitor `V` (no query tag), the handler is borrowed as a
+//! monomorphized `&H`, and there is no query table, admission or
+//! ticket — one `Tally` holds the pending counter, and workers exit
 //! once it reaches zero or a handler panics.
 
 use crate::config::VqConfig;
@@ -56,6 +56,9 @@ pub struct RunStats {
     pub visitors_pushed: u64,
     /// Pushes that stayed on the pushing worker's own queue (no lock).
     pub local_pushes: u64,
+    /// Visitors dropped unexecuted after a handler aborted the run (always
+    /// 0 for a run that terminated normally).
+    pub visitors_dropped: u64,
     /// Times a worker parked on its inbox condvar (idle periods).
     pub parks: u64,
     /// Non-empty inbox drains (each is one batch of delivered mail).
@@ -214,17 +217,13 @@ impl VisitorQueue {
 
         let start = Instant::now();
         let ((), totals) = serve(&run, cfg, recorder, || ());
-        let t = &run.tally;
         let stats = RunStats {
-            visitors_executed: t.executed.load(Ordering::Acquire),
-            visitors_pushed: t.pushed.load(Ordering::Acquire),
-            local_pushes: t.local_pushes.load(Ordering::Acquire),
             parks: totals.parks,
             inbox_batches: totals.inbox_batches,
             elapsed: start.elapsed(),
-            num_threads,
+            ..run.tally.stats(num_threads)
         };
-        match t.take_abort() {
+        match run.tally.take_abort() {
             Some(reason) => Err(AbortedRun { reason, stats }),
             None => Ok(stats),
         }
@@ -238,7 +237,7 @@ const ONE_SHOT_PARK: Duration = Duration::from_millis(1);
 /// The `Single` routing policy (see the module docs): one traversal, bare
 /// visitors, a monomorphized handler. `H` needs only `Sync` — it is
 /// borrowed for the run, never sent.
-struct Single<'h, V: Visitor, H: ?Sized> {
+struct Single<'h, V: Visitor, H> {
     inboxes: Vec<Mailbox<V>>,
     tally: Tally,
     handler: &'h H,
@@ -246,7 +245,7 @@ struct Single<'h, V: Visitor, H: ?Sized> {
     poisoned: AtomicBool,
 }
 
-impl<V: Visitor, H: FallibleVisitHandler<V> + ?Sized> Route<V> for Single<'_, V, H> {
+impl<V: Visitor, H: FallibleVisitHandler<V>> Route<V> for Single<'_, V, H> {
     type Item = V;
     type Tag = ();
     type Query = ();
@@ -608,6 +607,11 @@ mod tests {
                 err.stats.visitors_pushed,
                 err.stats.visitors_executed
             );
+            // Whatever was pushed and not executed drained as a drop.
+            assert_eq!(
+                err.stats.visitors_pushed,
+                err.stats.visitors_executed + err.stats.visitors_dropped
+            );
             assert!(err.to_string().contains("aborted after 501 visitors"));
         }
     }
@@ -758,21 +762,28 @@ mod tests {
         std::mem::size_of::<P::Item>()
     }
 
+    /// The layout of core's SSSP/BFS visitor: (dist, vertex, parent).
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    struct Path {
+        dist: u64,
+        vertex: u32,
+        parent: u32,
+    }
+    impl Visitor for Path {
+        fn target(&self) -> u64 {
+            self.vertex as u64
+        }
+    }
+
+    /// A handler for any visitor type, for layout checks that never run.
+    struct Idle;
+    impl<V: Visitor> VisitHandler<V> for Idle {
+        fn visit(&self, _: V, _: &mut PushCtx<'_, V>) {}
+    }
+
     #[test]
     fn one_shot_queues_store_bare_visitors() {
-        // The layout of core's SSSP/BFS visitor: (dist, vertex, parent).
-        #[derive(PartialEq, Eq, PartialOrd, Ord)]
-        struct Path {
-            dist: u64,
-            vertex: u32,
-            parent: u32,
-        }
-        impl Visitor for Path {
-            fn target(&self) -> u64 {
-                self.vertex as u64
-            }
-        }
-        type OneShot<V> = Single<'static, V, dyn FallibleVisitHandler<V>>;
+        type OneShot<V> = Single<'static, V, Idle>;
         // A query tag would widen every queued and mailed item (to 24
         // bytes here); one-shot runs must carry the bare visitor.
         assert_eq!(queued_item_size::<Path, OneShot<Path>>(), 16);
@@ -780,6 +791,15 @@ mod tests {
             queued_item_size::<Chain, OneShot<Chain>>(),
             std::mem::size_of::<Chain>()
         );
+    }
+
+    #[test]
+    fn engine_queues_tag_path_visitors_in_24_bytes() {
+        // The engine's item is the bare visitor plus a 4-byte query id:
+        // 16 + 4 bytes, padded to 24 by the visitor's 8-byte alignment. No
+        // variant tag and no handler pointer ride along.
+        type Multi = crate::engine::EngineShared<Path, Idle>;
+        assert_eq!(queued_item_size::<Path, Multi>(), 24);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   counter plus a poison flag, and the workers exit once the counter
 //!   reaches zero.
 //! * **Multi** (`crate::engine`): many concurrent queries. Queues carry
-//!   `Tagged { v, qid }`, the handler is a `dyn` call on the query's
-//!   `Arc`, and a one-entry query cache (`switch_query`) resolves the qid;
+//!   `Tagged { v, qid }`, the handler is the query's monomorphized `H`
+//!   behind its `Arc` (every query of one engine runs the same handler
+//!   type), and a one-entry query cache (`switch_query`) resolves the qid;
 //!   workers park between queries and exit only at engine teardown.
 //!
 //! Both run the same termination protocol per query: pushes to the
@@ -36,7 +37,7 @@ use crate::bucket::BucketQueue;
 use crate::config::VqConfig;
 use crate::engine::Tagged;
 use crate::mailbox::{IdleOutcome, Mailbox};
-use crate::queue::route_of;
+use crate::queue::{route_of, RunStats};
 use crate::visitor::{AbortReason, FallibleVisitHandler, Visitor};
 use asyncgt_obs::{Counter, HistKind, Recorder};
 use parking_lot::Mutex;
@@ -54,7 +55,7 @@ pub(crate) trait Route<V: Visitor>: Sync {
     /// A worker's handle on the query it is executing.
     type Query;
     /// The handler a query runs.
-    type Handler: FallibleVisitHandler<V> + ?Sized;
+    type Handler: FallibleVisitHandler<V>;
     /// Upper bound on one idle park. Every wake is delivered under the
     /// mail lock, so the park is a backstop, never a correctness
     /// requirement (see the mailbox module docs).
@@ -139,6 +140,19 @@ impl Tally {
         }
         drop(slot);
         self.aborted.store(true, Ordering::Release);
+    }
+
+    /// The query's counts so far as run statistics; the caller fills in
+    /// its own `elapsed`, `parks` and `inbox_batches`.
+    pub(crate) fn stats(&self, num_threads: usize) -> RunStats {
+        RunStats {
+            visitors_executed: self.executed.load(Ordering::Acquire),
+            visitors_pushed: self.pushed.load(Ordering::Acquire),
+            local_pushes: self.local_pushes.load(Ordering::Acquire),
+            visitors_dropped: self.dropped.load(Ordering::Acquire),
+            num_threads,
+            ..RunStats::default()
+        }
     }
 
     /// The first abort reason, if the query aborted (taken once).
