@@ -7,22 +7,19 @@
 //!   break correctness).
 //! * `oversub` — §IV-A thread oversubscription: sweep thread counts far
 //!   past the core count on a fixed RMAT graph.
-//! * `prune`   — push-time pruning (our refinement of Algorithm 2): work
-//!   pushed/executed with and without pruning.
 //! * `semisort` — the SEM secondary sort key (§IV-C): block-cache hit rate
 //!   with a large vs tiny cache, quantifying how much the semi-sorted
 //!   visit order is worth to the storage layer.
 //!
 //! Run: `cargo run -p asyncgt-bench --release --bin ablation -- [cmd]`
 
-use asyncgt::{try_bfs, try_connected_components, try_sssp, Config};
+use asyncgt::{try_bfs, Config};
 use asyncgt_baselines::serial;
 use asyncgt_bench::table::{ratio, secs, Table};
-use asyncgt_bench::workloads::{as_sem, rmat_directed, rmat_undirected, rmat_weighted};
+use asyncgt_bench::workloads::{as_sem, rmat_directed};
 use asyncgt_bench::{banner, time};
 use asyncgt_graph::generators::path_graph;
 use asyncgt_graph::generators::RmatParams;
-use asyncgt_graph::weights::WeightKind;
 use asyncgt_storage::reader::SemConfig;
 
 fn chain() {
@@ -90,62 +87,6 @@ fn oversub() {
     println!("paper: on 16 cores every workload was fastest at 512 threads. On this");
     println!("host extra threads mainly demonstrate that oversubscription is *safe*;");
     println!("the win appears with real cores or latency-bound (SEM) workloads.\n");
-}
-
-fn prune() {
-    banner("Ablation: push-time pruning (visit-time check only vs push+visit check)");
-    let scale = 15;
-    let mut t = Table::new(vec![
-        "workload",
-        "pushed (paper)",
-        "pushed (pruned)",
-        "saved",
-        "time paper(s)",
-        "time pruned(s)",
-    ]);
-    for (label, run) in [
-        (
-            "SSSP/UW",
-            Box::new(|cfg: &Config| {
-                let g = rmat_weighted(RmatParams::RMAT_A, scale, WeightKind::Uniform);
-                let out = try_sssp(&g, 0, cfg).unwrap();
-                (out.stats.visitors_pushed, out.stats.elapsed)
-            }) as Box<dyn Fn(&Config) -> (u64, std::time::Duration)>,
-        ),
-        (
-            "BFS",
-            Box::new(|cfg: &Config| {
-                let g = rmat_directed(RmatParams::RMAT_A, scale);
-                let out = try_bfs(&g, 0, cfg).unwrap();
-                (out.stats.visitors_pushed, out.stats.elapsed)
-            }),
-        ),
-        (
-            "CC",
-            Box::new(|cfg: &Config| {
-                let g = rmat_undirected(RmatParams::RMAT_B, scale);
-                let out = try_connected_components(&g, cfg).unwrap();
-                (out.stats.visitors_pushed, out.stats.elapsed)
-            }),
-        ),
-    ] {
-        let (pushed_base, t_base) = run(&Config::with_threads(16));
-        let (pushed_pruned, t_pruned) = run(&Config::with_threads(16).with_pruning());
-        t.row(vec![
-            label.to_string(),
-            pushed_base.to_string(),
-            pushed_pruned.to_string(),
-            format!(
-                "{:.0}%",
-                100.0 * (pushed_base - pushed_pruned) as f64 / pushed_base as f64
-            ),
-            secs(t_base),
-            secs(t_pruned),
-        ]);
-    }
-    t.print();
-    println!("the paper's Algorithm 2 pushes unconditionally and re-checks at visit time;");
-    println!("pruning reads the target label at push time (safe: labels are monotone).\n");
 }
 
 fn semisort() {
@@ -286,9 +227,6 @@ fn main() {
     }
     if want("oversub") {
         oversub();
-    }
-    if want("prune") {
-        prune();
     }
     if want("semisort") {
         semisort();

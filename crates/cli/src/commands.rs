@@ -437,12 +437,6 @@ fn cmd_queries(args: &Args) -> Result<(), CliError> {
             })
             .collect::<Result<_, String>>()?,
     };
-    let n = sem.num_vertices();
-    for &s in &sources {
-        if s >= n {
-            return Err(format!("--sources vertex {s} out of range ({n} vertices)").into());
-        }
-    }
     let count = args.get_parsed("--count", 0usize)?;
 
     let failures = match &recorder {
@@ -479,7 +473,8 @@ fn cmd_queries(args: &Args) -> Result<(), CliError> {
 
 /// Submit the whole batch up front (the engine's admission control takes
 /// over), wait on every ticket in submit order, print one line per query.
-/// Returns how many queries failed (rejected or aborted).
+/// Returns how many queries failed (rejected, aborted, or given a source
+/// outside the graph).
 fn run_query_batch<R: asyncgt::obs::Recorder>(
     sem: &SemGraph,
     opts: &EngineOpts,
@@ -495,7 +490,7 @@ fn run_query_batch<R: asyncgt::obs::Recorder>(
             for (i, t) in tickets.into_iter().enumerate() {
                 match t
                     .map_err(CliError::from_submit)
-                    .and_then(|t| t.wait().map_err(|e| rt(format!("aborted: {e}"))))
+                    .and_then(|t| t.wait().map_err(|e| rt(e.to_string())))
                 {
                     Ok(out) => println!(
                         "q{i:<4} cc          : {:>8} components, {:>10} visitors, {:?}",
@@ -530,7 +525,7 @@ fn run_query_batch<R: asyncgt::obs::Recorder>(
             for (i, (s, t)) in tickets.into_iter().enumerate() {
                 match t
                     .map_err(CliError::from_submit)
-                    .and_then(|t| t.wait().map_err(|e| rt(format!("aborted: {e}"))))
+                    .and_then(|t| t.wait().map_err(|e| rt(e.to_string())))
                 {
                     Ok(out) => println!(
                         "q{i:<4} {algo:<4} from {s:>6}: {:>8} reached, {:>10} visitors, {:?}",
@@ -819,9 +814,11 @@ mod tests {
             run(&format!("queries {agt} --algo frontier")),
             Err(CliError::Usage(_))
         ));
+        // An out-of-range source fails its own query at run time, like
+        // a one-shot traversal's; the other queries still run.
         assert!(matches!(
             run(&format!("queries {agt} --sources 0,999999")),
-            Err(CliError::Usage(_))
+            Err(CliError::Runtime(_))
         ));
         assert!(matches!(
             run(&format!("queries {agt} --sources zero")),

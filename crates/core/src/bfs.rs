@@ -79,6 +79,19 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn one_thread_expands_each_reached_vertex_once() {
+        // One worker drains levels in order, so every vertex is claimed
+        // first at its final level: one visitor and one relaxation per
+        // reached vertex, none stale.
+        let g = RmatGenerator::new(RmatParams::RMAT_A, 12, 16, 3).directed();
+        let out = try_bfs(&g, 0, &Config::with_threads(1)).unwrap();
+        assert_eq!(out.dist, serial::bfs(&g, 0).dist);
+        assert!(out.reached_count() > 1000);
+        assert_eq!(out.stats.visitors_executed, out.stats.relaxations);
+        assert_eq!(out.stats.relaxations, out.reached_count());
+    }
+
+    #[test]
     fn matches_level_sync_on_grid() {
         let g = grid_graph(20, 20);
         let ours = try_bfs(&g, 0, &Config::with_threads(8)).unwrap();

@@ -83,20 +83,26 @@ impl Visitor for CcVisitor {
 }
 
 /// State of one CC run: the component-id array, borrowed by a one-shot
-/// run and leased from the pool by an engine query, as for `SsspHandler`.
+/// run and leased from the pool by an engine query, as for `SsspHandler`,
+/// and claimed by pushers the same way (DESIGN.md §10).
 pub(crate) struct CcHandler<'g, G, A> {
     g: &'g G,
     pub(crate) ccid: A,
-    prune: bool,
     relaxations: RelaxCounter,
 }
 
 impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
-    pub(crate) fn new(g: &'g G, ccid: A, prune: bool) -> Self {
+    /// A handler over `ccid`, which it sets to the identity
+    /// (`ccid[v] = v`): every vertex starts labeled by the id its seed
+    /// carries, so a seed expands only if no neighbor claimed a lower id
+    /// first.
+    pub(crate) fn new(g: &'g G, ccid: A) -> Self {
+        for v in 0..ccid.len() as u64 {
+            ccid.set(v, v);
+        }
         CcHandler {
             g,
             ccid,
-            prune,
             relaxations: RelaxCounter::default(),
         }
     }
@@ -106,41 +112,44 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
         self.relaxations.get()
     }
 
-    /// The CC relax step (paper Algorithm 4): relax the component id if
-    /// the candidate is smaller, then flood it to every neighbor through
-    /// `push`. A storage failure surfacing from the fallible adjacency
-    /// read aborts the run cleanly.
+    /// The CC relax step (paper Algorithm 4), with the SSSP relax's claim
+    /// rule: expand the candidate only if it is still the vertex's label,
+    /// then claim each neighbor's id with a strict `fetch_min` and flood a
+    /// visitor through `push` for every claim that lowered it. A storage
+    /// failure surfacing from the fallible adjacency read aborts the run
+    /// cleanly.
     pub(crate) fn relax(
         &self,
         v: CcVisitor,
         mut push: impl FnMut(CcVisitor),
     ) -> Result<(), AbortReason> {
         let vertex = v.vertex as u64;
-        if (v.ccid as u64) < self.ccid.get(vertex) {
-            self.ccid.set(vertex, v.ccid as u64);
-            self.relaxations.bump();
-            // Hoisted out of the edge loop, as in the SSSP relax.
-            let (ccid, prune) = (&*self.ccid, self.prune);
-            self.g.try_for_each_neighbor(vertex, |t, _| {
-                if prune && v.ccid as u64 >= ccid.get(t) {
-                    return;
-                }
+        let label = self.ccid.get(vertex);
+        // Ordered after `v`'s claim, as in the SSSP relax.
+        debug_assert!(label <= v.ccid as u64, "visitor outran its claim");
+        if v.ccid as u64 != label {
+            return Ok(());
+        }
+        self.relaxations.bump();
+        // Hoisted out of the edge loop, as in the SSSP relax.
+        let ccid = &*self.ccid;
+        self.g.try_for_each_neighbor(vertex, |t, _| {
+            if ccid.fetch_min(t, v.ccid as u64) {
                 push(CcVisitor {
                     ccid: v.ccid,
                     vertex: t as u32,
                 });
-            })?;
-        }
+            }
+        })?;
         Ok(())
     }
 
     /// The batch I/O hint, as for SSSP: announce the adjacency lists this
-    /// round will flood, skipping visitors whose candidate id no longer
-    /// improves the label (their visit reads nothing). Stale label reads
-    /// can only over-include — labels are monotone decreasing.
+    /// round will flood, skipping visitors that no longer carry their
+    /// vertex's label (their visit reads nothing).
     pub(crate) fn prefetch(&self, batch: impl Iterator<Item = CcVisitor>) {
         let targets: Vec<u64> = batch
-            .filter(|v| (v.ccid as u64) < self.ccid.get(v.vertex as u64))
+            .filter(|v| v.ccid as u64 == self.ccid.get(v.vertex as u64))
             .map(|v| v.vertex as u64)
             .collect();
         if !targets.is_empty() {
@@ -221,9 +230,10 @@ pub fn try_connected_components_recorded<G: Graph, R: Recorder>(
     // Component-id priorities span the whole vertex-id space (every vertex
     // seeds itself), so lg(n) − 10 classes fit the queue's bucket ring.
     let vq = cfg.vq(crate::config::lg2(n).saturating_sub(10));
-    // Algorithm 3: ccid_array initialized to ∞, one seed per vertex.
+    // Algorithm 3 seeds one visitor per vertex; the handler starts each
+    // label at the id its seed carries.
     let ([ccid], stats) = one_shot(n, &[], [INF_DIST], recorder, |[ccid]| {
-        let h = CcHandler::new(g, ccid, cfg.prune_pushes);
+        let h = CcHandler::new(g, ccid);
         let seeds = CcVisitor::seeds(n);
         (
             VisitorQueue::try_run_recorded(&vq, &h, seeds, recorder),
@@ -301,32 +311,6 @@ mod tests {
         let g: CsrGraph<u32> = b.symmetrize().build();
         let out = try_connected_components(&g, &Config::with_threads(4)).unwrap();
         assert_eq!(out.ccid, vec![0, 1, 0, 1, 0]);
-    }
-
-    #[test]
-    fn pruning_preserves_labels() {
-        let g = RmatGenerator::new(RmatParams::RMAT_B, 10, 4, 9).undirected();
-        // Labels must be identical on every run — that is the correctness
-        // contract. The push-count comparison, however, pits two
-        // *nondeterministic* 8-thread schedules against each other: a
-        // single unlucky base schedule can do less redundant work than a
-        // single unlucky pruned schedule, so a pairwise comparison is a
-        // scheduling coin flip. Sum a few runs of each so the variance
-        // averages out and the assertion tests the pruning effect.
-        let mut base_total = 0u64;
-        let mut pruned_total = 0u64;
-        for _ in 0..3 {
-            let base = try_connected_components(&g, &Config::with_threads(8)).unwrap();
-            let pruned =
-                try_connected_components(&g, &Config::with_threads(8).with_pruning()).unwrap();
-            assert_eq!(base.ccid, pruned.ccid);
-            base_total += base.stats.visitors_pushed;
-            pruned_total += pruned.stats.visitors_pushed;
-        }
-        assert!(
-            pruned_total <= base_total,
-            "pruning must not push more: pruned total {pruned_total} > base total {base_total}"
-        );
     }
 
     #[test]

@@ -12,16 +12,6 @@ pub struct Config {
     /// flight to saturate the device (paper Fig. 1).
     pub num_threads: usize,
 
-    /// When `true`, a visitor for vertex `t` with candidate distance `d` is
-    /// only pushed if `d` improves on `t`'s currently published label.
-    ///
-    /// The paper's Algorithm 2 pushes unconditionally (the check happens at
-    /// visit time); pruning at push time is a work-saving refinement that
-    /// never changes results (labels are monotonically decreasing, so a
-    /// stale read can only *fail* to prune). Off by default for paper
-    /// fidelity; the `ablation` bench measures its effect.
-    pub prune_pushes: bool,
-
     /// Visitors a worker drains per service round (see
     /// [`VqConfig::batch_drain`]). At values above 1, semi-external
     /// traversals announce each semi-sorted batch to the storage layer's
@@ -38,12 +28,6 @@ impl Config {
             num_threads: num_threads.max(1),
             ..Default::default()
         }
-    }
-
-    /// Enable push-time pruning (see [`Config::prune_pushes`]).
-    pub fn with_pruning(mut self) -> Self {
-        self.prune_pushes = true;
-        self
     }
 
     /// Set the per-round drain size (see [`Config::io_batch`]).
@@ -73,7 +57,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             num_threads: VqConfig::default().num_threads,
-            prune_pushes: false,
             io_batch: 1,
         }
     }
@@ -86,13 +69,6 @@ mod tests {
     #[test]
     fn with_threads_clamps() {
         assert_eq!(Config::with_threads(0).num_threads, 1);
-    }
-
-    #[test]
-    fn builder_style_pruning() {
-        let c = Config::with_threads(2).with_pruning();
-        assert!(c.prune_pushes);
-        assert!(!Config::default().prune_pushes, "paper-faithful default");
     }
 
     #[test]

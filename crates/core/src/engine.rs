@@ -56,7 +56,7 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct EngineOpts {
     /// Traversal/runtime knobs shared with the one-shot API (threads,
-    /// pruning, batch drain). The engine-wide bucket class width is the
+    /// batch drain). The engine-wide bucket class width is the
     /// CC-style coarse `lg(n) − 10`, which keeps every algorithm's
     /// priority span inside the bucket ring for mixed workloads.
     pub cfg: Config,
@@ -234,7 +234,6 @@ pub struct TraversalEngine<'s, 'env, G: Graph, R: Recorder> {
     eng: &'s asyncgt_vq::Engine<'s, SsspVisitor, QueryJob<'env, G>, R>,
     g: &'env G,
     pool: Arc<StatePool>,
-    prune: bool,
 }
 
 impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
@@ -254,18 +253,18 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
         self.pool.allocated()
     }
 
-    /// Check the input, then submit `job` (built only if the input is
-    /// valid, so a rejected query leases no label array).
-    fn submit(
+    /// Check the input, then submit the job and seeds `job` builds (only
+    /// if the input is valid, so a rejected query leases no label array).
+    fn submit<I: IntoIterator<Item = SsspVisitor>>(
         &self,
         sources: &[Vertex],
-        job: impl FnOnce() -> QueryJob<'env, G>,
-        seeds: impl Iterator<Item = SsspVisitor>,
+        job: impl FnOnce() -> (QueryJob<'env, G>, I),
     ) -> Result<Submitted<'env, G>, SubmitError> {
         if let Err(e) = check_input(self.g.num_vertices(), sources) {
             return Ok(Err(e));
         }
-        let job = Arc::new(job());
+        let (job, seeds) = job();
+        let job = Arc::new(job);
         let ticket = self.eng.submit(Arc::clone(&job), seeds)?;
         Ok(Ok((job, ticket)))
     }
@@ -276,16 +275,18 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
         unit_weights: bool,
     ) -> Result<PathTicket<'env, G>, SubmitError> {
         let job = || {
-            QueryJob::Path(SsspHandler::new(
+            let h = SsspHandler::new(
                 self.g,
                 self.pool.lease_arc(INF_DIST),
                 self.pool.lease_arc(NO_VERTEX),
-                self.prune,
                 unit_weights,
-            ))
+            );
+            // Claims each source on the leased array; a repeated source
+            // seeds (and so expands) once.
+            let seeds = h.claim_sources(sources);
+            (QueryJob::Path(h), seeds)
         };
-        let seeds = sources.iter().map(|&s| SsspVisitor::source(s));
-        self.submit(sources, job, seeds).map(PathTicket)
+        self.submit(sources, job).map(PathTicket)
     }
 
     /// Submit a multi-source BFS (unit edge weights): `dist[v]` is the hop
@@ -310,14 +311,12 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
     /// [`try_connected_components`](crate::try_connected_components)).
     pub fn submit_cc(&self) -> Result<CcTicket<'env, G>, SubmitError> {
         let job = || {
-            QueryJob::Cc(CcHandler::new(
-                self.g,
-                self.pool.lease_arc(INF_DIST),
-                self.prune,
-            ))
+            // The handler sets the leased array to the identity.
+            let h = CcHandler::new(self.g, self.pool.lease_arc(INF_DIST));
+            let seeds = CcVisitor::seeds(self.g.num_vertices()).map(SsspVisitor::from);
+            (QueryJob::Cc(h), seeds)
         };
-        let seeds = CcVisitor::seeds(self.g.num_vertices()).map(SsspVisitor::from);
-        self.submit(&[], job, seeds).map(CcTicket)
+        self.submit(&[], job).map(CcTicket)
     }
 }
 
@@ -355,13 +354,11 @@ where
         submit_timeout: opts.submit_timeout,
     };
     let pool = Arc::new(StatePool::new(n as usize));
-    let prune = opts.cfg.prune_pushes;
     asyncgt_vq::engine::scoped(&ecfg, recorder, |eng| {
         let engine = TraversalEngine {
             eng,
             g,
             pool: Arc::clone(&pool),
-            prune,
         };
         f(&engine)
     })
@@ -498,6 +495,18 @@ mod tests {
             eng.state_arrays_allocated()
         });
         assert_eq!(allocated, 0, "a rejected query leases no label array");
+    }
+
+    #[test]
+    fn repeated_source_expands_once() {
+        let g = path_graph(6);
+        let (out, _) = with_engine(&g, &EngineOpts::with_threads(2), &NoopRecorder, |eng| {
+            eng.submit_bfs(&[3, 3]).unwrap().wait().unwrap()
+        });
+        assert_eq!(out.dist[3..], [0, 1, 2]);
+        // Vertices 3, 4 and 5 each queue and expand one visitor.
+        assert_eq!(out.stats.visitors_executed, 3);
+        assert_eq!(out.stats.relaxations, 3);
     }
 
     #[test]

@@ -9,55 +9,11 @@
 
 use crate::config::Config;
 use crate::error::TraversalError;
-use crate::result::{one_shot, RelaxCounter, TraversalOutput};
-use crate::sssp::{SsspVisitor, NO_PARENT};
+use crate::result::{one_shot, TraversalOutput};
+use crate::sssp::SsspHandler;
 use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
 use asyncgt_obs::NoopRecorder;
-use asyncgt_vq::{AbortReason, AtomicStateArray, FallibleVisitHandler, PushCtx, VisitorQueue};
-
-/// BFS relax step with a depth horizon, over the BFS/SSSP visitor (its
-/// `dist` is the hop count).
-struct KhopHandler<'a, G> {
-    g: &'a G,
-    dist: &'a AtomicStateArray,
-    parent: &'a AtomicStateArray,
-    relaxations: RelaxCounter,
-    max_depth: u64,
-}
-
-impl<G: Graph> FallibleVisitHandler<SsspVisitor> for KhopHandler<'_, G> {
-    fn try_visit(
-        &self,
-        v: SsspVisitor,
-        ctx: &mut PushCtx<'_, SsspVisitor>,
-    ) -> Result<(), AbortReason> {
-        let vertex = v.vertex as u64;
-        if v.dist >= self.dist.get(vertex) {
-            return Ok(());
-        }
-        self.dist.set(vertex, v.dist);
-        self.parent.set(
-            vertex,
-            if v.parent == NO_PARENT {
-                NO_VERTEX
-            } else {
-                v.parent as u64
-            },
-        );
-        self.relaxations.bump();
-        if v.dist == self.max_depth {
-            return Ok(()); // horizon: member of the k-hop ball, not expanded
-        }
-        self.g.try_for_each_neighbor(vertex, |t, _| {
-            ctx.push(SsspVisitor {
-                dist: v.dist + 1,
-                vertex: t as u32,
-                parent: v.vertex,
-            });
-        })?;
-        Ok(())
-    }
-}
+use asyncgt_vq::VisitorQueue;
 
 /// BFS from `source` truncated at `max_depth` hops.
 ///
@@ -92,18 +48,9 @@ pub fn bfs_bounded<G: Graph>(
         [INF_DIST, NO_VERTEX],
         &NoopRecorder,
         |[dist, parent]| {
-            let h = KhopHandler {
-                g,
-                dist,
-                parent,
-                relaxations: RelaxCounter::default(),
-                max_depth,
-            };
-            let seed = [SsspVisitor::source(source)];
-            (
-                VisitorQueue::try_run(&cfg.vq(0), &h, seed),
-                h.relaxations.get(),
-            )
+            let h = SsspHandler::new(g, dist, parent, true).with_horizon(max_depth);
+            let seeds = h.claim_sources(&[source]);
+            (VisitorQueue::try_run(&cfg.vq(0), &h, seeds), h.relaxed())
         },
     )?;
     Ok(TraversalOutput {

@@ -74,102 +74,130 @@ impl Visitor for SsspVisitor {
 /// arrays are borrowed (`&AtomicStateArray`) by a one-shot run and leased
 /// from the engine's pool (`OwnedStateLease`) by an engine query; the same
 /// relax step serves both.
+///
+/// Departure from Algorithm 2 (DESIGN.md §10): the *pusher* claims the
+/// target's label with a strict `fetch_min` and queues a visitor only if
+/// the claim lowered it, so the queues carry one visitor per label
+/// improvement instead of one per edge. The owner expands a visitor only
+/// if its candidate is still the label, and writes `parent` from it.
 pub(crate) struct SsspHandler<'g, G, A> {
     g: &'g G,
     pub(crate) dist: A,
     pub(crate) parent: A,
-    /// `Config::prune_pushes`: skip pushes that cannot improve the target.
-    prune: bool,
     /// BFS mode: treat every edge weight as 1 (paper §III-B: "we compute a
     /// Breadth First Search by applying our asynchronous SSSP algorithm
     /// with all edge weights equal to 1").
     unit_weights: bool,
+    /// Label at which a visitor stops expanding: `u64::MAX` for a full
+    /// traversal, the depth bound for a k-hop BFS ([`crate::bfs_bounded`]).
+    horizon: u64,
     relaxations: RelaxCounter,
 }
 
 impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
-    pub(crate) fn new(g: &'g G, dist: A, parent: A, prune: bool, unit_weights: bool) -> Self {
+    pub(crate) fn new(g: &'g G, dist: A, parent: A, unit_weights: bool) -> Self {
         SsspHandler {
             g,
             dist,
             parent,
-            prune,
             unit_weights,
+            horizon: u64::MAX,
             relaxations: RelaxCounter::default(),
         }
+    }
+
+    /// Stop expanding at label `horizon`: a visitor that reaches it is
+    /// relaxed (and writes `parent`) but pushes nothing.
+    pub(crate) fn with_horizon(mut self, horizon: u64) -> Self {
+        self.horizon = horizon;
+        self
     }
 
     /// Label relaxations so far.
     pub(crate) fn relaxed(&self) -> u64 {
         self.relaxations.get()
     }
+
+    /// Claim every source's label at 0, as a push claims its target's, and
+    /// return one seed per claim: a source listed twice seeds once. Call
+    /// before the run starts.
+    pub(crate) fn claim_sources(&self, sources: &[Vertex]) -> Vec<SsspVisitor> {
+        sources
+            .iter()
+            .filter(|&&s| self.dist.fetch_min(s, 0))
+            .map(|&s| SsspVisitor::source(s))
+            .collect()
+    }
 }
 
 impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<SsspVisitor>
     for SsspHandler<'_, G, A>
 {
-    /// The SSSP relax step (paper Algorithm 2 lines 8-10): relax
-    /// `v.vertex`'s labels if the candidate improves them, then emit a
-    /// visitor per out-edge.
+    /// The SSSP relax step (paper Algorithm 2 lines 8-10), split between
+    /// pusher and owner: the visitor's candidate was installed in `dist`
+    /// by its pusher, so the owner expands it only if it is still the
+    /// label, then claims each out-neighbor's label and pushes a visitor
+    /// for every claim that lowered it.
     ///
-    /// Exclusive access to `v.vertex`'s labels is guaranteed by hash
-    /// routing, so the check-then-store needs no atomicity beyond the
-    /// relaxed cells themselves.
+    /// Each label value is installed by exactly one strict lowering, so
+    /// each improvement expands exactly once. `parent` is written only
+    /// here, by the vertex's owner (hash routing), from the visitor that
+    /// carries the current label.
     fn try_visit(
         &self,
         v: SsspVisitor,
         ctx: &mut PushCtx<'_, SsspVisitor>,
     ) -> Result<(), AbortReason> {
         let vertex = v.vertex as u64;
-        if v.dist < self.dist.get(vertex) {
-            self.dist.set(vertex, v.dist);
-            self.parent.set(
-                vertex,
-                if v.parent == NO_PARENT {
-                    NO_VERTEX
-                } else {
-                    v.parent as u64
-                },
-            );
-            self.relaxations.bump();
-            // Fallible adjacency iteration: a storage error (retry budget
-            // exhausted, corruption) aborts the whole run cleanly instead
-            // of unwinding a panic through the worker pool. Note the label
-            // was already relaxed; label-correcting algorithms tolerate
-            // that — a retried/restarted run re-relaxes from scratch.
-            // Hoisted out of the edge loop: the handler holds an atomic, so
-            // the optimizer cannot assume its fields survive each push.
-            let (dist, prune, unit_weights) = (&*self.dist, self.prune, self.unit_weights);
-            self.g.try_for_each_neighbor(vertex, |t, w| {
-                let nd = v.dist + if unit_weights { 1 } else { w as u64 };
-                // Pruning reads the target's label from a non-owning
-                // thread. Labels only decrease, so a stale value can only
-                // make us push a visitor that will fail its visit-time
-                // check — never skip a necessary one.
-                if prune && nd >= dist.get(t) {
-                    return;
-                }
+        let label = self.dist.get(vertex);
+        // The claim that queued `v` happened before this load: on this
+        // thread for a local push, or before the mailbox lock that
+        // delivered it. Labels only decrease, so the load sees `v`'s
+        // candidate or a lower one. A stale read here would drop work
+        // rather than duplicate it, so check the ordering in debug builds.
+        debug_assert!(label <= v.dist, "visitor outran its claim");
+        if v.dist != label {
+            return Ok(());
+        }
+        self.parent.set(
+            vertex,
+            if v.parent == NO_PARENT {
+                NO_VERTEX
+            } else {
+                v.parent as u64
+            },
+        );
+        self.relaxations.bump();
+        if v.dist >= self.horizon {
+            return Ok(());
+        }
+        // Fallible adjacency iteration: a storage error (retry budget
+        // exhausted, corruption) aborts the whole run cleanly instead of
+        // unwinding a panic through the worker pool. Hoisted out of the
+        // edge loop: the handler holds an atomic, so the optimizer cannot
+        // assume its fields survive each push.
+        let (dist, unit_weights) = (&*self.dist, self.unit_weights);
+        self.g.try_for_each_neighbor(vertex, |t, w| {
+            let nd = v.dist + if unit_weights { 1 } else { w as u64 };
+            if dist.fetch_min(t, nd) {
                 ctx.push(SsspVisitor {
                     dist: nd,
                     vertex: t as u32,
                     parent: v.vertex,
                 });
-            })?;
-        }
+            }
+        })?;
         Ok(())
     }
 
     /// The batch I/O hint: announce the adjacency lists this service round
     /// will read so a semi-external backend can coalesce them into fewer
-    /// device requests. Visitors whose candidate no longer improves the
-    /// label are filtered: their visit relaxes nothing and reads no
-    /// adjacency. The label check uses the same stale-tolerant read as
-    /// pruning — labels only decrease, so a stale value can only keep a
-    /// vertex in the hint, never drop a needed one.
+    /// device requests. Only visitors that will expand are announced:
+    /// those that still carry their vertex's label, below the horizon.
     fn prepare_batch(&self, batch: &[SsspVisitor]) {
         let targets: Vec<u64> = batch
             .iter()
-            .filter(|v| v.dist < self.dist.get(v.vertex as u64))
+            .filter(|v| v.dist < self.horizon && v.dist == self.dist.get(v.vertex as u64))
             .map(|v| v.vertex as u64)
             .collect();
         if !targets.is_empty() {
@@ -198,17 +226,18 @@ pub(crate) fn run_path<G: Graph, R: Recorder>(
     };
     let vq = cfg.vq(default_shift);
     // Paper Algorithm 1: dist/parent arrays initialized to ∞; one visitor
-    // at the source, then wait for all queued work to finish.
+    // at the source (whose label is claimed at 0), then wait for all
+    // queued work to finish.
     let ([dist, parent], stats) = one_shot(
         n,
         &[source],
         [INF_DIST, NO_VERTEX],
         recorder,
         |[dist, parent]| {
-            let h = SsspHandler::new(g, dist, parent, cfg.prune_pushes, unit_weights);
-            let seed = [SsspVisitor::source(source)];
+            let h = SsspHandler::new(g, dist, parent, unit_weights);
+            let seeds = h.claim_sources(&[source]);
             (
-                VisitorQueue::try_run_recorded(&vq, &h, seed, recorder),
+                VisitorQueue::try_run_recorded(&vq, &h, seeds, recorder),
                 h.relaxed(),
             )
         },
@@ -316,19 +345,6 @@ mod tests {
                 assert_eq!(out.dist, expect.dist, "{kind:?} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn pruning_preserves_results() {
-        let g = RmatGenerator::new(RmatParams::RMAT_B, 10, 8, 3).directed();
-        let wg = weighted_copy(&g, WeightKind::Uniform, 9);
-        let base = try_sssp(&wg, 0, &Config::with_threads(4)).unwrap();
-        let pruned = try_sssp(&wg, 0, &Config::with_threads(4).with_pruning()).unwrap();
-        assert_eq!(base.dist, pruned.dist);
-        assert!(
-            pruned.stats.visitors_pushed <= base.stats.visitors_pushed,
-            "pruning must not push more"
-        );
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Shared vertex-state arrays (the paper's `dist_array`, `parent_array`,
 //! `ccid_array`).
 //!
-//! The hash-routing guarantee means element `i` is only ever written by the
-//! worker owning vertex `i`, so plain relaxed atomic loads/stores suffice —
-//! no compare-and-swap loops and no per-vertex locks. Cross-thread
-//! visibility of the *final* values is established by the run's termination
-//! synchronization (the workers' release-decrements of the pending counter
-//! and the thread joins), not by these accesses.
+//! Every access is a relaxed atomic; there are no per-vertex locks. Label
+//! arrays (`dist`, `ccid`) are lowered by any pusher through
+//! [`AtomicStateArray::fetch_min`], which claims the label before a visitor
+//! is queued. Other slots (`parent`) are written with
+//! [`AtomicStateArray::set`] only by the worker owning the vertex (the
+//! hash-routing guarantee). Cross-thread visibility of the *final* values
+//! is established by the run's termination synchronization (the workers'
+//! release-decrements of the pending counter and the thread joins), not by
+//! these accesses.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,8 +57,11 @@ impl AtomicStateArray {
     }
 
     /// Atomically lower entry `i` to `value` if `value` is smaller;
-    /// returns whether the entry was updated. Used by algorithms that relax
-    /// without vertex ownership (e.g. the synchronous baselines).
+    /// returns whether the entry was updated. Traversals claim a label with
+    /// it from any worker before queuing a visitor. While only `fetch_min`
+    /// writes an entry, each value it takes is installed by exactly one
+    /// call that returned `true`, and a later load ordered after that call
+    /// sees `value` or less.
     #[inline]
     pub fn fetch_min(&self, i: u64, value: u64) -> bool {
         self.data[i as usize].fetch_min(value, Ordering::Relaxed) > value

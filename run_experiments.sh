@@ -1,7 +1,7 @@
 #!/bin/bash
 # Regenerates every table/figure; outputs under results/.
 set -e
-cd /root/repo
+cd "$(dirname "$0")"
 mkdir -p results
 R=./target/release
 echo "=== fig1 ==="    && ASYNCGT_FIG1_MS=${ASYNCGT_FIG1_MS:-200} $R/fig1    | tee results/fig1.txt
