@@ -13,7 +13,7 @@ use asyncgt::graph::generators::{RmatGenerator, RmatParams};
 use asyncgt::obs::json::Value;
 use asyncgt::obs::NoopRecorder;
 use asyncgt::{try_bfs, with_engine, Config, CsrGraph, EngineOpts, Graph};
-use asyncgt_bench::{banner, table::Table, time};
+use asyncgt_bench::{banner, median_iqr, table::Table};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -85,23 +85,6 @@ fn run_spawn(g: &CsrGraph, concurrency: usize) -> u64 {
     total
 }
 
-/// Run one (mode, concurrency) cell `RUNS` times: its wall-time median
-/// and interquartile range (quartiles by nearest rank), plus the summed
-/// reached-count so modes can be cross-checked.
-fn measure(f: impl Fn() -> u64) -> (u64, Duration, Duration) {
-    let mut reached = 0;
-    let mut times: Vec<Duration> = (0..RUNS)
-        .map(|_| time(&f))
-        .map(|(r, dt)| {
-            reached = r;
-            dt
-        })
-        .collect();
-    times.sort();
-    let at = |q: usize| times[q * (RUNS - 1) / 4];
-    (reached, at(2), at(3) - at(1))
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -117,8 +100,10 @@ fn main() {
     let mut rows: Vec<Value> = Vec::new();
     let mut summary: Vec<(String, Value)> = Vec::new();
     for c in CONCURRENCY {
-        let (reached_e, med_e, iqr_e) = measure(|| run_engine(&g, c));
-        let (reached_s, med_s, iqr_s) = measure(|| run_spawn(&g, c));
+        // Each cell also returns its summed reached-count, so the two
+        // modes can be cross-checked.
+        let (reached_e, med_e, iqr_e) = median_iqr(RUNS, || run_engine(&g, c));
+        let (reached_s, med_s, iqr_s) = median_iqr(RUNS, || run_spawn(&g, c));
         assert_eq!(
             reached_e, reached_s,
             "engine and spawn-per-query must reach identical vertex sets"

@@ -4,20 +4,23 @@
 //! pseudo-random targets, so almost every push crosses queues — across
 //! oversubscribed thread counts, and writes a schema-versioned
 //! `results/BENCH_vq.json` so successive commits can be compared
-//! machine-to-machine.
+//! machine-to-machine. Each cell is the median and interquartile range of
+//! its runs.
 //!
 //! Run: `cargo run -p asyncgt-bench --release --bin bench_vq -- [OUT.json]`
 
 use asyncgt::obs::json::Value;
-use asyncgt_bench::{banner, table::Table, time};
+use asyncgt_bench::{banner, median_iqr, table::Table};
 use asyncgt_vq::{PushCtx, VisitHandler, Visitor, VisitorQueue, VqConfig};
 use std::time::Duration;
 
 /// Bump when the JSON layout changes shape (fields, units, meanings).
-const SCHEMA_VERSION: u64 = 2;
+const SCHEMA_VERSION: u64 = 3;
 
 const THREADS: [usize; 5] = [1, 4, 16, 64, 256];
-const RUNS: usize = 3;
+/// Runs per thread count; each cell reports the median and interquartile
+/// range over them.
+const RUNS: usize = 11;
 const SEEDS: u64 = 64;
 const FAN: u64 = 8;
 const DEPTH: u64 = 5;
@@ -72,51 +75,22 @@ impl VisitHandler<Scatter> for FanOut {
     }
 }
 
-/// Best-of-`RUNS` wall time at one thread count.
-fn measure(threads: usize) -> (u64, Duration) {
+/// Median and interquartile range of the wall time of `RUNS` runs at one
+/// thread count.
+fn measure(threads: usize) -> (Duration, Duration) {
     let cfg = VqConfig::with_threads(threads);
-    let mut best = Duration::MAX;
-    let mut executed = 0;
-    for _ in 0..RUNS {
-        let (stats, dt) = time(|| {
-            VisitorQueue::run(
-                &cfg,
-                &FanOut,
-                (0..SEEDS).map(|s| Scatter {
-                    depth: 0,
-                    vertex: mix(s),
-                }),
-            )
-        });
-        assert_eq!(stats.visitors_executed, expected_visitors());
-        executed = stats.visitors_executed;
-        best = best.min(dt);
-    }
-    (executed, best)
-}
-
-/// `ASYNCGT_BENCH_VQ_METRICS=1`: re-run the 64-thread cell with a
-/// recorder attached and print the counter summary (diagnosis aid; the
-/// timed cells always run uninstrumented).
-fn metrics_probe() {
-    use asyncgt::obs::{render_summary, ShardedRecorder};
-    let rec = ShardedRecorder::new(64);
-    let (stats, dt) = time(|| {
-        VisitorQueue::run_recorded(
-            &VqConfig::with_threads(64),
+    let (_, median, iqr) = median_iqr(RUNS, || {
+        let stats = VisitorQueue::run(
+            &cfg,
             &FanOut,
             (0..SEEDS).map(|s| Scatter {
                 depth: 0,
                 vertex: mix(s),
             }),
-            &rec,
-        )
+        );
+        assert_eq!(stats.visitors_executed, expected_visitors());
     });
-    println!(
-        "--- @64 threads: {} visitors in {dt:?}\n{}",
-        stats.visitors_executed,
-        render_summary(&rec.snapshot())
-    );
+    (median, iqr)
 }
 
 fn main() {
@@ -124,43 +98,36 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_vq.json".to_string());
     banner("bench_vq: visitor delivery throughput (fan-out, mostly-remote pushes)");
-    if std::env::var("ASYNCGT_BENCH_VQ_METRICS").is_ok() {
-        metrics_probe();
-        return;
-    }
-    // `ASYNCGT_BENCH_VQ_ONLY=64`: run one cell (for wrapping with
-    // OS-level accounting).
-    if let Ok(cell) = std::env::var("ASYNCGT_BENCH_VQ_ONLY") {
-        let threads: usize = cell.parse().expect("ASYNCGT_BENCH_VQ_ONLY=THREADS");
-        let (visitors, dt) = measure(threads);
-        println!(
-            "@{threads}: {visitors} visitors, best {dt:?} ({:.2} Mvis/s)",
-            visitors as f64 / dt.as_secs_f64() / 1e6
-        );
-        return;
-    }
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let mut t = Table::new(vec!["threads", "Mvis/s"]);
+    let mut t = Table::new(vec!["threads", "Mvis/s", "IQR ms"]);
     let mut rows: Vec<Value> = Vec::new();
     let mut rate_at_64 = 0.0f64;
     for threads in THREADS {
-        let (visitors, dt) = measure(threads);
-        let rate = visitors as f64 / dt.as_secs_f64();
+        let (median, iqr) = measure(threads);
+        let rate = expected_visitors() as f64 / median.as_secs_f64();
         if threads == 64 {
             rate_at_64 = rate;
         }
         rows.push(Value::Obj(vec![
             ("threads".into(), Value::Int(threads as u64)),
-            ("visitors".into(), Value::Int(visitors)),
-            ("best_elapsed_s".into(), Value::Float(dt.as_secs_f64())),
+            ("visitors".into(), Value::Int(expected_visitors())),
+            (
+                "median_elapsed_s".into(),
+                Value::Float(median.as_secs_f64()),
+            ),
+            ("iqr_elapsed_s".into(), Value::Float(iqr.as_secs_f64())),
             ("visitors_per_sec".into(), Value::Float(rate)),
             ("runs".into(), Value::Int(RUNS as u64)),
         ]));
-        t.row(vec![threads.to_string(), format!("{:.2}", rate / 1e6)]);
+        t.row(vec![
+            threads.to_string(),
+            format!("{:.2}", rate / 1e6),
+            format!("{:.2}", iqr.as_secs_f64() * 1e3),
+        ]);
     }
     t.print();
 
@@ -186,7 +153,9 @@ fn main() {
                     Value::Str(
                         "rates are hardware-dependent; thread counts above the \
                          core count measure oversubscription, where queue-lock \
-                         contention and wake syscalls show up"
+                         contention and wake syscalls show up. Each cell is the \
+                         median of its runs (visitors_per_sec at the median); \
+                         iqr_elapsed_s is the spread between its quartiles"
                             .into(),
                     ),
                 ),

@@ -35,6 +35,27 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
+/// Run `f` `runs` times (at least once): the last run's output, and the
+/// wall-time median and interquartile range over all runs.
+pub fn median_iqr<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, Duration, Duration) {
+    let (mut out, first) = time(&mut f);
+    let mut times = vec![first];
+    for _ in 1..runs {
+        let (o, dt) = time(&mut f);
+        out = o;
+        times.push(dt);
+    }
+    let (median, iqr) = quartile_spread(times);
+    (out, median, iqr)
+}
+
+/// Median and interquartile range of `times`, quartiles by nearest rank.
+fn quartile_spread(mut times: Vec<Duration>) -> (Duration, Duration) {
+    times.sort();
+    let at = |q: usize| times[q * (times.len() - 1) / 4];
+    (at(2), at(3) - at(1))
+}
+
 /// Parse a comma-separated `u64` list from an environment variable.
 fn env_list(var: &str, default: &[u64]) -> Vec<u64> {
     match std::env::var(var) {
@@ -110,6 +131,20 @@ mod tests {
         let (v, d) = time(|| (0..10_000u64).sum::<u64>());
         assert_eq!(v, 49995000);
         assert!(d.as_nanos() > 0);
+    }
+
+    #[test]
+    fn quartiles_by_nearest_rank() {
+        let ms = |v: u64| Duration::from_millis(v);
+        let times: Vec<Duration> = [7, 1, 11, 3, 9, 5, 2, 10, 4, 8, 6].map(ms).into();
+        assert_eq!(quartile_spread(times), (ms(6), ms(5)));
+        assert_eq!(quartile_spread(vec![ms(4)]), (ms(4), ms(0)));
+        let mut runs = 0;
+        let (last, _, _) = median_iqr(3, || {
+            runs += 1;
+            runs
+        });
+        assert_eq!((last, runs), (3, 3));
     }
 
     #[test]

@@ -159,4 +159,36 @@ mod tests {
         let a = parse("in.agt --threads 1 --threads 9").unwrap();
         assert_eq!(a.get("--threads"), Some("9"));
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary argv — every flag some subcommand takes, flags none
+        /// takes, values and stray positionals — parsed against every
+        /// subcommand's spec: `parse` never panics, every error names its
+        /// subcommand, and a success fills every positional slot.
+        #[test]
+        fn parse_is_total_over_arbitrary_argv(
+            picks in proptest::collection::vec(0usize..10_000, 0..10),
+        ) {
+            let cmds = [
+                "generate", "convert", "info", "bfs", "sssp", "cc", "pagerank", "queries", "help",
+            ];
+            let specs = cmds.map(|c| crate::commands::spec(c).unwrap());
+            let mut words: Vec<&str> = specs.iter().flat_map(|s| s.flags.concat()).collect();
+            words.extend(["--valdiate", "--threads=4", "--", "-", "-x", "8", "0,17", "g.agt", ""]);
+            let argv: Vec<String> =
+                picks.iter().map(|&i| words[i % words.len()].into()).collect();
+            for (cmd, spec) in cmds.iter().zip(&specs) {
+                let parsed = std::panic::catch_unwind(|| Args::parse(cmd, &argv, spec));
+                proptest::prop_assert!(parsed.is_ok(), "{cmd} {argv:?}: parse panicked");
+                match parsed.unwrap() {
+                    Ok(a) => {
+                        proptest::prop_assert_eq!(a.positional.len(), spec.positionals.len())
+                    }
+                    Err(e) => proptest::prop_assert!(e.starts_with(&format!("{cmd}: ")), "{e}"),
+                }
+            }
+        }
+    }
 }

@@ -128,7 +128,7 @@ const SEM_FLAGS: &[&str] = &[
 const RUN_FLAGS: &[&str] = &["--threads", "--io-batch", "--metrics", "--metrics-json"];
 
 /// What each subcommand accepts; `None` for an unknown subcommand.
-fn spec(cmd: &str) -> Option<Spec> {
+pub(crate) fn spec(cmd: &str) -> Option<Spec> {
     const FILE: &[&str] = &["FILE.agt"];
     let (positionals, flags): (&[&str], &[&[&str]]) = match cmd {
         "generate" => (

@@ -196,7 +196,7 @@ pub(crate) mod tests {
                 num_vertices: 0xFFFF_FFFF
             }
         ));
-        assert_eq!(*err.stats(), Default::default());
+        assert_eq!(err.stats(), Default::default());
         let err = crate::try_connected_components(&Huge, &Config::default()).unwrap_err();
         assert!(matches!(err, TraversalError::GraphTooLarge { .. }));
     }

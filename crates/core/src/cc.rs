@@ -8,7 +8,7 @@
 
 use crate::config::Config;
 use crate::error::TraversalError;
-use crate::result::{one_shot, RelaxCounter, TraversalStats};
+use crate::result::{one_shot, TraversalStats};
 use crate::sssp::{SsspVisitor, NO_PARENT};
 use asyncgt_graph::{stats, Graph, Vertex, INF_DIST};
 use asyncgt_obs::{NoopRecorder, Recorder};
@@ -88,7 +88,6 @@ impl Visitor for CcVisitor {
 pub(crate) struct CcHandler<'g, G, A> {
     g: &'g G,
     pub(crate) ccid: A,
-    relaxations: RelaxCounter,
 }
 
 impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
@@ -100,37 +99,27 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
         for v in 0..ccid.len() as u64 {
             ccid.set(v, v);
         }
-        CcHandler {
-            g,
-            ccid,
-            relaxations: RelaxCounter::default(),
-        }
-    }
-
-    /// Label relaxations so far.
-    pub(crate) fn relaxed(&self) -> u64 {
-        self.relaxations.get()
+        CcHandler { g, ccid }
     }
 
     /// The CC relax step (paper Algorithm 4), with the SSSP relax's claim
     /// rule: expand the candidate only if it is still the vertex's label,
     /// then claim each neighbor's id with a strict `fetch_min` and flood a
-    /// visitor through `push` for every claim that lowered it. A storage
-    /// failure surfacing from the fallible adjacency read aborts the run
-    /// cleanly.
+    /// visitor through `push` for every claim that lowered it. Returns
+    /// whether the candidate expanded; a storage failure surfacing from the
+    /// fallible adjacency read aborts the run cleanly.
     pub(crate) fn relax(
         &self,
         v: CcVisitor,
         mut push: impl FnMut(CcVisitor),
-    ) -> Result<(), AbortReason> {
+    ) -> Result<bool, AbortReason> {
         let vertex = v.vertex as u64;
         let label = self.ccid.get(vertex);
         // Ordered after `v`'s claim, as in the SSSP relax.
         debug_assert!(label <= v.ccid as u64, "visitor outran its claim");
         if v.ccid as u64 != label {
-            return Ok(());
+            return Ok(false);
         }
-        self.relaxations.bump();
         // Hoisted out of the edge loop, as in the SSSP relax.
         let ccid = &*self.ccid;
         self.g.try_for_each_neighbor(vertex, |t, _| {
@@ -141,7 +130,7 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
                 });
             }
         })?;
-        Ok(())
+        Ok(true)
     }
 
     /// The batch I/O hint, as for SSSP: announce the adjacency lists this
@@ -161,7 +150,11 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
 impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<CcVisitor>
     for CcHandler<'_, G, A>
 {
-    fn try_visit(&self, v: CcVisitor, ctx: &mut PushCtx<'_, CcVisitor>) -> Result<(), AbortReason> {
+    fn try_visit(
+        &self,
+        v: CcVisitor,
+        ctx: &mut PushCtx<'_, CcVisitor>,
+    ) -> Result<bool, AbortReason> {
         self.relax(v, |nv| ctx.push(nv))
     }
 
@@ -234,11 +227,7 @@ pub fn try_connected_components_recorded<G: Graph, R: Recorder>(
     // label at the id its seed carries.
     let ([ccid], stats) = one_shot(n, &[], [INF_DIST], recorder, |[ccid]| {
         let h = CcHandler::new(g, ccid);
-        let seeds = CcVisitor::seeds(n);
-        (
-            VisitorQueue::try_run_recorded(&vq, &h, seeds, recorder),
-            h.relaxed(),
-        )
+        VisitorQueue::try_run_recorded(&vq, &h, CcVisitor::seeds(n), recorder)
     })?;
     Ok(CcOutput { ccid, stats })
 }

@@ -112,21 +112,12 @@ pub(crate) enum QueryJob<'env, G> {
     Cc(CcHandler<'env, G, OwnedStateLease>),
 }
 
-impl<G: Graph> QueryJob<'_, G> {
-    fn relaxed(&self) -> u64 {
-        match self {
-            QueryJob::Path(h) => h.relaxed(),
-            QueryJob::Cc(h) => h.relaxed(),
-        }
-    }
-}
-
 impl<G: Graph> FallibleVisitHandler<SsspVisitor> for QueryJob<'_, G> {
     fn try_visit(
         &self,
         v: SsspVisitor,
         ctx: &mut PushCtx<'_, SsspVisitor>,
-    ) -> Result<(), AbortReason> {
+    ) -> Result<bool, AbortReason> {
         match self {
             QueryJob::Path(h) => h.try_visit(v, ctx),
             QueryJob::Cc(h) => h.relax(v.into(), |nv| ctx.push(nv.into())),
@@ -160,7 +151,7 @@ fn wait_job<G: Graph>(
         QueryError::Aborted(run) => run,
         QueryError::EnginePoisoned => panic!("traversal engine poisoned by a worker panic"),
     });
-    let stats = settle(outcome, job.relaxed())?;
+    let stats = settle(outcome)?;
     Ok((job, stats))
 }
 
@@ -408,6 +399,36 @@ mod tests {
     }
 
     #[test]
+    fn recorder_counts_relaxations_and_revisits_of_every_query() {
+        let g = test_graph();
+        let rec = asyncgt_obs::ShardedRecorder::new(4);
+        let opts = EngineOpts::with_threads(4).with_max_concurrent(4);
+        let (stats, _) = with_engine(&g, &opts, &rec, |eng| {
+            let paths = [
+                eng.submit_bfs(&[0]),
+                eng.submit_sssp(&[7]),
+                eng.submit_bfs(&[9]),
+            ];
+            let cc = eng.submit_cc().unwrap();
+            let mut stats: Vec<TraversalStats> = paths
+                .into_iter()
+                .map(|t| t.unwrap().wait().unwrap().stats)
+                .collect();
+            stats.push(cc.wait().unwrap().stats);
+            stats
+        });
+        let snap = rec.snapshot();
+        let relaxations: u64 = stats.iter().map(|s| s.relaxations).sum();
+        let revisits: u64 = stats
+            .iter()
+            .map(|s| s.visitors_executed - s.relaxations)
+            .sum();
+        assert!(relaxations > 0);
+        assert_eq!(snap.counter("relaxations"), relaxations);
+        assert_eq!(snap.counter("revisits"), revisits);
+    }
+
+    #[test]
     fn many_concurrent_path_queries_are_exact() {
         let g = test_graph();
         let sources: Vec<Vertex> = (0..16u64).map(|i| i * 3).collect();
@@ -486,7 +507,7 @@ mod tests {
                     num_vertices: 4
                 }
             ));
-            assert_eq!(*err.stats(), Default::default());
+            assert_eq!(err.stats(), Default::default());
             let err = eng.submit_sssp(&[4]).unwrap().wait().unwrap_err();
             assert!(matches!(
                 err,

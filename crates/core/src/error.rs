@@ -13,16 +13,16 @@ use crate::result::TraversalStats;
 use asyncgt_graph::Vertex;
 use asyncgt_storage::StorageError;
 use asyncgt_vq::{AbortReason, AbortedRun, RunStats};
-use std::time::Duration;
 
-/// Why a traversal failed, with the statistics of the run.
+/// Why a traversal failed, with the statistics of the run (boxed, so the
+/// `Err` side of every `try_*` result stays small).
 #[derive(Debug)]
 pub enum TraversalError {
     /// A semi-external storage failure (retry-exhausted transient fault,
     /// on-media corruption, or a permanent device error).
-    Storage(StorageError, TraversalStats),
+    Storage(StorageError, Box<TraversalStats>),
     /// A handler aborted for a non-storage reason.
-    Aborted(AbortReason, TraversalStats),
+    Aborted(AbortReason, Box<TraversalStats>),
     /// The source vertex is not in `0..num_vertices`; nothing ran.
     InvalidSource {
         /// The rejected source.
@@ -38,25 +38,15 @@ pub enum TraversalError {
     },
 }
 
-/// The statistics of a run that never started.
-const NOT_RUN: TraversalStats = TraversalStats {
-    visitors_executed: 0,
-    visitors_pushed: 0,
-    local_pushes: 0,
-    parks: 0,
-    inbox_batches: 0,
-    relaxations: 0,
-    elapsed: Duration::ZERO,
-    num_threads: 0,
-};
-
 impl TraversalError {
     /// Statistics accumulated before the failure (all zero for an input
     /// the traversal rejected up front).
-    pub fn stats(&self) -> &TraversalStats {
+    pub fn stats(&self) -> TraversalStats {
         match self {
-            TraversalError::Storage(_, s) | TraversalError::Aborted(_, s) => s,
-            TraversalError::InvalidSource { .. } | TraversalError::GraphTooLarge { .. } => &NOT_RUN,
+            TraversalError::Storage(_, s) | TraversalError::Aborted(_, s) => **s,
+            TraversalError::InvalidSource { .. } | TraversalError::GraphTooLarge { .. } => {
+                TraversalStats::default()
+            }
         }
     }
 
@@ -83,31 +73,16 @@ pub(crate) fn check_input(num_vertices: u64, sources: &[Vertex]) -> Result<(), T
     }
 }
 
-/// The one conversion from a runtime outcome to the public result: the
-/// run's counters plus the handler's relaxation count, and for an abort the
-/// cause classified — storage errors are recovered from the type-erased
-/// reason by downcast; anything else stays opaque.
-pub(crate) fn settle(
-    outcome: Result<RunStats, AbortedRun>,
-    relaxations: u64,
-) -> Result<TraversalStats, TraversalError> {
-    let stats = |run: RunStats| TraversalStats {
-        visitors_executed: run.visitors_executed,
-        visitors_pushed: run.visitors_pushed,
-        local_pushes: run.local_pushes,
-        parks: run.parks,
-        inbox_batches: run.inbox_batches,
-        relaxations,
-        elapsed: run.elapsed,
-        num_threads: run.num_threads,
-    };
-    match outcome {
-        Ok(run) => Ok(stats(run)),
-        Err(AbortedRun { reason, stats: run }) => Err(match reason.downcast::<StorageError>() {
-            Ok(e) => TraversalError::Storage(*e, stats(run)),
-            Err(reason) => TraversalError::Aborted(reason, stats(run)),
-        }),
-    }
+/// The one conversion from a runtime outcome to the public result: an
+/// abort's cause classified — storage errors are recovered from the
+/// type-erased reason by downcast; anything else stays opaque.
+pub(crate) fn settle(outcome: Result<RunStats, AbortedRun>) -> Result<RunStats, TraversalError> {
+    outcome.map_err(
+        |AbortedRun { reason, stats }| match reason.downcast::<StorageError>() {
+            Ok(e) => TraversalError::Storage(*e, Box::new(stats)),
+            Err(reason) => TraversalError::Aborted(reason, Box::new(stats)),
+        },
+    )
 }
 
 impl std::fmt::Display for TraversalError {
@@ -162,7 +137,7 @@ mod tests {
             reason,
             stats: Default::default(),
         };
-        let err = settle(Err(aborted), 0).unwrap_err();
+        let err = settle(Err(aborted)).unwrap_err();
         assert!(matches!(
             err,
             TraversalError::Storage(StorageError::Permanent { .. }, _)
@@ -177,7 +152,7 @@ mod tests {
             reason: "handler gave up".into(),
             stats: Default::default(),
         };
-        let err = settle(Err(aborted), 0).unwrap_err();
+        let err = settle(Err(aborted)).unwrap_err();
         assert!(matches!(err, TraversalError::Aborted(..)));
         assert!(err.storage_error().is_none());
         assert!(err.to_string().contains("handler gave up"));

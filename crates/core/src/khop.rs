@@ -50,7 +50,7 @@ pub fn bfs_bounded<G: Graph>(
         |[dist, parent]| {
             let h = SsspHandler::new(g, dist, parent, true).with_horizon(max_depth);
             let seeds = h.claim_sources(&[source]);
-            (VisitorQueue::try_run(&cfg.vq(0), &h, seeds), h.relaxed())
+            VisitorQueue::try_run(&cfg.vq(0), &h, seeds)
         },
     )?;
     Ok(TraversalOutput {

@@ -23,8 +23,9 @@
 use crate::config::Config;
 use crate::result::TraversalStats;
 use asyncgt_graph::{Graph, Vertex};
-use asyncgt_vq::{AtomicStateArray, PushCtx, VisitHandler, Visitor, VisitorQueue};
-use std::sync::atomic::{AtomicU64, Ordering};
+use asyncgt_vq::{
+    AbortReason, AtomicStateArray, FallibleVisitHandler, PushCtx, Visitor, VisitorQueue,
+};
 
 /// Parameters for [`pagerank`].
 #[derive(Clone, Copy, Debug)]
@@ -114,11 +115,16 @@ struct PrHandler<'a, G> {
     active: &'a AtomicStateArray,
     damping: f64,
     tolerance: f64,
-    commits: &'a AtomicU64,
 }
 
-impl<'a, G: Graph> VisitHandler<MassVisitor> for PrHandler<'a, G> {
-    fn visit(&self, v: MassVisitor, ctx: &mut PushCtx<'_, MassVisitor>) {
+impl<'a, G: Graph> FallibleVisitHandler<MassVisitor> for PrHandler<'a, G> {
+    /// Accumulate a delta, or commit a flush. Only a committing flush
+    /// counts as expanded, so the run's relaxations are the commits.
+    fn try_visit(
+        &self,
+        v: MassVisitor,
+        ctx: &mut PushCtx<'_, MassVisitor>,
+    ) -> Result<bool, AbortReason> {
         let vertex = v.vertex as u64;
         // Exclusive vertex access (hash routing): plain read-modify-write
         // on residual/rank/active, no CAS.
@@ -132,29 +138,28 @@ impl<'a, G: Graph> VisitHandler<MassVisitor> for PrHandler<'a, G> {
                     vertex: v.vertex,
                 });
             }
-            return;
+            return Ok(false);
         }
 
         // Flush: commit everything accumulated since activation.
         self.active.set(vertex, 0);
         let res = f64::from_bits(self.residual.get(vertex));
         if res < self.tolerance {
-            return; // defensive; activation implies res ≥ tolerance
+            return Ok(false); // defensive; activation implies res ≥ tolerance
         }
         self.residual.set(vertex, 0f64.to_bits());
         let rank = f64::from_bits(self.rank.get(vertex)) + res;
         self.rank.set(vertex, rank.to_bits());
-        self.commits.fetch_add(1, Ordering::Relaxed);
 
         let degree = self.g.out_degree(vertex);
         if degree == 0 {
             // Dangling vertex: its outgoing mass is dropped (the common
             // "no-op dangling" treatment); see `pagerank` docs.
-            return;
+            return Ok(true);
         }
         let share = self.damping * res / degree as f64;
         if share <= 0.0 {
-            return; // underflow guard: nothing measurable to push
+            return Ok(true); // underflow guard: nothing measurable to push
         }
         self.g.for_each_neighbor(vertex, |t, _| {
             ctx.push(MassVisitor {
@@ -162,6 +167,7 @@ impl<'a, G: Graph> VisitHandler<MassVisitor> for PrHandler<'a, G> {
                 vertex: t as u32,
             });
         });
+        Ok(true)
     }
 }
 
@@ -235,7 +241,6 @@ pub fn pagerank<G: Graph>(g: &G, params: &PageRankParams, cfg: &Config) -> PageR
     let rank = AtomicStateArray::new(n as usize, 0f64.to_bits());
     let residual = AtomicStateArray::new(n as usize, 0f64.to_bits());
     let active = AtomicStateArray::new(n as usize, 0);
-    let commits = AtomicU64::new(0);
 
     let handler = PrHandler {
         g,
@@ -244,7 +249,6 @@ pub fn pagerank<G: Graph>(g: &G, params: &PageRankParams, cfg: &Config) -> PageR
         active: &active,
         damping: params.damping,
         tolerance: params.tolerance,
-        commits: &commits,
     };
 
     // Seed: the teleport term (1 − d)/n at every vertex — the same
@@ -254,22 +258,14 @@ pub fn pagerank<G: Graph>(g: &G, params: &PageRankParams, cfg: &Config) -> PageR
         delta: teleport,
         vertex: v,
     });
-    let run = VisitorQueue::run(&cfg.vq(0), &handler, init);
+    let stats = VisitorQueue::try_run(&cfg.vq(0), &handler, init)
+        .unwrap_or_else(|a| unreachable!("the PageRank handler never fails: {}", a.reason));
 
     PageRankOutput {
         rank: rank.to_vec().into_iter().map(f64::from_bits).collect(),
         residual: residual.to_vec().into_iter().map(f64::from_bits).collect(),
-        commits: commits.into_inner(),
-        stats: TraversalStats {
-            visitors_executed: run.visitors_executed,
-            visitors_pushed: run.visitors_pushed,
-            local_pushes: run.local_pushes,
-            parks: run.parks,
-            inbox_batches: run.inbox_batches,
-            relaxations: 0,
-            elapsed: run.elapsed,
-            num_threads: run.num_threads,
-        },
+        commits: stats.relaxations,
+        stats,
     }
 }
 

@@ -3,33 +3,14 @@
 
 use crate::error::{check_input, settle, TraversalError};
 use asyncgt_graph::{stats, Vertex, INF_DIST, NO_VERTEX};
-use asyncgt_obs::{Counter, Recorder};
+use asyncgt_obs::Recorder;
 use asyncgt_vq::{AbortedRun, AtomicStateArray, RunStats};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
-/// Runtime statistics for one asynchronous traversal.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TraversalStats {
-    /// Visitors executed. Label correcting means a vertex may be visited
-    /// more than once; `visitors_executed - …` quantifies that redundancy
-    /// (see [`TraversalOutput::revisit_factor`]).
-    pub visitors_executed: u64,
-    /// Visitors pushed over the whole run.
-    pub visitors_pushed: u64,
-    /// Pushes that stayed on the pushing worker's own queue (lock-free).
-    pub local_pushes: u64,
-    /// Times a worker parked waiting for work (engine idleness signal).
-    pub parks: u64,
-    /// Non-empty inbox drains (remote-delivery batches).
-    pub inbox_batches: u64,
-    /// Label relaxations performed (Algorithm 2 line 9 executions).
-    pub relaxations: u64,
-    /// Wall-clock duration.
-    pub elapsed: Duration,
-    /// Worker threads used.
-    pub num_threads: usize,
-}
+/// Runtime statistics for one asynchronous traversal: the runtime's own
+/// [`RunStats`], whose `relaxations` count the visits that expanded and
+/// whose `visitors_executed - relaxations` quantifies the label-correcting
+/// redundancy (see [`TraversalOutput::revisit_factor`]).
+pub use asyncgt_vq::RunStats as TraversalStats;
 
 /// Result of an asynchronous BFS or SSSP (the paper's `dist_array` and
 /// `parent_array` after `pri_q_visit.wait()` returns).
@@ -91,35 +72,17 @@ impl TraversalOutput {
     }
 }
 
-/// A handler's relaxation count, on its own pair of cache lines: every
-/// relax bumps it, and unpadded it would false-share with the handler's
-/// read-mostly fields (graph, label arrays, flags) that every visit reads.
-#[derive(Default)]
-#[repr(align(128))]
-pub(crate) struct RelaxCounter(AtomicU64);
-
-impl RelaxCounter {
-    pub(crate) fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// The driver behind every one-shot traversal: check the input, allocate
 /// one label array per entry of `init` (filled with that value), run
 /// `traverse` over them, and extract the labels and statistics. `traverse`
 /// builds the algorithm's handler over the arrays, runs it through
-/// `VisitorQueue::try_run_recorded`, and returns the outcome with the
-/// handler's relaxation count.
+/// `VisitorQueue::try_run_recorded`, and returns the outcome.
 pub(crate) fn one_shot<const K: usize, R: Recorder>(
     num_vertices: u64,
     sources: &[Vertex],
     init: [u64; K],
     recorder: &R,
-    traverse: impl FnOnce(&[AtomicStateArray; K]) -> (Result<RunStats, AbortedRun>, u64),
+    traverse: impl FnOnce(&[AtomicStateArray; K]) -> Result<RunStats, AbortedRun>,
 ) -> Result<([Vec<u64>; K], TraversalStats), TraversalError> {
     check_input(num_vertices, sources)?;
     recorder.phase_start("init_state");
@@ -127,19 +90,9 @@ pub(crate) fn one_shot<const K: usize, R: Recorder>(
     recorder.phase_end("init_state");
 
     recorder.phase_start("traversal");
-    let (outcome, relaxed) = traverse(&labels);
+    let outcome = traverse(&labels);
     recorder.phase_end("traversal");
-    let stats = settle(outcome, relaxed)?;
-    if R::ENABLED {
-        recorder.counter(Counter::Relaxations, relaxed);
-        // Executions that failed the label check: the redundant work behind
-        // the paper's revisit factor (§III-B "possibly requiring multiple
-        // visits per vertex").
-        recorder.counter(
-            Counter::Revisits,
-            stats.visitors_executed.saturating_sub(relaxed),
-        );
-    }
+    let stats = settle(outcome)?;
 
     recorder.phase_start("extract_state");
     let labels = labels.map(|a| a.to_vec());

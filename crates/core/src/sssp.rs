@@ -9,7 +9,7 @@
 
 use crate::config::Config;
 use crate::error::TraversalError;
-use crate::result::{one_shot, RelaxCounter, TraversalOutput};
+use crate::result::{one_shot, TraversalOutput};
 use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
 use asyncgt_obs::{NoopRecorder, Recorder};
 use asyncgt_vq::{
@@ -91,7 +91,6 @@ pub(crate) struct SsspHandler<'g, G, A> {
     /// Label at which a visitor stops expanding: `u64::MAX` for a full
     /// traversal, the depth bound for a k-hop BFS ([`crate::bfs_bounded`]).
     horizon: u64,
-    relaxations: RelaxCounter,
 }
 
 impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
@@ -102,7 +101,6 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
             parent,
             unit_weights,
             horizon: u64::MAX,
-            relaxations: RelaxCounter::default(),
         }
     }
 
@@ -111,11 +109,6 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
     pub(crate) fn with_horizon(mut self, horizon: u64) -> Self {
         self.horizon = horizon;
         self
-    }
-
-    /// Label relaxations so far.
-    pub(crate) fn relaxed(&self) -> u64 {
-        self.relaxations.get()
     }
 
     /// Claim every source's label at 0, as a push claims its target's, and
@@ -142,12 +135,13 @@ impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<
     /// Each label value is installed by exactly one strict lowering, so
     /// each improvement expands exactly once. `parent` is written only
     /// here, by the vertex's owner (hash routing), from the visitor that
-    /// carries the current label.
+    /// carries the current label. Returns whether the visitor expanded
+    /// (the runtime counts those as relaxations).
     fn try_visit(
         &self,
         v: SsspVisitor,
         ctx: &mut PushCtx<'_, SsspVisitor>,
-    ) -> Result<(), AbortReason> {
+    ) -> Result<bool, AbortReason> {
         let vertex = v.vertex as u64;
         let label = self.dist.get(vertex);
         // The claim that queued `v` happened before this load: on this
@@ -157,7 +151,7 @@ impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<
         // rather than duplicate it, so check the ordering in debug builds.
         debug_assert!(label <= v.dist, "visitor outran its claim");
         if v.dist != label {
-            return Ok(());
+            return Ok(false);
         }
         self.parent.set(
             vertex,
@@ -167,15 +161,13 @@ impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<
                 v.parent as u64
             },
         );
-        self.relaxations.bump();
         if v.dist >= self.horizon {
-            return Ok(());
+            return Ok(true);
         }
         // Fallible adjacency iteration: a storage error (retry budget
         // exhausted, corruption) aborts the whole run cleanly instead of
-        // unwinding a panic through the worker pool. Hoisted out of the
-        // edge loop: the handler holds an atomic, so the optimizer cannot
-        // assume its fields survive each push.
+        // unwinding a panic through the worker pool. The label array and
+        // the weight flag are read once per visit, not once per edge.
         let (dist, unit_weights) = (&*self.dist, self.unit_weights);
         self.g.try_for_each_neighbor(vertex, |t, w| {
             let nd = v.dist + if unit_weights { 1 } else { w as u64 };
@@ -187,7 +179,7 @@ impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<
                 });
             }
         })?;
-        Ok(())
+        Ok(true)
     }
 
     /// The batch I/O hint: announce the adjacency lists this service round
@@ -236,10 +228,7 @@ pub(crate) fn run_path<G: Graph, R: Recorder>(
         |[dist, parent]| {
             let h = SsspHandler::new(g, dist, parent, unit_weights);
             let seeds = h.claim_sources(&[source]);
-            (
-                VisitorQueue::try_run_recorded(&vq, &h, seeds, recorder),
-                h.relaxed(),
-            )
+            VisitorQueue::try_run_recorded(&vq, &h, seeds, recorder)
         },
     )?;
     Ok(TraversalOutput {

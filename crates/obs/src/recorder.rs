@@ -55,9 +55,11 @@ pub enum Counter {
     InboxBatches,
     /// Outbox flushes (batched remote sends).
     OutboxFlushes,
-    /// Edge relaxations that improved a tentative distance.
+    /// Visitor executions that expanded their vertex (the handler
+    /// reported its candidate label current).
     Relaxations,
-    /// Visitor executions on an already-visited vertex.
+    /// Visitor executions whose candidate was stale: executed minus
+    /// relaxations.
     Revisits,
     /// Queries accepted by `Engine::submit` (admitted or queued).
     QueriesSubmitted,

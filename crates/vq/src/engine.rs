@@ -809,7 +809,7 @@ mod tests {
         visits: AtomicU64,
     }
     impl FallibleVisitHandler<Chain> for FailingChain {
-        fn try_visit(&self, v: Chain, ctx: &mut PushCtx<'_, Chain>) -> Result<(), AbortReason> {
+        fn try_visit(&self, v: Chain, ctx: &mut PushCtx<'_, Chain>) -> Result<bool, AbortReason> {
             self.visits.fetch_add(1, AO::Relaxed);
             if v.0 == self.fail_at {
                 return Err(format!("injected failure at vertex {}", v.0).into());
@@ -817,7 +817,7 @@ mod tests {
             if v.0 + 1 < self.end {
                 ctx.push(Chain(v.0 + 1));
             }
-            Ok(())
+            Ok(true)
         }
     }
 

@@ -42,12 +42,17 @@ use asyncgt_obs::{Counter, NoopRecorder, Recorder};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Aggregate statistics from one traversal run.
+/// Aggregate statistics from one traversal run or engine query — the
+/// one stats type (core re-exports it as `TraversalStats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Total visitors executed (≥ vertices visited; label-correcting
     /// traversals may visit a vertex multiple times, paper §III-B).
     pub visitors_executed: u64,
+    /// Executions that expanded their vertex: the handler's `Ok(true)`s
+    /// (label relaxations, Algorithm 2 line 9). `visitors_executed -
+    /// relaxations` is the redundant work (revisits).
+    pub relaxations: u64,
     /// Total visitors pushed. Equals `visitors_executed` when the run
     /// terminates normally; aborted (or poisoned) runs return partial
     /// stats where `visitors_pushed >= visitors_executed`, because
@@ -543,7 +548,8 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the caller");
     }
 
-    /// Fallible chain handler that fails at a chosen vertex.
+    /// Fallible chain handler that fails at a chosen vertex, and reports
+    /// the visits of vertices divisible by 3 as stale (not expanded).
     struct FailingChain {
         n: u64,
         fail_at: u64,
@@ -554,7 +560,7 @@ mod tests {
             &self,
             v: Chain,
             ctx: &mut PushCtx<'_, Chain>,
-        ) -> Result<(), crate::AbortReason> {
+        ) -> Result<bool, crate::AbortReason> {
             self.visits.fetch_add(1, AO::Relaxed);
             if v.0 == self.fail_at {
                 return Err(format!("injected failure at vertex {}", v.0).into());
@@ -562,7 +568,7 @@ mod tests {
             if v.0 + 1 < self.n {
                 ctx.push(Chain(v.0 + 1));
             }
-            Ok(())
+            Ok(!v.0.is_multiple_of(3))
         }
     }
 
@@ -580,6 +586,18 @@ mod tests {
     #[test]
     fn failing_visit_aborts_run_with_reason_and_partial_stats() {
         for threads in [1, 4, 32] {
+            // Without a failure, relaxations count exactly the visits that
+            // returned `Ok(true)`: the 2000 of 0..3000 not divisible by 3.
+            let h = FailingChain {
+                n: 3000,
+                fail_at: u64::MAX,
+                visits: AtomicU64::new(0),
+            };
+            let s = VisitorQueue::try_run(&VqConfig::with_threads(threads), &h, [Chain(0)])
+                .expect("no failure injected");
+            assert_eq!(s.visitors_executed, 3000, "threads={threads}");
+            assert_eq!(s.relaxations, 2000, "threads={threads}");
+
             let h = FailingChain {
                 n: 10_000,
                 fail_at: 500,
@@ -597,6 +615,10 @@ mod tests {
             // failure may execute.
             assert_eq!(h.visits.load(AO::Relaxed), 501, "threads={threads}");
             assert_eq!(err.stats.visitors_executed, 501);
+            // The failing visit counts as executed, not as expanded: 333 of
+            // 0..500 are not divisible by 3.
+            assert_eq!(err.stats.relaxations, 333, "threads={threads}");
+            assert!(err.stats.relaxations <= err.stats.visitors_executed);
             // Partial-stats invariant: an aborted run drops queued work,
             // so pushed may exceed executed but never the reverse (the
             // `pushed == executed` equality only holds at normal
@@ -630,9 +652,13 @@ mod tests {
             prepared: AtomicU64,
         }
         impl crate::FallibleVisitHandler<P> for Rec {
-            fn try_visit(&self, v: P, _ctx: &mut PushCtx<'_, P>) -> Result<(), crate::AbortReason> {
+            fn try_visit(
+                &self,
+                v: P,
+                _ctx: &mut PushCtx<'_, P>,
+            ) -> Result<bool, crate::AbortReason> {
                 self.order.lock().push(v.0);
-                Ok(())
+                Ok(true)
             }
             fn prepare_batch(&self, batch: &[P]) {
                 self.prepared.fetch_add(1, AO::Relaxed);

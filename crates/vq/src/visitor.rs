@@ -50,15 +50,24 @@ pub type AbortReason = Box<dyn std::error::Error + Send + Sync + 'static>;
 /// Fallible twin of [`VisitHandler`], for traversals whose visits can fail
 /// (semi-external reads exhausting their retry budget, corrupt adjacency).
 ///
-/// Returning `Err` from [`try_visit`](Self::try_visit) aborts the run: the
-/// first reason is captured, every worker drains out promptly (parked
-/// workers are woken), and
+/// [`try_visit`](Self::try_visit) reports whether the visit *expanded*:
+/// `Ok(true)` when its candidate label was current and the vertex was
+/// relaxed, `Ok(false)` when the candidate was stale and the visit did
+/// nothing. The runtime counts the `true`s as
+/// [`RunStats::relaxations`](crate::RunStats::relaxations); every other
+/// execution is a revisit, the redundant work of label correcting (paper
+/// §III-B).
+///
+/// Returning `Err` aborts the run: the first reason is captured, every
+/// worker drains out promptly (parked workers are woken), and
 /// [`VisitorQueue::try_run`](crate::VisitorQueue::try_run) returns the
 /// reason plus the partial stats. Every infallible [`VisitHandler`] is
-/// trivially a `FallibleVisitHandler` via the blanket impl.
+/// trivially a `FallibleVisitHandler` via the blanket impl, whose every
+/// visit counts as expanded.
 pub trait FallibleVisitHandler<V: Visitor>: Sync {
-    /// Process one visitor, or fail — which cleanly aborts the run.
-    fn try_visit(&self, v: V, ctx: &mut PushCtx<'_, V>) -> Result<(), AbortReason>;
+    /// Process one visitor: whether it expanded, or a failure — which
+    /// cleanly aborts the run.
+    fn try_visit(&self, v: V, ctx: &mut PushCtx<'_, V>) -> Result<bool, AbortReason>;
 
     /// Called once per service round with the visitors the worker just
     /// drained (in execution order), before any of them runs. Purely
@@ -71,41 +80,10 @@ pub trait FallibleVisitHandler<V: Visitor>: Sync {
 }
 
 impl<V: Visitor, H: VisitHandler<V>> FallibleVisitHandler<V> for H {
-    fn try_visit(&self, v: V, ctx: &mut PushCtx<'_, V>) -> Result<(), AbortReason> {
+    fn try_visit(&self, v: V, ctx: &mut PushCtx<'_, V>) -> Result<bool, AbortReason> {
         self.visit(v, ctx);
-        Ok(())
+        Ok(true)
     }
-}
-
-/// Adapter: wrap a visitor type so its vertex id is ignored in the ordering,
-/// leaving only the primary priority. Used by the semi-sort ablation to
-/// measure what the paper's secondary vertex-id sort key is worth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PriorityOnly<V>(pub V);
-
-impl<V: Visitor + PriorityKey> PartialOrd for PriorityOnly<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<V: Visitor + PriorityKey> Ord for PriorityOnly<V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.priority_key().cmp(&other.0.priority_key())
-    }
-}
-
-impl<V: Visitor + PriorityKey> Visitor for PriorityOnly<V> {
-    fn target(&self) -> u64 {
-        self.0.target()
-    }
-}
-
-/// Exposes a visitor's primary priority (without secondary keys), enabling
-/// the [`PriorityOnly`] ordering adapter.
-pub trait PriorityKey {
-    /// The primary priority value (e.g. tentative distance), smaller first.
-    fn priority_key(&self) -> u64;
 }
 
 #[cfg(test)]
@@ -122,24 +100,11 @@ mod tests {
             self.vertex
         }
     }
-    impl PriorityKey for V {
-        fn priority_key(&self) -> u64 {
-            self.dist
-        }
-    }
 
     #[test]
     fn derived_ord_uses_secondary_vertex_key() {
         let a = V { dist: 3, vertex: 1 };
         let b = V { dist: 3, vertex: 2 };
         assert!(a < b, "equal priority orders by vertex id (semi-sort)");
-    }
-
-    #[test]
-    fn priority_only_ignores_vertex() {
-        let a = PriorityOnly(V { dist: 3, vertex: 9 });
-        let b = PriorityOnly(V { dist: 3, vertex: 1 });
-        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
-        assert_eq!(a.target(), 9);
     }
 }

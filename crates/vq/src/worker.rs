@@ -29,9 +29,11 @@
 //! still reaches zero. A handler panic poisons the whole pool.
 //!
 //! The ledger and [`WorkerTotals`] are also the only place the worker
-//! counts events. A recorder is fed from them — the ledger forwards its
-//! deltas when it settles, the totals forward each increment — so the
-//! per-visitor path makes no recorder counter call (DESIGN.md §11).
+//! counts events, relaxations included: a visit's handler returns whether
+//! it expanded, and the ledger adds that up next to the executions. A
+//! recorder is fed from them — the ledger forwards its deltas when it
+//! settles, the totals forward each increment — so the per-visitor path
+//! makes no recorder counter call (DESIGN.md §11).
 
 use crate::bucket::BucketQueue;
 use crate::config::VqConfig;
@@ -107,6 +109,8 @@ pub(crate) struct Tally {
     /// First abort reason (later failures of the same query are dropped).
     abort_reason: Mutex<Option<AbortReason>>,
     pub(crate) executed: AtomicU64,
+    /// Executions whose handler reported an expansion.
+    pub(crate) relaxations: AtomicU64,
     /// Initialized to the seed count (seeds are driver pushes).
     pub(crate) pushed: AtomicU64,
     pub(crate) local_pushes: AtomicU64,
@@ -123,6 +127,7 @@ impl Tally {
             aborted: AtomicBool::new(false),
             abort_reason: Mutex::new(None),
             executed: AtomicU64::new(0),
+            relaxations: AtomicU64::new(0),
             pushed: AtomicU64::new(seeded),
             local_pushes: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -147,6 +152,7 @@ impl Tally {
     pub(crate) fn stats(&self, num_threads: usize) -> RunStats {
         RunStats {
             visitors_executed: self.executed.load(Ordering::Acquire),
+            relaxations: self.relaxations.load(Ordering::Acquire),
             visitors_pushed: self.pushed.load(Ordering::Acquire),
             local_pushes: self.local_pushes.load(Ordering::Acquire),
             visitors_dropped: self.dropped.load(Ordering::Acquire),
@@ -176,6 +182,8 @@ impl Tally {
 struct Ledger {
     debt: u64,
     executed: u64,
+    /// Executions that expanded; `executed - relaxed` are revisits.
+    relaxed: u64,
     pushed: u64,
     local: u64,
     dropped: u64,
@@ -194,6 +202,8 @@ impl Ledger {
         if R::ENABLED {
             for (c, n) in [
                 (Counter::VisitorsExecuted, self.executed),
+                (Counter::Relaxations, self.relaxed),
+                (Counter::Revisits, self.executed - self.relaxed),
                 (Counter::VisitorsPushed, self.pushed),
                 (Counter::LocalPushes, self.local),
                 (Counter::RemotePushes, self.pushed - self.local),
@@ -208,6 +218,10 @@ impl Ledger {
         if self.executed > 0 {
             t.executed.fetch_add(self.executed, Ordering::Relaxed);
             self.executed = 0;
+        }
+        if self.relaxed > 0 {
+            t.relaxations.fetch_add(self.relaxed, Ordering::Relaxed);
+            self.relaxed = 0;
         }
         if self.pushed > 0 {
             t.pushed.fetch_add(self.pushed, Ordering::Relaxed);
@@ -639,11 +653,12 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
                 led.pushed += pushed;
                 led.local += local_pushes;
                 led.debt += 1;
-                if let Err(reason) = outcome {
+                match outcome {
+                    Ok(expanded) => led.relaxed += expanded as u64,
                     // Abort *this query only*; the worker keeps serving
                     // siblings, and this query's queued visitors drain out
                     // as drops above.
-                    tally.abort(reason);
+                    Err(reason) => tally.abort(reason),
                 }
                 if led.debt >= DEBT_FLUSH {
                     settle(p, q, &mut led, recorder);

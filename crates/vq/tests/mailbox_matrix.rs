@@ -78,6 +78,8 @@ fn visit_counts_identical_across_matrix() {
                 stats.visitors_executed, N,
                 "threads={threads} batch={batch}"
             );
+            // An infallible handler's every visit counts as expanded.
+            assert_eq!(stats.relaxations, N, "threads={threads} batch={batch}");
             for (v, c) in h.visits.iter().enumerate() {
                 assert_eq!(
                     c.load(Ordering::Relaxed),
@@ -193,13 +195,14 @@ fn same_vertex_visits_never_overlap() {
 
 /// Fallible handler that floods work, then fails at one vertex: the run
 /// must come down promptly even with most workers parked or mid-drain.
+/// Odd vertices report their visit as stale (not expanded).
 struct FailAt {
     n: u64,
     bad: u64,
 }
 
 impl FallibleVisitHandler<Vis> for FailAt {
-    fn try_visit(&self, v: Vis, ctx: &mut PushCtx<'_, Vis>) -> Result<(), AbortReason> {
+    fn try_visit(&self, v: Vis, ctx: &mut PushCtx<'_, Vis>) -> Result<bool, AbortReason> {
         if v.vertex == self.bad {
             return Err("injected failure".into());
         }
@@ -211,7 +214,7 @@ impl FallibleVisitHandler<Vis> for FailAt {
                 });
             }
         }
-        Ok(())
+        Ok(v.vertex.is_multiple_of(2))
     }
 }
 
@@ -226,6 +229,11 @@ fn abort_tears_down_promptly() {
         let err = VisitorQueue::try_run(&cfg(threads, 1), &h, [Vis { prio: 0, vertex: 0 }])
             .expect_err("run must abort");
         assert!(err.reason.to_string().contains("injected failure"));
+        let s = err.stats;
+        assert!(
+            s.relaxations <= s.visitors_executed,
+            "{threads} threads: {s:?}"
+        );
         assert!(
             t.elapsed() < Duration::from_secs(30),
             "abort teardown with {threads} threads took {:?}",
