@@ -413,8 +413,7 @@ fn cmd_queries(args: &Args) -> Result<(), CliError> {
         return Err(format!("unknown --algo {algo:?} (bfs|sssp|cc)").into());
     }
     let threads = args.get_parsed("--threads", 16usize)?;
-    let metrics_json = args.get("--metrics-json").map(String::from);
-    let want_metrics = args.has("metrics") || metrics_json.is_some();
+    let want_metrics = args.has("metrics") || args.get("--metrics-json").is_some();
     let recorder = want_metrics.then(|| Arc::new(ShardedRecorder::new(threads)));
 
     let sem_cfg = sem_config(args, recorder.clone())?;
@@ -444,27 +443,7 @@ fn cmd_queries(args: &Args) -> Result<(), CliError> {
         None => run_query_batch(&sem, &opts, &algo, &sources, count, &NoopRecorder)?,
     };
 
-    let io_stats = sem.io_stats();
-    if io_stats.adjacency_reads > 0 {
-        println!(
-            "I/O             : {} adjacency reads, {} device reads, {:.1} MB",
-            io_stats.adjacency_reads,
-            io_stats.block_fetches,
-            io_stats.bytes_read as f64 / 1e6
-        );
-    }
-    if let Some(rec) = &recorder {
-        let mut snap = rec.snapshot();
-        snap.io = Some(io_stats);
-        if args.has("metrics") {
-            println!("\n{}", render_summary(&snap));
-        }
-        if let Some(out_path) = &metrics_json {
-            std::fs::write(out_path, snap.to_json_string())
-                .map_err(|e| rt(format!("write {out_path}: {e}")))?;
-            println!("metrics json    : {out_path}");
-        }
-    }
+    report_io(args, &sem, recorder.as_deref())?;
     if failures > 0 {
         return Err(rt(format!("{path}: {failures} queries failed")));
     }
@@ -576,8 +555,7 @@ fn traverse(args: &Args, algo: Algo) -> Result<(), CliError> {
     let path = args.pos(0);
     let threads = args.get_parsed("--threads", 16usize)?;
     let source = args.get_parsed("--source", 0u64)?;
-    let metrics_json = args.get("--metrics-json").map(String::from);
-    let want_metrics = args.has("metrics") || metrics_json.is_some();
+    let want_metrics = args.has("metrics") || args.get("--metrics-json").is_some();
     let recorder = want_metrics.then(|| Arc::new(ShardedRecorder::new(threads)));
 
     let sem_cfg = sem_config(args, recorder.clone())?;
@@ -642,6 +620,17 @@ fn traverse(args: &Args, algo: Algo) -> Result<(), CliError> {
         run_stats.inbox_batches,
         run_stats.parks
     );
+    report_io(args, &sem, recorder.as_deref())
+}
+
+/// Print the run's I/O summary, then — when a recorder collected metrics —
+/// the `--metrics` summary and the `--metrics-json` snapshot, both
+/// carrying the graph's I/O counters.
+fn report_io(
+    args: &Args,
+    sem: &SemGraph,
+    recorder: Option<&ShardedRecorder>,
+) -> Result<(), CliError> {
     let io_stats = sem.io_stats();
     println!(
         "I/O             : {} adjacency reads, {} device reads, {:.1} MB",
@@ -661,14 +650,13 @@ fn traverse(args: &Args, algo: Algo) -> Result<(), CliError> {
             io_stats.retries, io_stats.faults_absorbed, io_stats.faults_fatal
         );
     }
-
-    if let Some(rec) = &recorder {
+    if let Some(rec) = recorder {
         let mut snap = rec.snapshot();
         snap.io = Some(io_stats);
         if args.has("metrics") {
             println!("\n{}", render_summary(&snap));
         }
-        if let Some(out_path) = &metrics_json {
+        if let Some(out_path) = args.get("--metrics-json") {
             std::fs::write(out_path, snap.to_json_string())
                 .map_err(|e| rt(format!("write {out_path}: {e}")))?;
             println!("metrics json    : {out_path}");

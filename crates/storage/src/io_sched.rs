@@ -17,8 +17,7 @@
 //! through the retry/accounting machinery in `reader.rs`.
 
 use crate::reader::IoCore;
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
+use parking_lot::Mutex;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
@@ -79,7 +78,7 @@ pub fn plan_runs(blocks: &[u64], readahead: u64, num_blocks: u64) -> Vec<BlockRu
     runs
 }
 
-/// A validated block produced by a speculative run read.
+/// A run and the blocks of it that passed their checks.
 pub(crate) type StagedRun = (BlockRun, Vec<(u64, Arc<[u8]>)>);
 
 struct Job {
@@ -87,49 +86,29 @@ struct Job {
     reply: mpsc::Sender<StagedRun>,
 }
 
-#[derive(Default)]
-struct JobState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-struct JobQueue {
-    state: Mutex<JobState>,
-    cv: Condvar,
-}
-
 /// A small pool of persistent worker threads issuing coalesced run reads
 /// concurrently, so multiple requests are in flight per service round
 /// even from a single traversal worker. Workers share the owning
-/// graph's `IoCore`; dropping the pool closes the queue and joins them.
+/// graph's `IoCore` and take jobs from one channel; dropping the pool
+/// closes the channel and joins them.
 pub(crate) struct PrefetchPool {
-    queue: Arc<JobQueue>,
+    jobs: Option<mpsc::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl PrefetchPool {
     pub(crate) fn new(core: Arc<IoCore>, threads: usize) -> Self {
-        let queue = Arc::new(JobQueue {
-            state: Mutex::new(JobState::default()),
-            cv: Condvar::new(),
-        });
+        let (jobs, rx) = mpsc::channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..threads.max(1))
             .map(|_| {
                 let core = Arc::clone(&core);
-                let queue = Arc::clone(&queue);
+                let rx = Arc::clone(&rx);
                 std::thread::spawn(move || loop {
-                    let job = {
-                        let mut state = queue.state.lock();
-                        loop {
-                            if let Some(job) = state.jobs.pop_front() {
-                                break job;
-                            }
-                            if state.closed {
-                                return;
-                            }
-                            queue.cv.wait(&mut state);
-                        }
-                    };
+                    // Its own statement, so the lock is released before
+                    // the read: holding it would serialize the pool.
+                    let job = rx.lock().recv();
+                    let Ok(job) = job else { return };
                     let blocks = core.read_run(&job.run);
                     // The batch owner may have given up waiting; a closed
                     // reply channel just discards the speculative blocks.
@@ -137,37 +116,33 @@ impl PrefetchPool {
                 })
             })
             .collect();
-        PrefetchPool { queue, workers }
+        PrefetchPool {
+            jobs: Some(jobs),
+            workers,
+        }
     }
 
     /// Issue `runs` concurrently and wait for all of them. Each result
-    /// carries only the blocks that validated; the caller stages them
-    /// and lets the demand path re-read anything missing.
+    /// carries only the blocks that passed; the caller holds them and
+    /// lets the demand path re-read anything missing.
     pub(crate) fn read_runs(&self, runs: &[BlockRun]) -> Vec<StagedRun> {
         let (reply, replies) = mpsc::channel();
-        {
-            let mut state = self.queue.state.lock();
+        if let Some(jobs) = &self.jobs {
             for &run in runs {
-                state.jobs.push_back(Job {
-                    run,
-                    reply: reply.clone(),
-                });
+                let reply = reply.clone();
+                // A send fails only once every worker is gone; the
+                // demand path then reads the run's blocks itself.
+                let _ = jobs.send(Job { run, reply });
             }
         }
-        self.queue.cv.notify_all();
         drop(reply);
-        let mut out = Vec::with_capacity(runs.len());
-        while let Ok(staged) = replies.recv() {
-            out.push(staged);
-        }
-        out
+        replies.iter().collect()
     }
 }
 
 impl Drop for PrefetchPool {
     fn drop(&mut self) {
-        self.queue.state.lock().closed = true;
-        self.queue.cv.notify_all();
+        drop(self.jobs.take());
         for w in self.workers.drain(..) {
             let _ = w.join();
         }

@@ -22,11 +22,13 @@ use crate::io_sched::{plan_runs, BlockRun, PrefetchPool, StagedRun};
 use crate::retry::RetryPolicy;
 use asyncgt_graph::{Graph, NeighborError, Vertex, Weight};
 use asyncgt_obs::MetricSink;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,6 +107,14 @@ impl std::fmt::Debug for SemConfig {
     }
 }
 
+/// A block held in memory for adjacency reads — by the cache, or by the
+/// staging area when the cache is off. `readahead` marks a speculative
+/// block not used yet; its first use books one readahead hit.
+struct HeldBlock {
+    data: Arc<[u8]>,
+    readahead: bool,
+}
+
 /// Sharded FIFO block cache. FIFO (not LRU) keeps eviction O(1); with
 /// semi-sorted access the difference is negligible because reuse happens
 /// shortly after a block is fetched.
@@ -114,8 +124,8 @@ struct BlockCache {
 }
 
 struct Shard {
-    blocks: HashMap<u64, Arc<[u8]>>,
-    fifo: std::collections::VecDeque<u64>,
+    blocks: HashMap<u64, HeldBlock>,
+    fifo: VecDeque<u64>,
 }
 
 const CACHE_SHARDS: usize = 64;
@@ -127,7 +137,7 @@ impl BlockCache {
                 .map(|_| {
                     Mutex::new(Shard {
                         blocks: HashMap::new(),
-                        fifo: std::collections::VecDeque::new(),
+                        fifo: VecDeque::new(),
                     })
                 })
                 .collect(),
@@ -135,28 +145,16 @@ impl BlockCache {
         }
     }
 
-    /// Lookup without accounting: hit/miss counting happens at the
-    /// adjacency-serving call site, so scheduler probes never inflate the
-    /// cache statistics.
-    fn get(&self, block: u64) -> Option<Arc<[u8]>> {
-        self.shards[(block as usize) % CACHE_SHARDS]
-            .lock()
-            .blocks
-            .get(&block)
-            .cloned()
+    fn shard(&self, block: u64) -> MutexGuard<'_, Shard> {
+        self.shards[(block as usize) % CACHE_SHARDS].lock()
     }
 
-    /// Presence probe for the scheduler (cheaper than `get`: no clone).
-    fn contains(&self, block: u64) -> bool {
-        self.shards[(block as usize) % CACHE_SHARDS]
-            .lock()
-            .blocks
-            .contains_key(&block)
-    }
-
-    fn insert(&self, block: u64, data: Arc<[u8]>) {
-        let mut shard = self.shards[(block as usize) % CACHE_SHARDS].lock();
-        if shard.blocks.insert(block, data).is_none() {
+    /// Hold `block` unless it is held already: a block read twice keeps
+    /// its first entry, so a re-read never re-marks it as readahead.
+    fn insert(&self, block: u64, held: HeldBlock) {
+        let shard = &mut *self.shard(block);
+        if let Entry::Vacant(slot) = shard.blocks.entry(block) {
+            slot.insert(held);
             shard.fifo.push_back(block);
             if shard.fifo.len() > self.capacity_per_shard {
                 if let Some(evict) = shard.fifo.pop_front() {
@@ -193,9 +191,6 @@ pub(crate) struct IoCore {
     /// cache-less scheduler, so blocks staged for one graph are never
     /// served to another.
     graph_id: u64,
-    /// Readahead blocks staged into the shared cache, awaiting first use
-    /// (readahead-hit accounting). Touched only when `readahead > 0`.
-    readahead_pending: Mutex<HashSet<u64>>,
     adjacency_reads: AtomicU64,
     block_fetches: AtomicU64,
     bytes_read: AtomicU64,
@@ -338,7 +333,6 @@ impl SemGraph {
             cache,
             edge_sums,
             graph_id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
-            readahead_pending: Mutex::new(HashSet::new()),
             adjacency_reads: AtomicU64::new(0),
             block_fetches: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
@@ -383,9 +377,40 @@ impl SemGraph {
     pub fn try_for_each_neighbor<F: FnMut(Vertex, Weight)>(
         &self,
         v: Vertex,
-        f: F,
+        mut f: F,
     ) -> Result<(), StorageError> {
-        self.core.try_for_each_neighbor(v, f)
+        let header = self.core.header;
+        ADJ_BUF.with(|cell| {
+            let mut buf = cell.borrow_mut();
+            let bytes = self.core.read_adjacency_bytes(v, &mut buf)?;
+            let iw = header.index_width as usize;
+            let rec = header.record_size() as usize;
+            let n = header.num_vertices;
+            for (i, chunk) in buf.chunks_exact(rec).enumerate() {
+                let target = match iw {
+                    4 => u32::from_le_bytes(chunk[..4].try_into().expect("4 bytes")) as u64,
+                    _ => u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes")),
+                };
+                // A target outside the vertex range means on-storage
+                // corruption that slipped past (or predates) the checksum
+                // table; fail cleanly rather than corrupting traversal
+                // state.
+                if target >= n {
+                    return Err(StorageError::Corrupt {
+                        vertex: Some(v),
+                        offset: header.edges_pos + bytes.start + (i * rec) as u64,
+                        detail: format!("edge target {target} out of range ({n} vertices)"),
+                    });
+                }
+                let weight = if header.weighted {
+                    u32::from_le_bytes(chunk[iw..iw + 4].try_into().expect("4 bytes"))
+                } else {
+                    1
+                };
+                f(target, weight);
+            }
+            Ok(())
+        })
     }
 
     /// Stage the blocks covering the adjacency lists of `vertices`: the
@@ -404,36 +429,10 @@ impl SemGraph {
     /// schedule with full retry accounting.
     pub fn prefetch_adjacency(&self, vertices: &[Vertex]) {
         let core = &self.core;
-        let bs = core.config.block_size as u64;
-        let rec = core.header.record_size();
-        let mut blocks: Vec<u64> = Vec::new();
-        for &v in vertices {
-            let lo = core.offsets[v as usize] * rec;
-            let hi = core.offsets[v as usize + 1] * rec;
-            if lo == hi {
-                continue;
-            }
-            blocks.extend(lo / bs..=(hi - 1) / bs);
-        }
+        let mut blocks: Vec<u64> = vertices.iter().flat_map(|&v| core.extent(v).1).collect();
         blocks.sort_unstable();
         blocks.dedup();
-        match &core.cache {
-            Some(cache) => blocks.retain(|&b| !cache.contains(b)),
-            None => STAGING.with(|cell| {
-                let mut st = cell.borrow_mut();
-                if st.graph != core.graph_id {
-                    st.graph = core.graph_id;
-                    st.blocks.clear();
-                } else {
-                    // Keep only what this batch demands again (including
-                    // still-unused readahead from the previous batch);
-                    // everything else is stale and would leak.
-                    let keep: HashSet<u64> = blocks.iter().copied().collect();
-                    st.blocks.retain(|b, _| keep.contains(b));
-                }
-                blocks.retain(|b| !st.blocks.contains_key(b));
-            }),
-        }
+        core.drop_held(&mut blocks);
         if blocks.is_empty() {
             return;
         }
@@ -457,47 +456,17 @@ impl SemGraph {
             Some(pool) if runs.len() > 1 => pool.read_runs(&runs),
             _ => runs.iter().map(|r| (*r, core.read_run(r))).collect(),
         };
-
-        match &core.cache {
-            Some(cache) => {
-                let mut pending =
-                    (core.config.readahead > 0).then(|| core.readahead_pending.lock());
-                for (run, staged) in &results {
-                    for (b, data) in staged {
-                        cache.insert(*b, data.clone());
-                        if *b >= run.demand_end() {
-                            if let Some(p) = pending.as_mut() {
-                                p.insert(*b);
-                            }
-                        }
-                    }
-                }
-                // The set only grows for readahead blocks evicted before
-                // use; bound it rather than tracking evictions.
-                if let Some(p) = pending.as_mut() {
-                    if p.len() > (core.config.cache_blocks * 4).max(1 << 16) {
-                        p.clear();
-                    }
-                }
+        for (run, staged) in results {
+            for (block, data) in staged {
+                let readahead = block >= run.demand_end();
+                core.hold(block, HeldBlock { data, readahead });
             }
-            None => STAGING.with(|cell| {
-                let mut st = cell.borrow_mut();
-                st.graph = core.graph_id;
-                for (run, staged) in &results {
-                    for (b, data) in staged {
-                        st.blocks.insert(
-                            *b,
-                            StagedBlock {
-                                data: data.clone(),
-                                readahead: *b >= run.demand_end(),
-                            },
-                        );
-                    }
-                }
-            }),
         }
     }
 }
+
+/// One block's check result: its bytes, or the error that rejected them.
+type Checked = Result<Arc<[u8]>, StorageError>;
 
 impl IoCore {
     /// Snapshot of the I/O counters.
@@ -523,79 +492,110 @@ impl IoCore {
         edge_bytes.div_ceil(self.config.block_size as u64)
     }
 
-    /// Take `block` from this thread's staging area, if the cache-less
-    /// scheduler staged it for this graph. Consuming a readahead block
-    /// books a readahead hit (once, on first use). Never counts a cache
-    /// hit or miss: staging is not a cache, and demand fetches after a
-    /// staging miss keep the unbatched accounting.
-    fn staged_block(&self, block: u64) -> Option<Arc<[u8]>> {
-        STAGING.with(|cell| {
-            let mut st = cell.borrow_mut();
-            if st.graph != self.graph_id {
-                return None;
-            }
-            let staged = st.blocks.get_mut(&block)?;
-            if staged.readahead {
-                staged.readahead = false;
-                self.readahead_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(Arc::clone(&staged.data))
-        })
+    /// Where the adjacency of `v` lies: its byte range within the edge
+    /// region, and the range of blocks covering it (empty when `v` has
+    /// no edges).
+    fn extent(&self, v: Vertex) -> (Range<u64>, Range<u64>) {
+        let rec = self.header.record_size();
+        let bytes = self.offsets[v as usize] * rec..self.offsets[v as usize + 1] * rec;
+        let bs = self.config.block_size as u64;
+        let blocks = if bytes.is_empty() {
+            0..0
+        } else {
+            bytes.start / bs..(bytes.end - 1) / bs + 1
+        };
+        (bytes, blocks)
     }
 
-    /// Issue one coalesced run as a single positioned read and validate
-    /// each covered block (fault injection at attempt 0, short-read
-    /// check, checksums). Returns only the blocks that validated;
-    /// failures are silent — no fault counters, no error — because the
-    /// demand path replays the identical fault schedule with full retry
-    /// accounting. The read itself books one device read (`block_fetches`
-    /// plus a latency sample) on success.
-    pub(crate) fn read_run(&self, run: &BlockRun) -> Vec<(u64, Arc<[u8]>)> {
-        let bs = self.config.block_size as u64;
-        let start = self.header.edges_pos + run.start * bs;
-        let file_len = self.header.expected_file_len();
-        let len = (run.total * bs).min(file_len.saturating_sub(start)) as usize;
-        if len == 0 {
-            return Vec::new();
-        }
-        let mut buf = vec![0u8; len];
-        let read_start = self.config.metrics.as_ref().map(|_| Instant::now());
-        let res = match &self.config.device {
-            Some(dev) => dev.read(|| self.file.read_exact_at(&mut buf, start)),
-            None => self.file.read_exact_at(&mut buf, start),
-        };
-        if res.is_err() {
-            return Vec::new();
-        }
-        if let (Some(sink), Some(t0)) = (&self.config.metrics, read_start) {
-            sink.io_read(t0.elapsed().as_nanos() as u64);
-        }
-        self.block_fetches.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
-
-        let mut out = Vec::with_capacity(run.total as usize);
-        for i in 0..run.total {
-            let block = run.start + i;
-            let lo = (i * bs) as usize;
-            if lo >= len {
-                break;
-            }
-            let mut piece = buf[lo..len.min(lo + bs as usize)].to_vec();
-            let expect = bs.min(file_len.saturating_sub(start + i * bs)) as usize;
-            if let Some(faults) = &self.config.faults {
-                if faults.inject(block, 0, &mut piece).is_err() {
-                    continue;
+    /// Remove from a batch's sorted demand list every block already held.
+    /// With the cache off this also releases the staged blocks the batch
+    /// no longer demands (unused readahead it demands again stays), so
+    /// staging holds at most one batch's worth of blocks per thread.
+    fn drop_held(&self, blocks: &mut Vec<u64>) {
+        match &self.cache {
+            Some(cache) => blocks.retain(|&b| !cache.shard(b).blocks.contains_key(&b)),
+            None => STAGING.with_borrow_mut(|st| {
+                if st.graph != self.graph_id {
+                    st.graph = self.graph_id;
+                    st.blocks.clear();
                 }
-            }
-            if piece.len() < expect {
-                continue;
-            }
-            if self.verify_block(block, start + i * bs, &piece).is_err() {
-                continue;
-            }
-            out.push((block, piece.into()));
+                st.blocks.retain(|b, _| blocks.binary_search(b).is_ok());
+                blocks.retain(|b| !st.blocks.contains_key(b));
+            }),
         }
-        out
+    }
+
+    /// Hold a prefetched block for this graph's adjacency reads: in the
+    /// cache, or — with the cache off — in this thread's staging area.
+    fn hold(&self, block: u64, held: HeldBlock) {
+        match &self.cache {
+            Some(cache) => cache.insert(block, held),
+            None => STAGING.with_borrow_mut(|st| {
+                st.blocks.entry(block).or_insert(held);
+            }),
+        }
+    }
+
+    /// The bytes of a held block. Its first use books a readahead hit if
+    /// the scheduler read it speculatively.
+    fn use_held(&self, held: &mut HeldBlock) -> Arc<[u8]> {
+        if std::mem::take(&mut held.readahead) {
+            self.readahead_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Arc::clone(&held.data)
+    }
+
+    /// Serve `block` to an adjacency read: from the cache, else from this
+    /// thread's staging area, else from the device. Cache hits and misses
+    /// are counted only when a cache exists; staging is not a cache.
+    fn serve_block(&self, block: u64) -> Checked {
+        let held = match &self.cache {
+            Some(cache) => {
+                let hit = cache
+                    .shard(block)
+                    .blocks
+                    .get_mut(&block)
+                    .map(|h| self.use_held(h));
+                match hit {
+                    Some(_) => &self.cache_hits,
+                    None => &self.cache_misses,
+                }
+                .fetch_add(1, Ordering::Relaxed);
+                hit
+            }
+            None => STAGING.with_borrow_mut(|st| {
+                if st.graph != self.graph_id {
+                    return None;
+                }
+                st.blocks.get_mut(&block).map(|h| self.use_held(h))
+            }),
+        };
+        if let Some(data) = held {
+            return Ok(data);
+        }
+        let data = self.fetch_block(block)?;
+        if let Some(cache) = &self.cache {
+            let held = HeldBlock {
+                data: Arc::clone(&data),
+                readahead: false,
+            };
+            cache.insert(block, held);
+        }
+        Ok(data)
+    }
+
+    /// Read one scheduler run and keep the blocks that passed their
+    /// checks. Failures are silent — no fault counters, no error —
+    /// because the demand path replays the identical fault schedule with
+    /// full retry accounting.
+    pub(crate) fn read_run(&self, run: &BlockRun) -> Vec<(u64, Arc<[u8]>)> {
+        let checked = self
+            .read_blocks(run.start, run.total, 0)
+            .unwrap_or_default();
+        (run.start..)
+            .zip(checked)
+            .filter_map(|(block, data)| Some((block, data.ok()?)))
+            .collect()
     }
 
     /// Read one block (by index within the edge region) from storage,
@@ -606,14 +606,17 @@ impl IoCore {
     /// (the traversal never saw them); a read that exhausts the budget —
     /// or fails non-retryably — books one `faults_fatal` and surfaces the
     /// error, which aborts the traversal.
-    fn fetch_block(&self, block: u64) -> Result<Arc<[u8]>, StorageError> {
+    fn fetch_block(&self, block: u64) -> Checked {
         let policy = &self.config.retry;
         let mut attempt: u32 = 0;
         // The clock only starts at the first failure: the fault-free fast
         // path takes no timestamp.
         let mut first_failure: Option<Instant> = None;
         loop {
-            match self.fetch_block_once(block, attempt) {
+            let read = self
+                .read_blocks(block, 1, attempt)
+                .and_then(|mut checked| checked.pop().expect("one result per block read"));
+            match read {
                 Ok(data) => {
                     if attempt > 0 {
                         self.faults_absorbed
@@ -649,166 +652,106 @@ impl IoCore {
         }
     }
 
-    /// One read attempt for `block`: raw positioned read, fault injection
-    /// (if configured), short-read detection, checksum verification.
-    /// Metrics and I/O counters are only booked on success so stats stay
-    /// consistent with the data the traversal actually consumed.
-    fn fetch_block_once(&self, block: u64, attempt: u32) -> Result<Arc<[u8]>, StorageError> {
+    /// The one read of the edge region: blocks `first..first + count` in
+    /// a single positioned read, then each block checked on its own —
+    /// fault injection at `attempt` (if configured), the short-read check,
+    /// the checksum. The outer error is a failed read; otherwise each
+    /// block carries its own result. `block_fetches`, `bytes_read` and one
+    /// latency sample are booked once, iff at least one block passed, so
+    /// the stats match the data the traversal can consume.
+    fn read_blocks(
+        &self,
+        first: u64,
+        count: u64,
+        attempt: u32,
+    ) -> Result<Vec<Checked>, StorageError> {
         let bs = self.config.block_size as u64;
-        let start = self.header.edges_pos + block * bs;
+        let start = self.header.edges_pos + first * bs;
         let file_len = self.header.expected_file_len();
-        let len = bs.min(file_len.saturating_sub(start)) as usize;
+        let len = (count * bs).min(file_len.saturating_sub(start)) as usize;
         let mut buf = vec![0u8; len];
         let read_start = self.config.metrics.as_ref().map(|_| Instant::now());
         match &self.config.device {
             Some(dev) => dev.read(|| self.file.read_exact_at(&mut buf, start))?,
             None => self.file.read_exact_at(&mut buf, start)?,
         }
-        if let Some(faults) = &self.config.faults {
-            faults.inject(block, attempt, &mut buf)?;
+        let checked: Vec<Checked> = (first..)
+            .zip(buf.chunks(bs as usize))
+            .map(|(block, raw)| self.check_block(block, attempt, raw))
+            .collect();
+        if checked.iter().any(Result::is_ok) {
+            if let (Some(sink), Some(t0)) = (&self.config.metrics, read_start) {
+                sink.io_read(t0.elapsed().as_nanos() as u64);
+            }
+            self.block_fetches.fetch_add(1, Ordering::Relaxed);
+            self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
         }
-        if buf.len() < len {
+        Ok(checked)
+    }
+
+    /// Check one block's bytes as read: apply the fault schedule, reject a
+    /// short read, and verify every checksum chunk the block covers
+    /// (`block_size` is a multiple of the chunk size whenever `edge_sums`
+    /// is loaded, so chunks never straddle blocks).
+    fn check_block(&self, block: u64, attempt: u32, raw: &[u8]) -> Checked {
+        let data: Arc<[u8]> = match &self.config.faults {
+            None => raw.into(),
+            Some(faults) => {
+                let mut piece = raw.to_vec();
+                faults.inject(block, attempt, &mut piece)?;
+                piece.into()
+            }
+        };
+        if data.len() < raw.len() {
             return Err(StorageError::Transient {
                 detail: format!(
-                    "short read at block {block}: got {} of {len} bytes",
-                    buf.len()
+                    "short read at block {block}: got {} of {} bytes",
+                    data.len(),
+                    raw.len()
                 ),
                 attempts: 0,
             });
         }
-        self.verify_block(block, start, &buf)?;
-        if let (Some(sink), Some(t0)) = (&self.config.metrics, read_start) {
-            sink.io_read(t0.elapsed().as_nanos() as u64);
-        }
-        self.block_fetches.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(buf.into())
-    }
-
-    /// Verify every checksum chunk covered by a fetched block. Block size
-    /// is a multiple of the chunk size whenever `edge_sums` is populated,
-    /// so chunks never straddle block boundaries.
-    fn verify_block(&self, block: u64, start: u64, buf: &[u8]) -> Result<(), StorageError> {
-        let Some(cs) = &self.edge_sums else {
-            return Ok(());
-        };
-        let base = (block * self.config.block_size as u64 / cs.chunk) as usize;
-        for (i, piece) in buf.chunks(cs.chunk as usize).enumerate() {
-            if cs.sums.get(base + i).copied() != Some(chunk_sum(piece)) {
-                return Err(StorageError::Corrupt {
-                    vertex: None,
-                    offset: start + i as u64 * cs.chunk,
-                    detail: format!("edge-chunk checksum mismatch (chunk {})", base + i),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Copy the raw adjacency bytes of `v` into `out` (cleared first).
-    fn read_adjacency_bytes(&self, v: Vertex, out: &mut Vec<u8>) -> Result<(), StorageError> {
-        out.clear();
-        let rec = self.header.record_size();
-        let lo = self.offsets[v as usize] * rec;
-        let hi = self.offsets[v as usize + 1] * rec;
-        if lo == hi {
-            return Ok(());
-        }
-        self.adjacency_reads.fetch_add(1, Ordering::Relaxed);
-        out.reserve((hi - lo) as usize);
-
-        let bs = self.config.block_size as u64;
-        let first_block = lo / bs;
-        let last_block = (hi - 1) / bs;
-        for block in first_block..=last_block {
-            let data = match &self.cache {
-                Some(cache) => match cache.get(block) {
-                    Some(d) => {
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        // First adjacency-serving use of a speculative
-                        // readahead block counts as a readahead hit.
-                        if self.config.readahead > 0 && self.readahead_pending.lock().remove(&block)
-                        {
-                            self.readahead_hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        d
-                    }
-                    None => {
-                        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        let d = self.fetch_block(block).map_err(|e| e.with_vertex(v))?;
-                        cache.insert(block, d.clone());
-                        d
-                    }
-                },
-                None => match self.staged_block(block) {
-                    Some(d) => d,
-                    None => self.fetch_block(block).map_err(|e| e.with_vertex(v))?,
-                },
-            };
-            let block_start = block * bs;
-            let s = lo.max(block_start) - block_start;
-            let e = hi.min(block_start + data.len() as u64) - block_start;
-            out.extend_from_slice(&data[s as usize..e as usize]);
-        }
-        Ok(())
-    }
-
-    /// Iterate the adjacency of `v`, surfacing storage failures as typed
-    /// errors instead of panicking — the fallible twin of
-    /// [`Graph::for_each_neighbor`], used by abortable traversals.
-    ///
-    /// A retry-exhausted or non-retryable I/O failure returns
-    /// [`StorageError::Transient`]/[`Permanent`](StorageError::Permanent);
-    /// on-storage corruption (checksum mismatch, out-of-range edge target)
-    /// returns [`StorageError::Corrupt`] tagged with the vertex.
-    pub fn try_for_each_neighbor<F: FnMut(Vertex, Weight)>(
-        &self,
-        v: Vertex,
-        mut f: F,
-    ) -> Result<(), StorageError> {
-        ADJ_BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            self.read_adjacency_bytes(v, &mut buf)?;
-            let iw = self.header.index_width as usize;
-            let rec = self.header.record_size() as usize;
-            let n = self.header.num_vertices;
-            for (i, chunk) in buf.chunks_exact(rec).enumerate() {
-                let target = match iw {
-                    4 => u32::from_le_bytes(chunk[..4].try_into().unwrap()) as u64,
-                    _ => u64::from_le_bytes(chunk[..8].try_into().unwrap()),
-                };
-                // A target outside the vertex range means on-storage
-                // corruption that slipped past (or predates) the checksum
-                // table; fail cleanly rather than corrupting traversal
-                // state.
-                if target >= n {
-                    let rec64 = rec as u64;
+        if let Some(cs) = &self.edge_sums {
+            let start = self.header.edges_pos + block * self.config.block_size as u64;
+            let base = (block * self.config.block_size as u64 / cs.chunk) as usize;
+            for (i, piece) in data.chunks(cs.chunk as usize).enumerate() {
+                if cs.sums.get(base + i).copied() != Some(chunk_sum(piece)) {
                     return Err(StorageError::Corrupt {
-                        vertex: Some(v),
-                        offset: self.header.edges_pos
-                            + self.offsets[v as usize] * rec64
-                            + i as u64 * rec64,
-                        detail: format!("edge target {target} out of range ({n} vertices)"),
+                        vertex: None,
+                        offset: start + i as u64 * cs.chunk,
+                        detail: format!("edge-chunk checksum mismatch (chunk {})", base + i),
                     });
                 }
-                let weight = if self.header.weighted {
-                    u32::from_le_bytes(chunk[iw..iw + 4].try_into().unwrap())
-                } else {
-                    1
-                };
-                f(target, weight);
             }
-            Ok(())
-        })
+        }
+        Ok(data)
     }
-}
 
-/// One block staged by the cache-less scheduler for the staging thread's
-/// own demand reads. `readahead` marks speculative blocks so their first
-/// use can be booked as a readahead hit.
-struct StagedBlock {
-    data: Arc<[u8]>,
-    readahead: bool,
+    /// Copy the raw adjacency bytes of `v` into `out` (cleared first) and
+    /// return their byte range within the edge region.
+    fn read_adjacency_bytes(
+        &self,
+        v: Vertex,
+        out: &mut Vec<u8>,
+    ) -> Result<Range<u64>, StorageError> {
+        out.clear();
+        let (bytes, blocks) = self.extent(v);
+        if bytes.is_empty() {
+            return Ok(bytes);
+        }
+        self.adjacency_reads.fetch_add(1, Ordering::Relaxed);
+        out.reserve((bytes.end - bytes.start) as usize);
+        let bs = self.config.block_size as u64;
+        for block in blocks {
+            let data = self.serve_block(block).map_err(|e| e.with_vertex(v))?;
+            let block_start = block * bs;
+            let s = bytes.start.max(block_start) - block_start;
+            let e = bytes.end.min(block_start + data.len() as u64) - block_start;
+            out.extend_from_slice(&data[s as usize..e as usize]);
+        }
+        Ok(bytes)
+    }
 }
 
 /// Per-thread staging area for the cache-less I/O scheduler. Keyed by the
@@ -816,7 +759,7 @@ struct StagedBlock {
 /// graph they are traversing, so one slot per thread suffices.
 struct Staging {
     graph: u64,
-    blocks: HashMap<u64, StagedBlock>,
+    blocks: HashMap<u64, HeldBlock>,
 }
 
 thread_local! {
@@ -1310,6 +1253,100 @@ mod tests {
         assert_eq!(lat.count, io.block_fetches);
         assert!(lat.sum > 0, "read latency must be measured");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A chain `v → v + 1` over `n` vertices in 64-byte blocks: 16 edge
+    /// records per block, so vertex `v`'s adjacency lies in block `v / 16`.
+    fn chain_sem(name: &str, n: u64, config: SemConfig) -> SemGraph {
+        let g: CsrGraph<u32> =
+            GraphBuilder::from_edges(n, (0..n - 1).map(|v| (v, v + 1, 1)).collect(), false).build();
+        let path = tmp(name);
+        write_sem_graph(&path, &g).unwrap();
+        let sem = SemGraph::open_with(
+            &path,
+            SemConfig {
+                block_size: 64,
+                ..config
+            },
+        )
+        .unwrap();
+        std::fs::remove_file(&path).ok();
+        sem
+    }
+
+    #[test]
+    fn readahead_block_books_one_hit_on_first_use() {
+        for cache_blocks in [64, 0] {
+            let sem = chain_sem(
+                &format!("readahead_once_{cache_blocks}.agt"),
+                2000,
+                SemConfig {
+                    cache_blocks,
+                    readahead: 1,
+                    ..SemConfig::default()
+                },
+            );
+            // Demands block 0 and reads block 1 ahead.
+            sem.prefetch_adjacency(&[0]);
+            for v in [0, 16, 17, 18] {
+                assert_eq!(sem.neighbors(v), vec![v + 1]);
+            }
+            let io = sem.io_stats();
+            assert_eq!(io.readahead_hits, 1, "cache_blocks={cache_blocks}");
+            assert_eq!(io.block_fetches, 1, "cache_blocks={cache_blocks}");
+        }
+    }
+
+    #[test]
+    fn readahead_block_evicted_before_use_books_no_hit() {
+        // One block per cache shard: block 65 evicts block 1 (same shard).
+        let sem = chain_sem(
+            "readahead_evicted.agt",
+            2000,
+            SemConfig {
+                cache_blocks: 1,
+                readahead: 1,
+                ..SemConfig::default()
+            },
+        );
+        sem.prefetch_adjacency(&[0]);
+        // Vertex 1040 lies in block 65; 16 and 17 in block 1, which is
+        // read again on demand and then hit.
+        for v in [1040, 16, 17] {
+            assert_eq!(sem.neighbors(v), vec![v + 1]);
+        }
+        let io = sem.io_stats();
+        assert_eq!((io.cache_misses, io.cache_hits), (2, 1));
+        assert_eq!(io.readahead_hits, 0, "the readahead block was never used");
+    }
+
+    #[test]
+    fn prefetch_pool_overlaps_its_runs() {
+        let dev = Arc::new(SimulatedFlash::new(DeviceModel {
+            name: "slow",
+            channels: 4,
+            service_time: Duration::from_millis(50),
+        }));
+        let sem = chain_sem(
+            "pool_overlap.agt",
+            2000,
+            SemConfig {
+                cache_blocks: 0,
+                device: Some(dev.clone()),
+                prefetch_threads: 4,
+                ..SemConfig::default()
+            },
+        );
+        // Blocks 0, 2, 4 and 6: four runs, one read each. Read one after
+        // another they would take at least 200 ms.
+        let t0 = Instant::now();
+        sem.prefetch_adjacency(&[0, 32, 64, 96]);
+        let elapsed = t0.elapsed();
+        assert_eq!(dev.total_reads(), 4);
+        assert!(
+            elapsed < Duration::from_millis(150),
+            "the pool must issue its runs concurrently, took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * visitors are binned by **priority class** `priority() >> shift` into
 //!   a ring of FIFO buckets starting at the current minimum class;
 //! * pop drains the lowest non-empty bucket; classes beyond the ring
-//!   horizon overflow into a small 4-ary heap and re-enter the ring as it
+//!   horizon overflow into a binary min-heap and re-enter the ring as it
 //!   advances;
 //! * optionally each bucket is **sorted before draining** — this yields
 //!   exactly the paper's §IV-C semi-external ordering: primary key the
@@ -22,8 +22,9 @@
 //! levels); larger shifts give delta-stepping-like coarse buckets for wide
 //! weight ranges.
 
-use crate::dary::DaryHeap;
 use crate::visitor::Visitor;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Number of bucket classes held in the ring; classes at or beyond
 /// `base + RING` overflow to the heap.
@@ -42,7 +43,7 @@ pub struct BucketQueue<V: Visitor> {
     /// when `sort_buckets` is set, popped from the back.
     current: Vec<V>,
     /// Far-future items (class ≥ base + RING).
-    overflow: DaryHeap<V>,
+    overflow: BinaryHeap<Reverse<V>>,
     /// Right-shift applied to `Visitor::priority()` to form classes.
     shift: u32,
     /// Sort each bucket before draining (the paper's SEM semi-sort).
@@ -58,7 +59,7 @@ impl<V: Visitor> BucketQueue<V> {
             base: 0,
             ring_len: 0,
             current: Vec::new(),
-            overflow: DaryHeap::new(),
+            overflow: BinaryHeap::new(),
             shift,
             sort_buckets,
         }
@@ -105,7 +106,7 @@ impl<V: Visitor> BucketQueue<V> {
             self.buckets[idx].push(v);
             self.ring_len += 1;
         } else {
-            self.overflow.push(v);
+            self.overflow.push(Reverse(v));
         }
     }
 
@@ -131,11 +132,11 @@ impl<V: Visitor> BucketQueue<V> {
             let min_class = self
                 .overflow
                 .peek()
-                .map(|v| self.class_of(v))
+                .map(|Reverse(v)| self.class_of(v))
                 .expect("refill called with an empty queue");
             self.base = min_class;
             self.head = 0;
-            self.drain_overflow_into_ring();
+            self.maybe_pull_overflow();
             debug_assert!(self.ring_len > 0);
         }
         // Walk the ring to the first non-empty bucket.
@@ -159,21 +160,16 @@ impl<V: Visitor> BucketQueue<V> {
     /// After advancing `base`, overflow items may now fit the ring.
     #[inline]
     fn maybe_pull_overflow(&mut self) {
-        while let Some(v) = self.overflow.peek() {
+        while let Some(Reverse(v)) = self.overflow.peek() {
             let class = self.class_of(v);
             if class >= self.base + RING as u64 {
                 break;
             }
-            let v = self.overflow.pop().unwrap();
+            let Reverse(v) = self.overflow.pop().expect("peeked above");
             let idx = (self.head + (class - self.base) as usize) % RING;
             self.buckets[idx].push(v);
             self.ring_len += 1;
         }
-    }
-
-    /// Move every overflow item whose class now fits into the ring.
-    fn drain_overflow_into_ring(&mut self) {
-        self.maybe_pull_overflow();
     }
 }
 

@@ -71,7 +71,6 @@
 
 pub mod bucket;
 pub mod config;
-pub mod dary;
 pub mod engine;
 mod mailbox;
 pub mod queue;
