@@ -16,6 +16,5 @@
 
 pub mod delta_stepping;
 pub mod level_sync;
-pub mod power_iteration;
 pub mod serial;
 pub mod union_find;

@@ -157,13 +157,9 @@ fn main() {
                          visitors carry a 4-byte query id (24 B items) and whose \
                          workers resolve each query through a one-entry cache; \
                          spawn mode runs each query one-shot (bare 16 B visitors) \
-                         but pays thread spawn/join and runs concurrency x threads \
-                         OS threads at peak. Both call a monomorphized handler. \
-                         With few cores and small queries oversubscription is \
-                         cheap, so the engine's per-query overheads can dominate; \
-                         its bounded thread count and admission control pay off \
-                         with many cores or query counts far above the core count. \
-                         Each cell is the median of its runs; iqr_elapsed_s is the \
+                         but pays thread spawn/join per query and runs \
+                         concurrency x threads OS threads at peak. Both call a \
+                         monomorphized handler. Each cell is the median of its runs; iqr_elapsed_s is the \
                          spread between its quartiles"
                             .into(),
                     ),

@@ -172,7 +172,7 @@ mod tests {
             picks in proptest::collection::vec(0usize..10_000, 0..10),
         ) {
             let cmds = [
-                "generate", "convert", "info", "bfs", "sssp", "cc", "pagerank", "queries", "help",
+                "generate", "convert", "info", "bfs", "sssp", "cc", "queries", "help",
             ];
             let specs = cmds.map(|c| crate::commands::spec(c).unwrap());
             let mut words: Vec<&str> = specs.iter().flat_map(|s| s.flags.concat()).collect();

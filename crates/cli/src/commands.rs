@@ -69,13 +69,12 @@ pub const USAGE: &str = "usage:
                [--metrics] [--metrics-json OUT.json]
   agt cc   FILE.agt [--threads T] [--device MODEL] [--validate]
                [--metrics] [--metrics-json OUT.json]
-  agt pagerank FILE.agt [--threads T] [--device MODEL]
   agt queries FILE.agt [--algo bfs|sssp|cc] [--sources V1,V2,…] [--count N]
                [--max-concurrent M] [--queue-depth D] [--threads T]
                [--device MODEL] [--metrics] [--metrics-json OUT.json]
 
 Each subcommand takes exactly the arguments shown, its own flags and,
-where it reads a FILE.agt (bfs, sssp, cc, pagerank, queries), the storage
+where it reads a FILE.agt (bfs, sssp, cc, queries), the storage
 flags below; anything else is a usage error (exit 2).
 
 OUT extension picks the format: .agt (SEM CSR), .txt (text edge list),
@@ -92,8 +91,7 @@ queries run. --max-concurrent bounds in-flight queries (default 8);
 
 I/O scheduler (storage-backed subcommands):
   --io-batch N          visitors drained per service round; batches above 1
-                        coalesce adjacent block reads (default 1; not
-                        pagerank)
+                        coalesce adjacent block reads (default 1)
   --readahead N         speculative blocks appended per coalesced read
                         (default 0)
   --prefetch-threads N  threads issuing coalesced reads concurrently
@@ -149,7 +147,6 @@ pub(crate) fn spec(cmd: &str) -> Option<Spec> {
         "info" => (FILE, &[]),
         "bfs" | "sssp" => (FILE, &[RUN_FLAGS, SEM_FLAGS, &["--source", "--validate"]]),
         "cc" => (FILE, &[RUN_FLAGS, SEM_FLAGS, &["--validate"]]),
-        "pagerank" => (FILE, &[SEM_FLAGS, &["--threads"]]),
         "queries" => (
             FILE,
             &[
@@ -182,7 +179,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
         "bfs" => traverse(&args, Algo::Bfs),
         "sssp" => traverse(&args, Algo::Sssp),
         "cc" => traverse(&args, Algo::Cc),
-        "pagerank" => cmd_pagerank(&args),
         "queries" => cmd_queries(&args),
         _ => {
             println!("{USAGE}");
@@ -380,28 +376,6 @@ fn sem_config(args: &Args, metrics: Option<Arc<ShardedRecorder>>) -> Result<SemC
         readahead: args.get_parsed("--readahead", 0usize)?,
         prefetch_threads: args.get_parsed("--prefetch-threads", 0usize)?,
     })
-}
-
-fn cmd_pagerank(args: &Args) -> Result<(), CliError> {
-    use asyncgt::{pagerank, PageRankParams};
-    let path = args.pos(0);
-    let threads = args.get_parsed("--threads", 16usize)?;
-    let sem = SemGraph::open_with(path, sem_config(args, None)?)
-        .map_err(|e| rt(format!("open {path}: {e}")))?;
-    let t = Instant::now();
-    let out = pagerank(
-        &sem,
-        &PageRankParams::default(),
-        &Config::with_threads(threads),
-    );
-    println!("elapsed         : {:?}", t.elapsed());
-    println!("rank commits    : {}", out.commits);
-    println!("committed mass  : {:.6}", out.committed_mass());
-    println!("top 10:");
-    for (i, (v, score)) in out.top_k(10).into_iter().enumerate() {
-        println!("  #{:<2} vertex {v:>10}  {score:.4e}", i + 1);
-    }
-    Ok(())
 }
 
 /// `agt queries`: serve a batch of traversal queries from one persistent
@@ -852,7 +826,6 @@ mod tests {
             ("bfs g.agt --undirected", "--undirected"),
             ("cc g.agt --source 3", "--source"),
             ("queries g.agt --validate", "--validate"),
-            ("pagerank g.agt --io-batch 4", "--io-batch"),
             ("info g.agt --threads 2", "--threads"),
             ("convert a.txt b.agt --device fusionio", "--device"),
             ("generate rmat --threads 2 -o x.agt", "--threads"),
@@ -874,6 +847,11 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         assert!(matches!(run("frobnicate"), Err(CliError::Usage(_))));
+        // A removed subcommand is unknown like any other: usage, exit 2.
+        match run("pagerank g.agt") {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("unknown subcommand"), "{msg}"),
+            other => panic!("pagerank: expected a usage error, got {other:?}"),
+        }
         // Well-formed invocation hitting a missing file → runtime.
         assert!(matches!(
             run("bfs missing_file.agt"),

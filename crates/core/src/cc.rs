@@ -222,7 +222,10 @@ pub fn try_connected_components_recorded<G: Graph, R: Recorder>(
     let n = g.num_vertices();
     // Component-id priorities span the whole vertex-id space (every vertex
     // seeds itself), so lg(n) − 10 classes fit the queue's bucket ring.
-    let vq = cfg.vq(crate::config::lg2(n).saturating_sub(10));
+    let vq = Config {
+        priority_shift: crate::config::lg2(n).saturating_sub(10),
+        ..cfg.clone()
+    };
     // Algorithm 3 seeds one visitor per vertex; the handler starts each
     // label at the id its seed carries.
     let ([ccid], stats) = one_shot(n, &[], [INF_DIST], recorder, |[ccid]| {

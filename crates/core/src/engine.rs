@@ -46,58 +46,16 @@ use crate::sssp::{SsspHandler, SsspVisitor};
 use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
 use asyncgt_obs::Recorder;
 use asyncgt_vq::{
-    AbortReason, EngineConfig, EngineStats, FallibleVisitHandler, OwnedStateLease, PushCtx,
-    QueryError, QueryTicket, StatePool, SubmitError,
+    AbortReason, EngineStats, FallibleVisitHandler, OwnedStateLease, PushCtx, QueryError,
+    QueryTicket, StatePool, SubmitError,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Configuration of a persistent traversal engine.
-#[derive(Clone, Debug)]
-pub struct EngineOpts {
-    /// Traversal/runtime knobs shared with the one-shot API (threads,
-    /// batch drain). The engine-wide bucket class width is the
-    /// CC-style coarse `lg(n) − 10`, which keeps every algorithm's
-    /// priority span inside the bucket ring for mixed workloads.
-    pub cfg: Config,
-    /// Queries allowed to execute concurrently; submits beyond this queue
-    /// up behind admission control.
-    pub max_concurrent: usize,
-    /// Bounded submit-queue depth behind the concurrency limit. `0` means
-    /// reject as soon as `max_concurrent` queries are active.
-    pub queue_depth: usize,
-    /// How long a submit blocks for admission before returning
-    /// [`SubmitError::Rejected`].
-    pub submit_timeout: Duration,
-}
-
-impl Default for EngineOpts {
-    fn default() -> Self {
-        let e = EngineConfig::default();
-        EngineOpts {
-            cfg: Config::default(),
-            max_concurrent: e.max_concurrent,
-            queue_depth: e.queue_depth,
-            submit_timeout: e.submit_timeout,
-        }
-    }
-}
-
-impl EngineOpts {
-    /// Engine with `num_threads` workers, defaults otherwise.
-    pub fn with_threads(num_threads: usize) -> Self {
-        EngineOpts {
-            cfg: Config::with_threads(num_threads),
-            ..Default::default()
-        }
-    }
-
-    /// Set the concurrent-query limit (see [`EngineOpts::max_concurrent`]).
-    pub fn with_max_concurrent(mut self, max_concurrent: usize) -> Self {
-        self.max_concurrent = max_concurrent.max(1);
-        self
-    }
-}
+/// Configuration of a persistent traversal engine: worker pool and
+/// admission limits. The engine-wide bucket class width is the CC-style
+/// coarse `lg(n) − 10`, which keeps every algorithm's priority span inside
+/// the bucket ring for mixed workloads; [`with_engine`] sets it.
+pub use asyncgt_vq::EngineConfig as EngineOpts;
 
 /// The one handler type an engine runs: a path query (BFS and weighted
 /// SSSP) or a CC query, each over label arrays leased from the engine's
@@ -338,11 +296,12 @@ where
     // CC-style coarse shift keeps the full vertex-id priority span (CC's
     // worst case) inside the bucket ring, and merely coarsens — never
     // breaks — BFS/SSSP prioritization.
-    let ecfg = EngineConfig {
-        vq: opts.cfg.vq(lg2(n).saturating_sub(10)),
-        max_concurrent: opts.max_concurrent.max(1),
-        queue_depth: opts.queue_depth,
-        submit_timeout: opts.submit_timeout,
+    let ecfg = EngineOpts {
+        cfg: Config {
+            priority_shift: lg2(n).saturating_sub(10),
+            ..opts.cfg.clone()
+        },
+        ..opts.clone()
     };
     let pool = Arc::new(StatePool::new(n as usize));
     asyncgt_vq::engine::scoped(&ecfg, recorder, |eng| {

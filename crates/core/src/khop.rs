@@ -42,6 +42,11 @@ pub fn bfs_bounded<G: Graph>(
     max_depth: u64,
     cfg: &Config,
 ) -> Result<TraversalOutput, TraversalError> {
+    // Exact BFS levels, as in `try_bfs`.
+    let vq = Config {
+        priority_shift: 0,
+        ..cfg.clone()
+    };
     let ([dist, parent], stats) = one_shot(
         g.num_vertices(),
         &[source],
@@ -50,7 +55,7 @@ pub fn bfs_bounded<G: Graph>(
         |[dist, parent]| {
             let h = SsspHandler::new(g, dist, parent, true).with_horizon(max_depth);
             let seeds = h.claim_sources(&[source]);
-            VisitorQueue::try_run(&cfg.vq(0), &h, seeds)
+            VisitorQueue::try_run(&vq, &h, seeds)
         },
     )?;
     Ok(TraversalOutput {

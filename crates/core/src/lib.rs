@@ -55,12 +55,10 @@
 
 pub mod bfs;
 pub mod cc;
-pub mod config;
-pub mod diameter;
+mod config;
 pub mod engine;
 pub mod error;
 pub mod khop;
-pub mod pagerank;
 pub mod result;
 pub mod sssp;
 pub mod validate;
@@ -68,11 +66,9 @@ pub mod validate;
 pub use bfs::{try_bfs, try_bfs_recorded};
 pub use cc::{try_connected_components, try_connected_components_recorded, CcOutput};
 pub use config::Config;
-pub use diameter::{double_sweep, eccentricity, DiameterEstimate};
 pub use engine::{with_engine, CcTicket, EngineOpts, PathTicket, TraversalEngine};
 pub use error::TraversalError;
 pub use khop::{bfs_bounded, khop_ball};
-pub use pagerank::{pagerank, PageRankOutput, PageRankParams};
 pub use result::{TraversalOutput, TraversalStats};
 pub use sssp::{try_sssp, try_sssp_recorded};
 

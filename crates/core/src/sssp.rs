@@ -216,7 +216,10 @@ pub(crate) fn run_path<G: Graph, R: Recorder>(
     } else {
         crate::config::lg2(n).saturating_sub(9)
     };
-    let vq = cfg.vq(default_shift);
+    let vq = Config {
+        priority_shift: default_shift,
+        ..cfg.clone()
+    };
     // Paper Algorithm 1: dist/parent arrays initialized to ∞; one visitor
     // at the source (whose label is claimed at 0), then wait for all
     // queued work to finish.

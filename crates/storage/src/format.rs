@@ -187,6 +187,13 @@ impl SemHeader {
                 if pos != edges_end {
                     return Err(bad("checksum table not positioned after edge region"));
                 }
+                // The table's end must fit too: a wrapped `total_file_len`
+                // would let a tiny file pass `open`'s length check.
+                hdr.num_checksum_chunks()
+                    .checked_add(1)
+                    .and_then(|x| x.checked_mul(8))
+                    .and_then(|x| x.checked_add(edges_end))
+                    .ok_or_else(|| bad("checksum table overflows file size"))?;
             }
         }
         Ok(hdr)

@@ -1,6 +1,7 @@
 //! Runtime configuration.
 
-/// Configuration for a [`VisitorQueue`](crate::VisitorQueue) run.
+/// Configuration for a [`VisitorQueue`](crate::VisitorQueue) run — and,
+/// re-exported as `asyncgt::Config`, for every traversal built on it.
 #[derive(Clone, Debug)]
 pub struct VqConfig {
     /// Number of worker threads — and therefore of visitor queues (the
@@ -17,6 +18,10 @@ pub struct VqConfig {
     /// larger values coarsen ordering delta-stepping-style, which is what
     /// lets SSSP over wide weight ranges keep O(1) queue operations.
     ///
+    /// The traversals in `asyncgt` choose this per algorithm (exact levels
+    /// for BFS, `lg(n) − 9` for weighted SSSP, `lg(n) − 10` for CC and the
+    /// engine) and overwrite whatever value is set here.
+    ///
     /// [`Visitor::priority`]: crate::Visitor::priority
     pub priority_shift: u32,
 
@@ -24,13 +29,14 @@ pub struct VqConfig {
     /// round (`1` preserves strict pop-visit-pop order). Draining a batch
     /// first exposes the whole semi-sorted batch to the handler through
     /// [`FallibleVisitHandler::prepare_batch`], which semi-external
-    /// handlers forward to the storage layer's I/O scheduler. Execution
-    /// order within the batch is unchanged, so label-correcting
+    /// handlers forward to the storage layer's I/O scheduler to coalesce
+    /// the upcoming adjacency reads into fewer, larger device requests.
+    /// Execution order within the batch is unchanged, so label-correcting
     /// traversals converge to the same fixed point at any setting.
     ///
     /// [`FallibleVisitHandler::prepare_batch`]:
     /// crate::FallibleVisitHandler::prepare_batch
-    pub batch_drain: usize,
+    pub io_batch: usize,
 }
 
 impl VqConfig {
@@ -40,6 +46,12 @@ impl VqConfig {
             num_threads: num_threads.max(1),
             ..Default::default()
         }
+    }
+
+    /// Set the per-round drain size (see [`VqConfig::io_batch`]).
+    pub fn with_io_batch(mut self, io_batch: usize) -> Self {
+        self.io_batch = io_batch.max(1);
+        self
     }
 }
 
@@ -52,7 +64,7 @@ impl Default for VqConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             priority_shift: 0,
-            batch_drain: 1,
+            io_batch: 1,
         }
     }
 }
@@ -70,5 +82,17 @@ mod tests {
     #[test]
     fn default_uses_at_least_one_thread() {
         assert!(VqConfig::default().num_threads >= 1);
+    }
+
+    #[test]
+    fn io_batch_builder_clamps_and_propagates() {
+        assert_eq!(
+            VqConfig::default().io_batch,
+            1,
+            "default stays single-visitor"
+        );
+        assert_eq!(VqConfig::with_threads(2).with_io_batch(0).io_batch, 1);
+        let c = VqConfig::with_threads(9).with_io_batch(32);
+        assert_eq!((c.num_threads, c.io_batch), (9, 32));
     }
 }

@@ -44,7 +44,7 @@
 //! ```
 //! use asyncgt_obs::NoopRecorder;
 //! use asyncgt_vq::engine::{scoped, EngineConfig};
-//! use asyncgt_vq::{PushCtx, VisitHandler, Visitor, VqConfig};
+//! use asyncgt_vq::{PushCtx, VisitHandler, Visitor};
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //! use std::sync::Arc;
 //!
@@ -69,7 +69,7 @@
 //!     }
 //! }
 //!
-//! let cfg = EngineConfig::with_vq(VqConfig::with_threads(2));
+//! let cfg = EngineConfig::with_threads(2);
 //! let h = Arc::new(Count { n: 100, visits: AtomicU64::new(0) });
 //! // Two concurrent traversals on one worker pool, spawned once.
 //! let ((a, b), stats) = scoped(&cfg, &NoopRecorder, |engine| {
@@ -96,18 +96,21 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration for a persistent [`Engine`] (see [`scoped`]).
+/// Configuration for a persistent [`Engine`] (see [`scoped`]) — and,
+/// re-exported as `asyncgt::engine::EngineOpts`, for the traversal engine
+/// built on it.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker-pool configuration: thread count and queue policy. Workers
     /// are spawned once from this; every query shares them.
-    pub vq: VqConfig,
-    /// Queries allowed to execute simultaneously (default 8). Submits
-    /// beyond this wait in the bounded queue.
+    pub cfg: VqConfig,
+    /// Queries allowed to execute simultaneously (default 8; `0` counts
+    /// as 1). Submits beyond this wait in the bounded queue.
     pub max_concurrent: usize,
     /// Capacity of the bounded submit queue (default 64). When both the
     /// active set and this queue are full, [`Engine::submit`] blocks — the
     /// backpressure that keeps a hot service from buffering unboundedly.
+    /// `0` rejects as soon as `max_concurrent` queries are active.
     pub queue_depth: usize,
     /// How long a blocked [`Engine::submit`] waits for capacity before
     /// giving up with [`SubmitError::Rejected`] (default 10 s).
@@ -117,7 +120,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            vq: VqConfig::default(),
+            cfg: VqConfig::default(),
             max_concurrent: 8,
             queue_depth: 64,
             submit_timeout: Duration::from_secs(10),
@@ -126,13 +129,18 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Engine with the given worker-pool config and default admission
-    /// settings.
-    pub fn with_vq(vq: VqConfig) -> Self {
+    /// Engine with `num_threads` workers, defaults otherwise.
+    pub fn with_threads(num_threads: usize) -> Self {
         EngineConfig {
-            vq,
+            cfg: VqConfig::with_threads(num_threads),
             ..Default::default()
         }
+    }
+
+    /// Set the concurrent-query limit (see [`EngineConfig::max_concurrent`]).
+    pub fn with_max_concurrent(mut self, max_concurrent: usize) -> Self {
+        self.max_concurrent = max_concurrent.max(1);
+        self
     }
 }
 
@@ -608,7 +616,7 @@ impl<'s, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync, R: Recorder> Engi
                 drop(adm);
                 return self.reject(SubmitError::ShuttingDown);
             }
-            if adm.active < self.cfg.max_concurrent {
+            if adm.active < self.cfg.max_concurrent.max(1) {
                 adm.active += 1;
                 adm.total_unfinished += 1;
                 shared
@@ -720,10 +728,10 @@ where
     H: FallibleVisitHandler<V> + Send + Sync,
     R: Recorder,
 {
-    let num_threads = cfg.vq.num_threads.max(1);
+    let num_threads = cfg.cfg.num_threads.max(1);
     let start = Instant::now();
     let shared: EngineShared<V, H> = EngineShared::new(num_threads);
-    let (out, totals) = serve(&shared, &cfg.vq, recorder, || {
+    let (out, totals) = serve(&shared, &cfg.cfg, recorder, || {
         // If `f` panics, poison so workers exit and the scope's implicit
         // join completes instead of deadlocking under the unwind.
         let guard = DriverGuard(&shared);
@@ -825,7 +833,7 @@ mod tests {
     fn concurrent_queries_complete_independently() {
         let cfg = EngineConfig {
             max_concurrent: 8,
-            ..EngineConfig::with_vq(VqConfig::with_threads(4))
+            ..EngineConfig::with_threads(4)
         };
         // Chains with different lengths, one handler each; every query must
         // report exactly its own chain's counts even though all chains
@@ -865,7 +873,7 @@ mod tests {
         use asyncgt_obs::ShardedRecorder;
         let cfg = EngineConfig {
             max_concurrent: 8,
-            ..EngineConfig::with_vq(VqConfig::with_threads(4))
+            ..EngineConfig::with_threads(4)
         };
         let rec = ShardedRecorder::new(4);
         let lens = [300u64, 1_000, 2_500, 4_000];
@@ -909,7 +917,7 @@ mod tests {
 
     #[test]
     fn aborted_query_leaves_siblings_untouched() {
-        let cfg = EngineConfig::with_vq(VqConfig::with_threads(4));
+        let cfg = EngineConfig::with_threads(4);
         // Every query of one engine runs the same handler type; the healthy
         // sibling is a `FailingChain` that never reaches its failure point.
         let good = Arc::new(FailingChain {
@@ -969,7 +977,7 @@ mod tests {
             max_concurrent: 1,
             queue_depth: 1,
             submit_timeout: Duration::from_millis(20),
-            ..EngineConfig::with_vq(VqConfig::with_threads(2))
+            ..EngineConfig::with_threads(2)
         };
         let h = Arc::new(Gated {
             gate: gate.clone(),
@@ -1002,7 +1010,7 @@ mod tests {
 
     #[test]
     fn dropped_tickets_still_drain_before_shutdown() {
-        let cfg = EngineConfig::with_vq(VqConfig::with_threads(2));
+        let cfg = EngineConfig::with_threads(2);
         let h = Arc::new(ChainHandler {
             end: 5_000,
             visits: AtomicU64::new(0),
@@ -1018,7 +1026,7 @@ mod tests {
 
     #[test]
     fn empty_seed_query_completes_with_zero_stats() {
-        let cfg = EngineConfig::with_vq(VqConfig::with_threads(2));
+        let cfg = EngineConfig::with_threads(2);
         let h = Arc::new(ChainHandler {
             end: 10,
             visits: AtomicU64::new(0),
@@ -1044,7 +1052,7 @@ mod tests {
                 panic!("boom at {}", v.0);
             }
         }
-        let cfg = EngineConfig::with_vq(VqConfig::with_threads(2));
+        let cfg = EngineConfig::with_threads(2);
         let result = std::panic::catch_unwind(|| {
             scoped(
                 &cfg,
@@ -1065,7 +1073,7 @@ mod tests {
         let cfg = EngineConfig {
             max_concurrent: 64,
             queue_depth: 64,
-            ..EngineConfig::with_vq(VqConfig::with_threads(8))
+            ..EngineConfig::with_threads(8)
         };
         let n_queries = 64u64;
         // Each query walks 100 hops from a distinct start; totals must be
@@ -1130,7 +1138,7 @@ mod tests {
         // Workers head for their idle park the moment the last query
         // finishes, racing the shutdown wake. A lost wake leaves a worker
         // asleep for the whole park bound, and the join waits on it.
-        let cfg = EngineConfig::with_vq(VqConfig::with_threads(4));
+        let cfg = EngineConfig::with_threads(4);
         let h = Arc::new(ChainHandler {
             end: 64,
             visits: AtomicU64::new(0),
@@ -1163,7 +1171,10 @@ mod tests {
             visits: AtomicU64::new(0),
         });
         let (qs, _) = scoped(
-            &EngineConfig::with_vq(cfg.clone()),
+            &EngineConfig {
+                cfg: cfg.clone(),
+                ..Default::default()
+            },
             &NoopRecorder,
             |engine| {
                 engine

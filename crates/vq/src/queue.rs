@@ -673,7 +673,7 @@ mod tests {
             prepared: AtomicU64::new(0),
         };
         let cfg = VqConfig {
-            batch_drain: 4,
+            io_batch: 4,
             ..VqConfig::with_threads(1)
         };
         VisitorQueue::try_run(&cfg, &h, (0..32u64).rev().map(P)).unwrap();
@@ -695,7 +695,7 @@ mod tests {
                     visits: AtomicU64::new(0),
                 };
                 let cfg = VqConfig {
-                    batch_drain: bd,
+                    io_batch: bd,
                     ..VqConfig::with_threads(threads)
                 };
                 let s = VisitorQueue::run(&cfg, &h, [Fan { depth: 0, id: 0 }]);

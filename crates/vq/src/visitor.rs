@@ -75,7 +75,7 @@ pub trait FallibleVisitHandler<V: Visitor>: Sync {
     /// storage layer's I/O scheduler, which coalesces the upcoming
     /// adjacency reads into fewer, larger device requests. The default
     /// does nothing; only reached when
-    /// [`VqConfig::batch_drain`](crate::VqConfig::batch_drain) exceeds 1.
+    /// [`VqConfig::io_batch`](crate::VqConfig::io_batch) exceeds 1.
     fn prepare_batch(&self, _batch: &[V]) {}
 }
 

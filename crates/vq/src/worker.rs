@@ -544,9 +544,9 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
     // Visitors drained for the current service round, split into parallel
     // visitor/tag columns so `prepare_batch` can see contiguous `&[V]`
     // runs; reused across rounds so the hot path does not allocate.
-    let batch_drain = cfg.batch_drain.max(1);
-    let mut bvis: Vec<V> = Vec::with_capacity(batch_drain);
-    let mut btag: Vec<P::Tag> = Vec::with_capacity(batch_drain);
+    let io_batch = cfg.io_batch.max(1);
+    let mut bvis: Vec<V> = Vec::with_capacity(io_batch);
+    let mut btag: Vec<P::Tag> = Vec::with_capacity(io_batch);
 
     // One-entry cache of the query the worker is currently executing, with
     // its unsettled accounting. Interleaved streams switch rarely (the
@@ -561,8 +561,8 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
             totals.drained(inbox.drain(&mut heap, recorder), recorder);
         }
 
-        // Drain up to `batch_drain` visitors for this service round.
-        while bvis.len() < batch_drain {
+        // Drain up to `io_batch` visitors for this service round.
+        while bvis.len() < io_batch {
             match heap.pop() {
                 Some(item) => {
                     let (v, tag) = P::split(item);

@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 const THREADS: [usize; 4] = [1, 4, 16, 64];
 const BATCHES: [usize; 2] = [1, 8];
 
-fn cfg(threads: usize, batch_drain: usize) -> VqConfig {
+fn cfg(threads: usize, io_batch: usize) -> VqConfig {
     VqConfig {
-        batch_drain,
+        io_batch,
         ..VqConfig::with_threads(threads)
     }
 }
