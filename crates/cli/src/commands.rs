@@ -363,8 +363,13 @@ fn sem_config(args: &Args, metrics: Option<Arc<ShardedRecorder>>) -> Result<SemC
         deadline: Duration::from_millis(args.get_parsed("--retry-deadline-ms", 1000u64)?),
         ..RetryPolicy::default()
     };
+    let block_kb = args.get_parsed("--block-kb", 64usize)?;
+    let block_size = block_kb
+        .checked_mul(1024)
+        .filter(|&b| b > 0)
+        .ok_or_else(|| format!("--block-kb {block_kb} not in [1, {}]", usize::MAX / 1024))?;
     Ok(SemConfig {
-        block_size: args.get_parsed("--block-kb", 64usize)? * 1024,
+        block_size,
         cache_blocks: args.get_parsed("--cache-blocks", 4096usize)?,
         device: device.map(|m| Arc::new(SimulatedFlash::new(m))),
         // The recorder doubles as the storage metrics sink, so one
@@ -859,6 +864,15 @@ mod tests {
         ));
         assert!(matches!(
             run("bfs x.agt --fault-rate 1.5"),
+            Err(CliError::Usage(_))
+        ));
+        // A zero block size, or one whose byte count overflows, is usage.
+        assert!(matches!(
+            run("bfs x.agt --block-kb 0"),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            run(&format!("bfs x.agt --block-kb {}", usize::MAX / 1024 + 1)),
             Err(CliError::Usage(_))
         ));
     }

@@ -9,8 +9,8 @@
 use crate::config::Config;
 use crate::error::TraversalError;
 use crate::result::TraversalOutput;
-use crate::sssp::run_path;
-use asyncgt_graph::{Graph, Vertex};
+use crate::sssp::{run_path, Cost};
+use asyncgt_graph::{Graph, Vertex, INF_DIST};
 use asyncgt_obs::{NoopRecorder, Recorder};
 
 /// Asynchronous BFS from `source`. Edge weights, if any, are ignored.
@@ -38,7 +38,7 @@ pub fn try_bfs<G: Graph>(
     source: Vertex,
     cfg: &Config,
 ) -> Result<TraversalOutput, TraversalError> {
-    run_path(g, source, cfg, true, &NoopRecorder)
+    run_path(g, source, cfg, Cost::Hop, INF_DIST, &NoopRecorder)
 }
 
 /// [`try_bfs`] with a metrics [`Recorder`] (e.g.
@@ -52,7 +52,7 @@ pub fn try_bfs_recorded<G: Graph, R: Recorder>(
     cfg: &Config,
     recorder: &R,
 ) -> Result<TraversalOutput, TraversalError> {
-    run_path(g, source, cfg, true, recorder)
+    run_path(g, source, cfg, Cost::Hop, INF_DIST, recorder)
 }
 
 #[cfg(test)]
@@ -64,7 +64,6 @@ pub(crate) mod tests {
         binary_tree, grid_graph, path_graph, star_graph, RmatGenerator, RmatParams,
     };
     use asyncgt_graph::weights::{weighted_copy, WeightKind};
-    use asyncgt_graph::INF_DIST;
 
     #[test]
     fn matches_serial_on_rmat() {

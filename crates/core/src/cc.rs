@@ -9,7 +9,7 @@
 use crate::config::Config;
 use crate::error::TraversalError;
 use crate::result::{one_shot, TraversalStats};
-use crate::sssp::{SsspVisitor, NO_PARENT};
+use crate::sssp::{LabelHandler, SsspVisitor, NO_PARENT};
 use asyncgt_graph::{stats, Graph, Vertex, INF_DIST};
 use asyncgt_obs::{NoopRecorder, Recorder};
 use asyncgt_vq::{
@@ -37,9 +37,10 @@ impl CcVisitor {
     }
 }
 
-/// An engine query queues the path visitor for every algorithm: a CC
-/// candidate rides in it as `dist = ccid` with no parent. Both orders are
-/// (priority, vertex), so the encoding keeps CC's queue order.
+/// A CC candidate rides in the path visitor as `dist = ccid` with no
+/// parent: the one relax step takes it so, and an engine query queues it
+/// so. Both orders are (priority, vertex), so the encoding keeps CC's
+/// queue order.
 impl From<CcVisitor> for SsspVisitor {
     fn from(v: CcVisitor) -> Self {
         SsspVisitor {
@@ -82,84 +83,21 @@ impl Visitor for CcVisitor {
     }
 }
 
-/// State of one CC run: the component-id array, borrowed by a one-shot
-/// run and leased from the pool by an engine query, as for `SsspHandler`,
-/// and claimed by pushers the same way (DESIGN.md §10).
-pub(crate) struct CcHandler<'g, G, A> {
-    g: &'g G,
-    pub(crate) ccid: A,
-}
-
-impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> CcHandler<'g, G, A> {
-    /// A handler over `ccid`, which it sets to the identity
-    /// (`ccid[v] = v`): every vertex starts labeled by the id its seed
-    /// carries, so a seed expands only if no neighbor claimed a lower id
-    /// first.
-    pub(crate) fn new(g: &'g G, ccid: A) -> Self {
-        for v in 0..ccid.len() as u64 {
-            ccid.set(v, v);
-        }
-        CcHandler { g, ccid }
-    }
-
-    /// The CC relax step (paper Algorithm 4), with the SSSP relax's claim
-    /// rule: expand the candidate only if it is still the vertex's label,
-    /// then claim each neighbor's id with a strict `fetch_min` and flood a
-    /// visitor through `push` for every claim that lowered it. Returns
-    /// whether the candidate expanded; a storage failure surfacing from the
-    /// fallible adjacency read aborts the run cleanly.
-    pub(crate) fn relax(
-        &self,
-        v: CcVisitor,
-        mut push: impl FnMut(CcVisitor),
-    ) -> Result<bool, AbortReason> {
-        let vertex = v.vertex as u64;
-        let label = self.ccid.get(vertex);
-        // Ordered after `v`'s claim, as in the SSSP relax.
-        debug_assert!(label <= v.ccid as u64, "visitor outran its claim");
-        if v.ccid as u64 != label {
-            return Ok(false);
-        }
-        // Hoisted out of the edge loop, as in the SSSP relax.
-        let ccid = &*self.ccid;
-        self.g.try_for_each_neighbor(vertex, |t, _| {
-            if ccid.fetch_min(t, v.ccid as u64) {
-                push(CcVisitor {
-                    ccid: v.ccid,
-                    vertex: t as u32,
-                });
-            }
-        })?;
-        Ok(true)
-    }
-
-    /// The batch I/O hint, as for SSSP: announce the adjacency lists this
-    /// round will flood, skipping visitors that no longer carry their
-    /// vertex's label (their visit reads nothing).
-    pub(crate) fn prefetch(&self, batch: impl Iterator<Item = CcVisitor>) {
-        let targets: Vec<u64> = batch
-            .filter(|v| v.ccid as u64 == self.ccid.get(v.vertex as u64))
-            .map(|v| v.vertex as u64)
-            .collect();
-        if !targets.is_empty() {
-            self.g.prefetch_adjacency(&targets);
-        }
-    }
-}
-
+/// One-shot CC queues this 8-byte visitor, not the 16-byte path visitor,
+/// and runs the one relax step through the `From` encodings above.
 impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<CcVisitor>
-    for CcHandler<'_, G, A>
+    for LabelHandler<'_, G, A>
 {
     fn try_visit(
         &self,
         v: CcVisitor,
         ctx: &mut PushCtx<'_, CcVisitor>,
     ) -> Result<bool, AbortReason> {
-        self.relax(v, |nv| ctx.push(nv))
+        self.relax(v.into(), |nv| ctx.push(nv.into()))
     }
 
     fn prepare_batch(&self, batch: &[CcVisitor]) {
-        self.prefetch(batch.iter().copied());
+        self.prefetch(batch.iter().map(|&v| v.into()));
     }
 }
 
@@ -229,7 +167,7 @@ pub fn try_connected_components_recorded<G: Graph, R: Recorder>(
     // Algorithm 3 seeds one visitor per vertex; the handler starts each
     // label at the id its seed carries.
     let ([ccid], stats) = one_shot(n, &[], [INF_DIST], recorder, |[ccid]| {
-        let h = CcHandler::new(g, ccid);
+        let h = LabelHandler::cc(g, ccid);
         VisitorQueue::try_run_recorded(&vq, &h, CcVisitor::seeds(n), recorder)
     })?;
     Ok(CcOutput { ccid, stats })

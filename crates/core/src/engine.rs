@@ -38,16 +38,15 @@
 //! assert_eq!(stats.queries, 2);
 //! ```
 
-use crate::cc::{CcHandler, CcOutput, CcVisitor};
+use crate::cc::{CcOutput, CcVisitor};
 use crate::config::{lg2, Config};
 use crate::error::{check_input, settle, TraversalError};
 use crate::result::{TraversalOutput, TraversalStats};
-use crate::sssp::{SsspHandler, SsspVisitor};
+use crate::sssp::{Cost, LabelHandler, SsspVisitor};
 use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
 use asyncgt_obs::Recorder;
 use asyncgt_vq::{
-    AbortReason, EngineStats, FallibleVisitHandler, OwnedStateLease, PushCtx, QueryError,
-    QueryTicket, StatePool, SubmitError,
+    AtomicStateArray, EngineStats, OwnedStateLease, QueryError, QueryTicket, StatePool, SubmitError,
 };
 use std::sync::Arc;
 
@@ -57,44 +56,18 @@ use std::sync::Arc;
 /// the bucket ring for mixed workloads; [`with_engine`] sets it.
 pub use asyncgt_vq::EngineConfig as EngineOpts;
 
-/// The one handler type an engine runs: a path query (BFS and weighted
-/// SSSP) or a CC query, each over label arrays leased from the engine's
-/// pool. Every query queues the bare [`SsspVisitor`]; a CC query carries
-/// its candidate component id in `dist` (with `parent = NO_PARENT`), so
-/// the item order — (priority, vertex), then query id — is the paper's
-/// semi-sort for both, and a visit is a `match` on the variant.
-pub(crate) enum QueryJob<'env, G> {
-    /// BFS / SSSP query.
-    Path(SsspHandler<'env, G, OwnedStateLease>),
-    /// CC query.
-    Cc(CcHandler<'env, G, OwnedStateLease>),
-}
+/// The one handler type an engine runs: the one-shot relax step over
+/// label arrays leased from the engine's pool. Every query queues the
+/// bare [`SsspVisitor`]; a CC query carries its candidate component id in
+/// `dist` (with no parent), so the item order — (priority, vertex), then
+/// query id — is the paper's semi-sort for every algorithm.
+type Job<'env, G> = LabelHandler<'env, G, OwnedStateLease>;
 
-impl<G: Graph> FallibleVisitHandler<SsspVisitor> for QueryJob<'_, G> {
-    fn try_visit(
-        &self,
-        v: SsspVisitor,
-        ctx: &mut PushCtx<'_, SsspVisitor>,
-    ) -> Result<bool, AbortReason> {
-        match self {
-            QueryJob::Path(h) => h.try_visit(v, ctx),
-            QueryJob::Cc(h) => h.relax(v.into(), |nv| ctx.push(nv.into())),
-        }
-    }
-
-    fn prepare_batch(&self, batch: &[SsspVisitor]) {
-        match self {
-            QueryJob::Path(h) => h.prepare_batch(batch),
-            QueryJob::Cc(h) => h.prefetch(batch.iter().map(|&v| v.into())),
-        }
-    }
-}
-
-type Ticket<'env, G> = QueryTicket<QueryJob<'env, G>>;
+type Ticket<'env, G> = QueryTicket<Job<'env, G>>;
 
 /// A submitted query's job and ticket, or the input error that kept it
 /// from running (its ticket is done at once and no label array was leased).
-type Submitted<'env, G> = Result<(Arc<QueryJob<'env, G>>, Ticket<'env, G>), TraversalError>;
+type Submitted<'env, G> = Result<(Arc<Job<'env, G>>, Ticket<'env, G>), TraversalError>;
 
 /// Wait for a submitted query and settle its outcome through the one-shot
 /// [`settle`], so an abort classifies exactly as in the `try_*` API.
@@ -103,7 +76,7 @@ type Submitted<'env, G> = Result<(Arc<QueryJob<'env, G>>, Ticket<'env, G>), Trav
 /// If a worker panicked (engine poisoned).
 fn wait_job<G: Graph>(
     submitted: Submitted<'_, G>,
-) -> Result<(Arc<QueryJob<'_, G>>, TraversalStats), TraversalError> {
+) -> Result<(Arc<Job<'_, G>>, TraversalStats), TraversalError> {
     let (job, ticket) = submitted?;
     let outcome = ticket.wait().map_err(|e| match e {
         QueryError::Aborted(run) => run,
@@ -130,13 +103,14 @@ impl<'env, G: Graph> PathTicket<'env, G> {
     /// If a worker panicked (engine poisoned); [`with_engine`] re-raises
     /// the original panic when it unwinds.
     pub fn wait(self) -> Result<TraversalOutput, TraversalError> {
-        let (job, stats) = wait_job(self.0)?;
-        let QueryJob::Path(h) = &*job else {
-            unreachable!("a path ticket holds a path query")
-        };
+        let (h, stats) = wait_job(self.0)?;
         Ok(TraversalOutput {
             dist: h.dist.to_vec(),
-            parent: h.parent.to_vec(),
+            // A path query always holds a parent array.
+            parent: h
+                .parent
+                .as_deref()
+                .map_or_else(Vec::new, AtomicStateArray::to_vec),
             stats,
         })
     }
@@ -158,12 +132,9 @@ impl<'env, G: Graph> CcTicket<'env, G> {
     /// If a worker panicked (engine poisoned); [`with_engine`] re-raises
     /// the original panic when it unwinds.
     pub fn wait(self) -> Result<CcOutput, TraversalError> {
-        let (job, stats) = wait_job(self.0)?;
-        let QueryJob::Cc(h) = &*job else {
-            unreachable!("a CC ticket holds a CC query")
-        };
+        let (h, stats) = wait_job(self.0)?;
         Ok(CcOutput {
-            ccid: h.ccid.to_vec(),
+            ccid: h.dist.to_vec(),
             stats,
         })
     }
@@ -180,7 +151,7 @@ impl<'env, G: Graph> CcTicket<'env, G> {
 /// is `Sync`); every accepted query runs to completion before
 /// [`with_engine`] returns.
 pub struct TraversalEngine<'s, 'env, G: Graph, R: Recorder> {
-    eng: &'s asyncgt_vq::Engine<'s, SsspVisitor, QueryJob<'env, G>, R>,
+    eng: &'s asyncgt_vq::Engine<'s, SsspVisitor, Job<'env, G>, R>,
     g: &'env G,
     pool: Arc<StatePool>,
 }
@@ -207,7 +178,7 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
     fn submit<I: IntoIterator<Item = SsspVisitor>>(
         &self,
         sources: &[Vertex],
-        job: impl FnOnce() -> (QueryJob<'env, G>, I),
+        job: impl FnOnce() -> (Job<'env, G>, I),
     ) -> Result<Submitted<'env, G>, SubmitError> {
         if let Err(e) = check_input(self.g.num_vertices(), sources) {
             return Ok(Err(e));
@@ -221,19 +192,20 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
     fn submit_path(
         &self,
         sources: &[Vertex],
-        unit_weights: bool,
+        cost: Cost,
     ) -> Result<PathTicket<'env, G>, SubmitError> {
         let job = || {
-            let h = SsspHandler::new(
+            let h = LabelHandler::path(
                 self.g,
                 self.pool.lease_arc(INF_DIST),
                 self.pool.lease_arc(NO_VERTEX),
-                unit_weights,
+                cost,
+                INF_DIST,
             );
             // Claims each source on the leased array; a repeated source
             // seeds (and so expands) once.
             let seeds = h.claim_sources(sources);
-            (QueryJob::Path(h), seeds)
+            (h, seeds)
         };
         self.submit(sources, job).map(PathTicket)
     }
@@ -245,14 +217,14 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
     /// sources every vertex is unreached; a source outside the graph makes
     /// the ticket's `wait` return [`TraversalError::InvalidSource`].
     pub fn submit_bfs(&self, sources: &[Vertex]) -> Result<PathTicket<'env, G>, SubmitError> {
-        self.submit_path(sources, true)
+        self.submit_path(sources, Cost::Hop)
     }
 
     /// Submit a multi-source weighted SSSP: `dist[v]` is the weighted
     /// distance to the nearest source. Sources are checked as for
     /// [`submit_bfs`](Self::submit_bfs).
     pub fn submit_sssp(&self, sources: &[Vertex]) -> Result<PathTicket<'env, G>, SubmitError> {
-        self.submit_path(sources, false)
+        self.submit_path(sources, Cost::Weight)
     }
 
     /// Submit a connected-components query (every vertex seeds its own id,
@@ -261,9 +233,9 @@ impl<'s, 'env, G: Graph, R: Recorder> TraversalEngine<'s, 'env, G, R> {
     pub fn submit_cc(&self) -> Result<CcTicket<'env, G>, SubmitError> {
         let job = || {
             // The handler sets the leased array to the identity.
-            let h = CcHandler::new(self.g, self.pool.lease_arc(INF_DIST));
+            let h = LabelHandler::cc(self.g, self.pool.lease_arc(INF_DIST));
             let seeds = CcVisitor::seeds(self.g.num_vertices()).map(SsspVisitor::from);
-            (QueryJob::Cc(h), seeds)
+            (h, seeds)
         };
         self.submit(&[], job).map(CcTicket)
     }

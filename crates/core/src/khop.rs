@@ -9,11 +9,10 @@
 
 use crate::config::Config;
 use crate::error::TraversalError;
-use crate::result::{one_shot, TraversalOutput};
-use crate::sssp::SsspHandler;
-use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
+use crate::result::TraversalOutput;
+use crate::sssp::{run_path, Cost};
+use asyncgt_graph::{Graph, Vertex, INF_DIST};
 use asyncgt_obs::NoopRecorder;
-use asyncgt_vq::VisitorQueue;
 
 /// BFS from `source` truncated at `max_depth` hops.
 ///
@@ -42,27 +41,7 @@ pub fn bfs_bounded<G: Graph>(
     max_depth: u64,
     cfg: &Config,
 ) -> Result<TraversalOutput, TraversalError> {
-    // Exact BFS levels, as in `try_bfs`.
-    let vq = Config {
-        priority_shift: 0,
-        ..cfg.clone()
-    };
-    let ([dist, parent], stats) = one_shot(
-        g.num_vertices(),
-        &[source],
-        [INF_DIST, NO_VERTEX],
-        &NoopRecorder,
-        |[dist, parent]| {
-            let h = SsspHandler::new(g, dist, parent, true).with_horizon(max_depth);
-            let seeds = h.claim_sources(&[source]);
-            VisitorQueue::try_run(&vq, &h, seeds)
-        },
-    )?;
-    Ok(TraversalOutput {
-        dist,
-        parent,
-        stats,
-    })
+    run_path(g, source, cfg, Cost::Hop, max_depth, &NoopRecorder)
 }
 
 /// The vertex ids within `max_depth` hops of `source` (the "k-hop ball"),
@@ -116,6 +95,13 @@ mod tests {
                 assert_eq!(out.dist[v], INF_DIST, "vertex {v} beyond horizon");
             }
         }
+    }
+
+    #[test]
+    fn unbounded_depth_is_a_full_bfs() {
+        let g = RmatGenerator::new(RmatParams::RMAT_A, 10, 8, 17).directed();
+        let out = bfs_bounded(&g, 0, u64::MAX, &cfg()).unwrap();
+        assert_eq!(out.dist, crate::try_bfs(&g, 0, &cfg()).unwrap().dist);
     }
 
     #[test]

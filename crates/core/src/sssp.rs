@@ -6,11 +6,14 @@
 //! Our approach does not introduce synchronizations between steps;
 //! therefore, we cannot guarantee that the absolute shortest-path vertex is
 //! visited at each step, possibly requiring multiple visits per vertex."
+//!
+//! BFS, CC and k-hop BFS are this algorithm with another edge cost (1, or
+//! 0 for CC) and other seeds, so the relax step here serves all of them.
 
 use crate::config::Config;
 use crate::error::TraversalError;
 use crate::result::{one_shot, TraversalOutput};
-use asyncgt_graph::{Graph, Vertex, INF_DIST, NO_VERTEX};
+use asyncgt_graph::{Graph, NeighborError, Vertex, Weight, INF_DIST, NO_VERTEX};
 use asyncgt_obs::{NoopRecorder, Recorder};
 use asyncgt_vq::{
     AbortReason, AtomicStateArray, FallibleVisitHandler, PushCtx, Visitor, VisitorQueue,
@@ -70,45 +73,65 @@ impl Visitor for SsspVisitor {
     }
 }
 
-/// State of one BFS/SSSP run (paper Algorithm 2's inputs). The label
-/// arrays are borrowed (`&AtomicStateArray`) by a one-shot run and leased
-/// from the engine's pool (`OwnedStateLease`) by an engine query; the same
-/// relax step serves both.
-///
-/// Departure from Algorithm 2 (DESIGN.md §10): the *pusher* claims the
-/// target's label with a strict `fetch_min` and queues a visitor only if
-/// the claim lowered it, so the queues carry one visitor per label
-/// improvement instead of one per edge. The owner expands a visitor only
-/// if its candidate is still the label, and writes `parent` from it.
-pub(crate) struct SsspHandler<'g, G, A> {
+/// What crossing an edge adds to the label a visitor carries: the one
+/// rule in which the three traversals differ.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Cost {
+    /// BFS: every edge costs 1 (paper §III-B: "we compute a Breadth First
+    /// Search by applying our asynchronous SSSP algorithm with all edge
+    /// weights equal to 1").
+    Hop,
+    /// SSSP: an edge costs its weight.
+    Weight,
+    /// CC: a component id crosses an edge unchanged (paper Algorithm 4).
+    Zero,
+}
+
+/// State of one BFS, SSSP or CC run: the label array (`dist`, or the
+/// component ids for CC), the optional `parent` array, and the edge-cost
+/// rule. The arrays are borrowed (`&AtomicStateArray`) by a one-shot run
+/// and leased from the engine's pool (`OwnedStateLease`) by an engine
+/// query; the same relax step serves every traversal in both.
+pub(crate) struct LabelHandler<'g, G, A> {
     g: &'g G,
     pub(crate) dist: A,
-    pub(crate) parent: A,
-    /// BFS mode: treat every edge weight as 1 (paper §III-B: "we compute a
-    /// Breadth First Search by applying our asynchronous SSSP algorithm
-    /// with all edge weights equal to 1").
-    unit_weights: bool,
-    /// Label at which a visitor stops expanding: `u64::MAX` for a full
+    /// Shortest-path predecessors; `None` for CC, which keeps no tree.
+    pub(crate) parent: Option<A>,
+    cost: Cost,
+    /// Label at which a visitor stops expanding: `INF_DIST` for a full
     /// traversal, the depth bound for a k-hop BFS ([`crate::bfs_bounded`]).
     horizon: u64,
 }
 
-impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
-    pub(crate) fn new(g: &'g G, dist: A, parent: A, unit_weights: bool) -> Self {
-        SsspHandler {
+impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> LabelHandler<'g, G, A> {
+    /// A BFS ([`Cost::Hop`]) or SSSP ([`Cost::Weight`]) run over `dist`
+    /// and `parent`, which start at `INF_DIST` and `NO_VERTEX`. A visitor
+    /// that reaches label `horizon` is relaxed (and writes `parent`) but
+    /// pushes nothing.
+    pub(crate) fn path(g: &'g G, dist: A, parent: A, cost: Cost, horizon: u64) -> Self {
+        LabelHandler {
             g,
             dist,
-            parent,
-            unit_weights,
-            horizon: u64::MAX,
+            parent: Some(parent),
+            cost,
+            horizon,
         }
     }
 
-    /// Stop expanding at label `horizon`: a visitor that reaches it is
-    /// relaxed (and writes `parent`) but pushes nothing.
-    pub(crate) fn with_horizon(mut self, horizon: u64) -> Self {
-        self.horizon = horizon;
-        self
+    /// A CC run over `ccid`, which it sets to the identity (`ccid[v] =
+    /// v`): every vertex starts labeled by the id its seed carries, so a
+    /// seed expands only if no neighbor claimed a lower id first.
+    pub(crate) fn cc(g: &'g G, ccid: A) -> Self {
+        for v in 0..ccid.len() as u64 {
+            ccid.set(v, v);
+        }
+        LabelHandler {
+            g,
+            dist: ccid,
+            parent: None,
+            cost: Cost::Zero,
+            horizon: INF_DIST,
+        }
     }
 
     /// Claim every source's label at 0, as a push claims its target's, and
@@ -121,26 +144,25 @@ impl<'g, G: Graph, A: Deref<Target = AtomicStateArray>> SsspHandler<'g, G, A> {
             .map(|&s| SsspVisitor::source(s))
             .collect()
     }
-}
 
-impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<SsspVisitor>
-    for SsspHandler<'_, G, A>
-{
-    /// The SSSP relax step (paper Algorithm 2 lines 8-10), split between
-    /// pusher and owner: the visitor's candidate was installed in `dist`
-    /// by its pusher, so the owner expands it only if it is still the
-    /// label, then claims each out-neighbor's label and pushes a visitor
+    /// The relax step of every traversal (paper Algorithm 2 lines 8-10,
+    /// Algorithm 4), split between pusher and owner (DESIGN.md §10): the
+    /// visitor's candidate was installed in `dist` by its pusher, so the
+    /// owner expands it only if it is still the label, then claims each
+    /// out-neighbor's label with a strict `fetch_min` and pushes a visitor
     /// for every claim that lowered it.
     ///
     /// Each label value is installed by exactly one strict lowering, so
     /// each improvement expands exactly once. `parent` is written only
     /// here, by the vertex's owner (hash routing), from the visitor that
     /// carries the current label. Returns whether the visitor expanded
-    /// (the runtime counts those as relaxations).
-    fn try_visit(
+    /// (the runtime counts those as relaxations); a storage error from the
+    /// fallible adjacency read (retry budget exhausted, corruption) aborts
+    /// the run cleanly instead of unwinding a panic through the workers.
+    pub(crate) fn relax(
         &self,
         v: SsspVisitor,
-        ctx: &mut PushCtx<'_, SsspVisitor>,
+        push: impl FnMut(SsspVisitor),
     ) -> Result<bool, AbortReason> {
         let vertex = v.vertex as u64;
         let label = self.dist.get(vertex);
@@ -153,32 +175,46 @@ impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<
         if v.dist != label {
             return Ok(false);
         }
-        self.parent.set(
-            vertex,
-            if v.parent == NO_PARENT {
+        if let Some(parent) = &self.parent {
+            let p = if v.parent == NO_PARENT {
                 NO_VERTEX
             } else {
                 v.parent as u64
-            },
-        );
+            };
+            parent.set(vertex, p);
+        }
         if v.dist >= self.horizon {
             return Ok(true);
         }
-        // Fallible adjacency iteration: a storage error (retry budget
-        // exhausted, corruption) aborts the whole run cleanly instead of
-        // unwinding a panic through the worker pool. The label array and
-        // the weight flag are read once per visit, not once per edge.
-        let (dist, unit_weights) = (&*self.dist, self.unit_weights);
-        self.g.try_for_each_neighbor(vertex, |t, w| {
-            let nd = v.dist + if unit_weights { 1 } else { w as u64 };
-            if dist.fetch_min(t, nd) {
-                ctx.push(SsspVisitor {
-                    dist: nd,
-                    vertex: t as u32,
-                    parent: v.vertex,
-                });
-            }
-        })?;
+        // The edge loop: claim each out-neighbor's label at `v.dist + cost`
+        // and push a visitor for every claim that lowered it. It is
+        // compiled once per cost rule, so the rule is matched once per
+        // visit, not once per edge.
+        #[inline(always)]
+        fn claim_neighbors<G: Graph>(
+            g: &G,
+            dist: &AtomicStateArray,
+            v: SsspVisitor,
+            mut push: impl FnMut(SsspVisitor),
+            cost: impl Fn(Weight) -> u64,
+        ) -> Result<(), NeighborError> {
+            g.try_for_each_neighbor(v.vertex as u64, |t, w| {
+                let nd = v.dist + cost(w);
+                if dist.fetch_min(t, nd) {
+                    push(SsspVisitor {
+                        dist: nd,
+                        vertex: t as u32,
+                        parent: v.vertex,
+                    });
+                }
+            })
+        }
+        let (g, dist) = (self.g, &*self.dist);
+        match self.cost {
+            Cost::Hop => claim_neighbors(g, dist, v, push, |_| 1),
+            Cost::Weight => claim_neighbors(g, dist, v, push, |w| w as u64),
+            Cost::Zero => claim_neighbors(g, dist, v, push, |_| 0),
+        }?;
         Ok(true)
     }
 
@@ -186,9 +222,8 @@ impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<
     /// will read so a semi-external backend can coalesce them into fewer
     /// device requests. Only visitors that will expand are announced:
     /// those that still carry their vertex's label, below the horizon.
-    fn prepare_batch(&self, batch: &[SsspVisitor]) {
+    pub(crate) fn prefetch(&self, batch: impl Iterator<Item = SsspVisitor>) {
         let targets: Vec<u64> = batch
-            .iter()
             .filter(|v| v.dist < self.horizon && v.dist == self.dist.get(v.vertex as u64))
             .map(|v| v.vertex as u64)
             .collect();
@@ -198,12 +233,30 @@ impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<
     }
 }
 
-/// One BFS (`unit_weights`) or SSSP run from `source`.
+impl<G: Graph, A: Deref<Target = AtomicStateArray> + Sync> FallibleVisitHandler<SsspVisitor>
+    for LabelHandler<'_, G, A>
+{
+    fn try_visit(
+        &self,
+        v: SsspVisitor,
+        ctx: &mut PushCtx<'_, SsspVisitor>,
+    ) -> Result<bool, AbortReason> {
+        self.relax(v, |nv| ctx.push(nv))
+    }
+
+    fn prepare_batch(&self, batch: &[SsspVisitor]) {
+        self.prefetch(batch.iter().copied());
+    }
+}
+
+/// One BFS ([`Cost::Hop`]) or SSSP ([`Cost::Weight`]) run from `source`
+/// that stops expanding at label `horizon` (`INF_DIST`: never).
 pub(crate) fn run_path<G: Graph, R: Recorder>(
     g: &G,
     source: Vertex,
     cfg: &Config,
-    unit_weights: bool,
+    cost: Cost,
+    horizon: u64,
     recorder: &R,
 ) -> Result<TraversalOutput, TraversalError> {
     let n = g.num_vertices();
@@ -211,10 +264,10 @@ pub(crate) fn run_path<G: Graph, R: Recorder>(
     // tentative-distance span of a frontier is about one max edge weight
     // (~n under the paper's UW distribution), so lg(n) − 9 buckets it into
     // ~512 live classes.
-    let default_shift = if unit_weights {
-        0
-    } else {
+    let default_shift = if cost == Cost::Weight {
         crate::config::lg2(n).saturating_sub(9)
+    } else {
+        0
     };
     let vq = Config {
         priority_shift: default_shift,
@@ -229,7 +282,7 @@ pub(crate) fn run_path<G: Graph, R: Recorder>(
         [INF_DIST, NO_VERTEX],
         recorder,
         |[dist, parent]| {
-            let h = SsspHandler::new(g, dist, parent, unit_weights);
+            let h = LabelHandler::path(g, dist, parent, cost, horizon);
             let seeds = h.claim_sources(&[source]);
             VisitorQueue::try_run_recorded(&vq, &h, seeds, recorder)
         },
@@ -268,7 +321,7 @@ pub fn try_sssp<G: Graph>(
     source: Vertex,
     cfg: &Config,
 ) -> Result<TraversalOutput, TraversalError> {
-    run_path(g, source, cfg, false, &NoopRecorder)
+    run_path(g, source, cfg, Cost::Weight, INF_DIST, &NoopRecorder)
 }
 
 /// [`try_sssp`] with a metrics [`Recorder`] (e.g.
@@ -282,7 +335,7 @@ pub fn try_sssp_recorded<G: Graph, R: Recorder>(
     cfg: &Config,
     recorder: &R,
 ) -> Result<TraversalOutput, TraversalError> {
-    run_path(g, source, cfg, false, recorder)
+    run_path(g, source, cfg, Cost::Weight, INF_DIST, recorder)
 }
 
 #[cfg(test)]

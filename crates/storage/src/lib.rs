@@ -36,7 +36,6 @@
 pub mod checksum;
 pub mod device;
 pub mod error;
-pub mod ext_builder;
 pub mod fault;
 pub mod format;
 pub mod io_sched;
@@ -47,7 +46,6 @@ pub mod writer;
 
 pub use device::{DeviceModel, SimulatedFlash};
 pub use error::StorageError;
-pub use ext_builder::build_sem_from_edge_list;
 pub use fault::{FaultPlan, FaultyDevice};
 pub use format::SemHeader;
 pub use io_sched::{plan_runs, BlockRun};

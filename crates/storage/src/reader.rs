@@ -255,7 +255,11 @@ impl SemGraph {
     /// assert_eq!(neighbors, [2]);
     /// ```
     pub fn open_with<P: AsRef<Path>>(path: P, config: SemConfig) -> Result<Self, StorageError> {
-        assert!(config.block_size > 0, "block_size must be positive");
+        if config.block_size == 0 {
+            return Err(StorageError::Permanent {
+                detail: "block_size must be positive".to_string(),
+            });
+        }
         let mut file = File::open(path)?;
         let mut hbuf = [0u8; HEADER_BYTES as usize];
         file.read_exact(&mut hbuf)?;
@@ -882,6 +886,19 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
         assert!(SemGraph::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rejects_zero_block_size() {
+        let path = tmp("zero_block.agt");
+        write_sem_graph(&path, &sample_graph()).unwrap();
+        let cfg = SemConfig {
+            block_size: 0,
+            ..SemConfig::default()
+        };
+        let err = SemGraph::open_with(&path, cfg).err().unwrap();
+        assert!(matches!(err, StorageError::Permanent { .. }), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

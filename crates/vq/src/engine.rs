@@ -14,10 +14,11 @@
 //! *termination* is tracked per query: each query has its own in-flight
 //! counter, and the over-count-only argument (DESIGN.md §14) applies per
 //! query id, so query A completing never depends on query B's progress.
-//! An engine serves one concrete handler type `H` (an enum, if queries run
-//! different algorithms): a queued item is the bare visitor plus its
-//! 4-byte query id, and a visit is a monomorphized call on the query's
-//! `Arc<H>`, exactly as in a one-shot run.
+//! An engine serves one concrete handler type `H` (queries that run
+//! different algorithms differ in the handler's state, not its type): a
+//! queued item is the bare visitor plus its 4-byte query id, and a visit
+//! is a monomorphized call on the query's `Arc<H>`, exactly as in a
+//! one-shot run.
 //!
 //! ```text
 //!  submit(handler, seeds)                 workers (spawned once)

@@ -81,6 +81,6 @@ mod worker;
 pub use config::VqConfig;
 pub use engine::{scoped, Engine, EngineConfig, EngineStats, QueryError, QueryTicket, SubmitError};
 pub use queue::{AbortedRun, RunStats, VisitorQueue};
-pub use state::{AtomicStateArray, OwnedStateLease, StateLease, StatePool};
+pub use state::{AtomicStateArray, OwnedStateLease, StatePool};
 pub use visitor::{AbortReason, FallibleVisitHandler, VisitHandler, Visitor};
 pub use worker::PushCtx;

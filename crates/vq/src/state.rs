@@ -92,9 +92,10 @@ impl AtomicStateArray {
 /// needs its own label array (concurrent BFS/SSSP/CC over one shared graph
 /// must never share `dist`/`ccid` state), but allocating and zeroing a
 /// `|V|`-sized array per query is exactly the per-request cost the engine
-/// exists to amortize. The pool recycles arrays: [`lease`](Self::lease)
-/// pops a free one (re-`fill`ed to the requested init value) or allocates
-/// on first use, and dropping the [`StateLease`] returns it.
+/// exists to amortize. The pool recycles arrays:
+/// [`lease_arc`](Self::lease_arc) pops a free one (re-`fill`ed to the
+/// requested init value) or allocates on first use, and dropping the
+/// [`OwnedStateLease`] returns it.
 pub struct StatePool {
     len: usize,
     allocated: AtomicUsize,
@@ -144,18 +145,9 @@ impl StatePool {
     /// Lease an array with every entry set to `init`. Reuses a returned
     /// array when one is free, allocating otherwise — so a steady-state
     /// engine running ≤ N concurrent queries settles at N allocations
-    /// total.
-    pub fn lease(&self, init: u64) -> StateLease<'_> {
-        StateLease {
-            pool: self,
-            arr: Some(self.take(init)),
-        }
-    }
-
-    /// [`lease`](Self::lease) without a pool borrow: the lease keeps the
-    /// pool alive through its own `Arc`, so it can be stored in handlers
-    /// whose lifetime is not tied to the pool's stack frame (e.g. per-query
-    /// jobs submitted to a persistent engine).
+    /// total. The lease keeps the pool alive through its own `Arc`, so it
+    /// can be stored in handlers whose lifetime is not tied to the pool's
+    /// stack frame (e.g. per-query jobs submitted to a persistent engine).
     pub fn lease_arc(self: &Arc<Self>, init: u64) -> OwnedStateLease {
         OwnedStateLease {
             arr: Some(self.take(init)),
@@ -169,36 +161,6 @@ impl std::fmt::Debug for StatePool {
         f.debug_struct("StatePool")
             .field("array_len", &self.len)
             .field("idle", &self.idle())
-            .finish()
-    }
-}
-
-/// An [`AtomicStateArray`] borrowed from a [`StatePool`]; returns itself
-/// to the pool on drop. Dereferences to the array.
-pub struct StateLease<'p> {
-    pool: &'p StatePool,
-    arr: Option<AtomicStateArray>,
-}
-
-impl<'p> std::ops::Deref for StateLease<'p> {
-    type Target = AtomicStateArray;
-    fn deref(&self) -> &AtomicStateArray {
-        self.arr.as_ref().expect("leased array present until drop")
-    }
-}
-
-impl<'p> Drop for StateLease<'p> {
-    fn drop(&mut self) {
-        if let Some(arr) = self.arr.take() {
-            self.pool.free.lock().push(arr);
-        }
-    }
-}
-
-impl<'p> std::fmt::Debug for StateLease<'p> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StateLease")
-            .field("len", &self.len())
             .finish()
     }
 }
@@ -277,10 +239,10 @@ mod tests {
 
     #[test]
     fn pool_recycles_arrays_and_reinitializes() {
-        let pool = StatePool::new(8);
+        let pool = Arc::new(StatePool::new(8));
         assert_eq!(pool.idle(), 0);
         {
-            let a = pool.lease(u64::MAX);
+            let a = pool.lease_arc(u64::MAX);
             assert_eq!(a.len(), 8);
             assert_eq!(a.get(3), u64::MAX);
             a.set(3, 7);
@@ -288,16 +250,16 @@ mod tests {
         // Returned on drop, and the dirty entry is re-initialized on the
         // next lease.
         assert_eq!(pool.idle(), 1);
-        let b = pool.lease(0);
+        let b = pool.lease_arc(0);
         assert_eq!(pool.idle(), 0);
         assert_eq!(b.get(3), 0);
     }
 
     #[test]
     fn pool_allocates_when_all_arrays_are_out() {
-        let pool = StatePool::new(4);
-        let a = pool.lease(1);
-        let b = pool.lease(2);
+        let pool = Arc::new(StatePool::new(4));
+        let a = pool.lease_arc(1);
+        let b = pool.lease_arc(2);
         assert_eq!(a.get(0), 1);
         assert_eq!(b.get(0), 2);
         drop(a);

@@ -80,6 +80,13 @@ proptest! {
         prop_assert_eq!(&out.ccid, &expect);
         prop_assert!(check_components(&g, &out.ccid).is_ok());
         expands_once(&out.stats, g.num_vertices())?;
+        // The engine runs the same relax over the 16-byte path visitor.
+        let opts = EngineOpts::with_threads(threads);
+        let (engine, _) = with_engine(&g, &opts, &NoopRecorder, |eng| {
+            eng.submit_cc().unwrap().wait().unwrap()
+        });
+        prop_assert_eq!(&engine.ccid, &expect);
+        expands_once(&engine.stats, g.num_vertices())?;
     }
 
     #[test]
