@@ -198,7 +198,15 @@ fn generate(args: &Args) -> Result<(), CliError> {
     let (num_vertices, mut edges): (u64, WeightedEdgeList) = match kind {
         "rmat" => {
             let scale = args.get_parsed("--scale", 14u32)?;
+            if !(1..=31).contains(&scale) {
+                return Err(format!("--scale {scale} not in [1, 31]").into());
+            }
             let ef = args.get_parsed("--edge-factor", 16u64)?;
+            if ef > 1 << scale {
+                return Err(
+                    format!("--edge-factor {ef} exceeds 2^scale = {}", 1u64 << scale).into(),
+                );
+            }
             let params = match args.get("--variant").unwrap_or("a") {
                 "a" | "A" => RmatParams::RMAT_A,
                 "b" | "B" => RmatParams::RMAT_B,
@@ -209,6 +217,9 @@ fn generate(args: &Args) -> Result<(), CliError> {
         }
         "web" => {
             let pages = args.get_parsed("--pages", 100_000u64)?;
+            if pages < 2 {
+                return Err(format!("--pages {pages} is below 2").into());
+            }
             let params = match args.get("--like").unwrap_or("sk2005") {
                 "sk2005" => WebGraphParams::sk2005_like(pages, seed),
                 "ukunion" => WebGraphParams::uk_union_like(pages, seed),
@@ -875,6 +886,17 @@ mod tests {
             run(&format!("bfs x.agt --block-kb {}", usize::MAX / 1024 + 1)),
             Err(CliError::Usage(_))
         ));
+        // Generator sizes the generators cannot build are usage, not a
+        // panic: RMAT scale outside 1..=31, more unique edges per vertex
+        // than vertices, a web graph of fewer than two pages.
+        for line in [
+            "generate rmat --scale 0 -o x.agt",
+            "generate rmat --scale 40 -o x.agt",
+            "generate rmat --scale 4 --edge-factor 100 -o x.agt",
+            "generate web --pages 1 -o y.agt",
+        ] {
+            assert!(matches!(run(line), Err(CliError::Usage(_))), "{line}");
+        }
     }
 
     #[test]

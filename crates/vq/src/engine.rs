@@ -17,8 +17,12 @@
 //! An engine serves one concrete handler type `H` (queries that run
 //! different algorithms differ in the handler's state, not its type): a
 //! queued item is the bare visitor plus its 4-byte query id, and a visit
-//! is a monomorphized call on the query's `Arc<H>`, exactly as in a
-//! one-shot run.
+//! is a monomorphized call on the query's `Arc<H>`.
+//!
+//! A one-shot [`VisitorQueue`](crate::VisitorQueue) run is this engine
+//! serving exactly one query. Its items carry the tag `()` instead of a
+//! query id, so they are exactly the bare visitor's size, and its query
+//! borrows the handler (`&H`) instead of sharing an `Arc<H>`.
 //!
 //! ```text
 //!  submit(handler, seeds)                 workers (spawned once)
@@ -89,10 +93,12 @@ use crate::config::VqConfig;
 use crate::mailbox::Mailbox;
 use crate::queue::{route_of, AbortedRun, RunStats};
 use crate::visitor::{FallibleVisitHandler, Visitor};
-use crate::worker::{serve, Lanes, Route, Sink, Tally, SPIN_ITERS};
+use crate::worker::{engine_worker, Lanes, Sink, Tally, SPIN_ITERS};
 use asyncgt_obs::{Counter, Gauge, HistKind, Recorder};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -146,31 +152,31 @@ impl EngineConfig {
 }
 
 /// A visitor tagged with the query it belongs to. Ordering is by the
-/// visitor first (priority semantics are unchanged), query id second (a
-/// stable tiebreak so batch semi-sort groups same-query visitors).
-pub(crate) struct Tagged<V> {
+/// visitor first (priority semantics are unchanged), tag second (a stable
+/// tiebreak so batch semi-sort groups same-query visitors).
+pub(crate) struct Tagged<V, T> {
     pub(crate) v: V,
-    pub(crate) qid: u32,
+    pub(crate) qid: T,
 }
 
-impl<V: Visitor> PartialEq for Tagged<V> {
+impl<V: Visitor, T: QueryTag> PartialEq for Tagged<V, T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
-impl<V: Visitor> Eq for Tagged<V> {}
-impl<V: Visitor> PartialOrd for Tagged<V> {
+impl<V: Visitor, T: QueryTag> Eq for Tagged<V, T> {}
+impl<V: Visitor, T: QueryTag> PartialOrd for Tagged<V, T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<V: Visitor> Ord for Tagged<V> {
+impl<V: Visitor, T: QueryTag> Ord for Tagged<V, T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.v.cmp(&other.v).then(self.qid.cmp(&other.qid))
     }
 }
 
-impl<V: Visitor> Visitor for Tagged<V> {
+impl<V: Visitor, T: QueryTag> Visitor for Tagged<V, T> {
     fn target(&self) -> u64 {
         self.v.target()
     }
@@ -178,6 +184,42 @@ impl<V: Visitor> Visitor for Tagged<V> {
         self.v.priority()
     }
 }
+
+/// How a queued item names its query: `u32` in an engine serving many
+/// queries, `()` in a one-shot run, whose one query needs no id and whose
+/// items therefore stay the bare visitor's size.
+pub(crate) trait QueryTag: Copy + Ord + Hash + Send + Sync + 'static {
+    /// The tag of the engine's `seq`-th query.
+    fn nth(seq: u32) -> Self;
+    /// The push sink a visit of query `tag` writes into.
+    fn sink<V: Visitor>(lanes: Lanes<'_, Tagged<V, Self>>, tag: Self) -> Sink<'_, V>;
+}
+
+impl QueryTag for u32 {
+    fn nth(seq: u32) -> u32 {
+        seq
+    }
+    #[inline]
+    fn sink<V: Visitor>(lanes: Lanes<'_, Tagged<V, u32>>, qid: u32) -> Sink<'_, V> {
+        Sink::Tagged(lanes, qid)
+    }
+}
+
+impl QueryTag for () {
+    fn nth(_: u32) {}
+    #[inline]
+    fn sink<V: Visitor>(lanes: Lanes<'_, Tagged<V, ()>>, _: ()) -> Sink<'_, V> {
+        Sink::Bare(lanes)
+    }
+}
+
+/// How a query holds its handler: an `Arc<H>` for an engine query, a
+/// borrowed `&H` for a one-shot run (whose handler need only be `Sync`).
+pub(crate) trait Handle<V: Visitor>:
+    Deref<Target: FallibleVisitHandler<V>> + Send + Sync
+{
+}
+impl<V: Visitor, D: Deref<Target: FallibleVisitHandler<V>> + Send + Sync> Handle<V> for D {}
 
 /// Completion latch a [`QueryTicket`] waits on.
 struct QueryDone {
@@ -190,10 +232,10 @@ struct QueryDone {
 /// Per-query shared state: its handler, its termination counter and stat
 /// cells (the [`Tally`] workers flush their ledgers into), and the
 /// completion latch its ticket waits on.
-pub(crate) struct QueryShared<H> {
-    qid: u32,
-    handler: Arc<H>,
-    tally: Tally,
+pub(crate) struct QueryShared<T, D> {
+    pub(crate) qid: T,
+    pub(crate) handler: D,
+    pub(crate) tally: Tally,
     /// Finalizer election: exactly one thread retires the query.
     finished: AtomicBool,
     /// Submit-to-finalize latency, written once at retire.
@@ -203,8 +245,8 @@ pub(crate) struct QueryShared<H> {
     submitted: Instant,
 }
 
-impl<H> QueryShared<H> {
-    fn new(qid: u32, handler: Arc<H>, seeded: u64) -> Self {
+impl<T, D> QueryShared<T, D> {
+    fn new(qid: T, handler: D, seeded: u64) -> Self {
         QueryShared {
             qid,
             handler,
@@ -226,20 +268,41 @@ impl<H> QueryShared<H> {
         done.poisoned = true;
         self.done_cv.notify_all();
     }
+
+    /// Block until the query finalizes; see [`QueryTicket::wait`].
+    pub(crate) fn wait(&self, num_threads: usize) -> Result<RunStats, QueryError> {
+        let mut done = self.done.lock();
+        while !done.complete && !done.poisoned {
+            self.done_cv.wait(&mut done);
+        }
+        let complete = done.complete;
+        drop(done);
+        if !complete {
+            return Err(QueryError::EnginePoisoned);
+        }
+        let stats = RunStats {
+            elapsed: Duration::from_nanos(self.latency_ns.load(Ordering::Acquire)),
+            ..self.tally.stats(num_threads)
+        };
+        match self.tally.take_abort() {
+            Some(reason) => Err(QueryError::Aborted(AbortedRun { reason, stats })),
+            None => Ok(stats),
+        }
+    }
 }
 
 /// A query admitted past `max_concurrent` waiting in the bounded queue,
 /// seeds pre-routed so activation is cheap.
-struct PendingSubmit<V: Visitor, H> {
-    query: Arc<QueryShared<H>>,
+struct PendingSubmit<V, T, D> {
+    query: Arc<QueryShared<T, D>>,
     /// Seed visitors grouped by destination queue.
-    groups: Vec<Vec<Tagged<V>>>,
+    groups: Vec<Vec<Tagged<V, T>>>,
     seeded: u64,
 }
 
 /// Admission state, guarded by one mutex: how many queries run, how many
 /// wait, and whether the engine is draining.
-struct Admission<V: Visitor, H> {
+struct Admission<V, T, D> {
     /// Queries currently executing (≤ `max_concurrent`).
     active: usize,
     /// Active plus queued queries — what the graceful drain waits on.
@@ -247,19 +310,20 @@ struct Admission<V: Visitor, H> {
     /// Set once [`scoped`]'s closure returns: no new submits, existing
     /// queries run to completion.
     draining: bool,
-    queue: VecDeque<PendingSubmit<V, H>>,
+    queue: VecDeque<PendingSubmit<V, T, D>>,
 }
 
-/// Everything the workers and the submitting side share.
-pub(crate) struct EngineShared<V: Visitor, H> {
+/// Everything the workers and the submitting side share: `T` is the
+/// items' [`QueryTag`], `D` how a query holds its handler ([`Handle`]).
+pub(crate) struct EngineShared<V, T, D> {
     /// One mailbox per worker, shared by every query (visitors are
     /// [`Tagged`] so ownership of the *stream* stays per-worker while
     /// accounting stays per-query).
-    inboxes: Vec<Mailbox<Tagged<V>>>,
-    /// Live queries by id. Read per qid-switch on the worker hot path
+    pub(crate) inboxes: Vec<Mailbox<Tagged<V, T>>>,
+    /// Live queries by tag. Read per qid-switch on the worker hot path
     /// (amortized by the worker's one-entry query cache).
-    queries: RwLock<HashMap<u32, Arc<QueryShared<H>>>>,
-    admission: Mutex<Admission<V, H>>,
+    queries: RwLock<HashMap<T, Arc<QueryShared<T, D>>>>,
+    admission: Mutex<Admission<V, T, D>>,
     /// Signalled when admission capacity frees up (submitters wait here).
     submit_cv: Condvar,
     /// Signalled when `total_unfinished` hits zero during a drain.
@@ -277,7 +341,7 @@ pub(crate) struct EngineShared<V: Visitor, H> {
     finalized: AtomicU64,
 }
 
-impl<V: Visitor, H> EngineShared<V, H> {
+impl<V: Visitor, T: QueryTag, D: Handle<V>> EngineShared<V, T, D> {
     fn new(num_threads: usize) -> Self {
         EngineShared {
             inboxes: (0..num_threads).map(|_| Mailbox::new()).collect(),
@@ -304,8 +368,8 @@ impl<V: Visitor, H> EngineShared<V, H> {
     /// worker ever will).
     fn activate(
         &self,
-        query: &Arc<QueryShared<H>>,
-        mut groups: Vec<Vec<Tagged<V>>>,
+        query: &Arc<QueryShared<T, D>>,
+        groups: Vec<Vec<Tagged<V, T>>>,
         seeded: u64,
     ) -> bool {
         // Table insert first (workers must be able to look the qid up the
@@ -313,8 +377,10 @@ impl<V: Visitor, H> EngineShared<V, H> {
         // may execute and complete before this function returns).
         self.queries.write().insert(query.qid, Arc::clone(query));
         query.tally.pending.store(seeded, Ordering::Release);
-        for (dest, group) in groups.iter_mut().enumerate() {
-            self.inboxes[dest].deliver(group);
+        // Each group is freed once delivered, so the seeds are held twice
+        // over (group and mailbox) for one destination at a time.
+        for (dest, mut group) in groups.into_iter().enumerate() {
+            self.inboxes[dest].deliver(&mut group);
         }
         // Poison may have run between the admission decision and the table
         // insert, missing this query in both its sweeps. Either its flag
@@ -330,7 +396,11 @@ impl<V: Visitor, H> EngineShared<V, H> {
     /// outcome, free its admission slot, wake its ticket, and pop the next
     /// queued submit (if any) into the freed slot. Exactly one caller wins
     /// the election; losers return `None`.
-    fn retire<R: Recorder>(&self, q: &QueryShared<H>, recorder: &R) -> Option<PendingSubmit<V, H>> {
+    fn retire<R: Recorder>(
+        &self,
+        q: &QueryShared<T, D>,
+        recorder: &R,
+    ) -> Option<PendingSubmit<V, T, D>> {
         if q.finished.swap(true, Ordering::AcqRel) {
             return None;
         }
@@ -372,7 +442,7 @@ impl<V: Visitor, H> EngineShared<V, H> {
     /// successor with no seeds finalizes immediately and frees its slot in
     /// turn — handled iteratively so a burst of empty queries cannot
     /// recurse unboundedly.
-    fn finalize<R: Recorder>(&self, q: &QueryShared<H>, recorder: &R) {
+    pub(crate) fn finalize<R: Recorder>(&self, q: &QueryShared<T, D>, recorder: &R) {
         let mut next = self.retire(q, recorder);
         while let Some(p) = next {
             let PendingSubmit {
@@ -387,73 +457,39 @@ impl<V: Visitor, H> EngineShared<V, H> {
             };
         }
     }
-}
 
-/// The `Multi` routing policy: visitors carry their query id, a qid
-/// resolves through the query table, and workers park between queries
-/// until engine teardown.
-impl<V: Visitor, H: FallibleVisitHandler<V> + Send + Sync> Route<V> for EngineShared<V, H> {
-    type Item = Tagged<V>;
-    type Tag = u32;
-    type Query = Arc<QueryShared<H>>;
-    type Handler = H;
-    const PARK: Duration = ENGINE_PARK;
-
-    fn inboxes(&self) -> &[Mailbox<Tagged<V>>] {
-        &self.inboxes
+    /// Resolve a tag to its live query (`None` only for an unknown tag).
+    pub(crate) fn lookup(&self, tag: T) -> Option<Arc<QueryShared<T, D>>> {
+        self.queries.read().get(&tag).cloned()
     }
 
+    /// A worker panicked: every worker drops its work and exits.
     #[inline]
-    fn split(t: Tagged<V>) -> (V, u32) {
-        (t.v, t.qid)
-    }
-
-    #[inline]
-    fn sink(lanes: Lanes<'_, Tagged<V>>, qid: u32) -> Sink<'_, V> {
-        Sink::Multi(lanes, qid)
-    }
-
-    fn lookup(&self, qid: u32) -> Option<Arc<QueryShared<H>>> {
-        self.queries.read().get(&qid).cloned()
-    }
-
-    #[inline]
-    fn tag_of(q: &Arc<QueryShared<H>>) -> u32 {
-        q.qid
-    }
-
-    #[inline]
-    fn tally<'a>(&'a self, q: &'a Arc<QueryShared<H>>) -> &'a Tally {
-        &q.tally
-    }
-
-    #[inline]
-    fn handler<'a>(&'a self, q: &'a Arc<QueryShared<H>>) -> &'a H {
-        &q.handler
-    }
-
-    fn finish<R: Recorder>(&self, q: &Arc<QueryShared<H>>, recorder: &R) {
-        self.finalize(q, recorder);
-    }
-
-    #[inline]
-    fn poisoned(&self) -> bool {
+    pub(crate) fn poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    fn stopping(&self) -> bool {
+    /// Whether an idle worker should exit instead of waiting for mail.
+    pub(crate) fn stopping(&self) -> bool {
         self.shutdown.load(Ordering::Acquire) || self.poisoned.load(Ordering::Acquire)
     }
 
-    /// Spin only while queries are in flight. A fully idle engine skips
-    /// straight to the park: between queries there is nothing nanoseconds
-    /// away to spin for, and N workers spinning between every request
-    /// would burn N cores at idle.
-    fn spin_budget(&self) -> u32 {
+    /// Idle spin iterations before parking: spin only while queries are in
+    /// flight. A fully idle engine skips straight to the park: between
+    /// queries there is nothing nanoseconds away to spin for, and N
+    /// workers spinning between every request would burn N cores at idle.
+    pub(crate) fn spin_budget(&self) -> u32 {
         if self.active_count.load(Ordering::Relaxed) == 0 {
             0
         } else {
             SPIN_ITERS
+        }
+    }
+
+    /// Wake every parked worker (teardown, poison).
+    fn wake_all(&self) {
+        for inbox in &self.inboxes {
+            inbox.wake();
         }
     }
 
@@ -480,6 +516,90 @@ impl<V: Visitor, H: FallibleVisitHandler<V> + Send + Sync> Route<V> for EngineSh
             self.drain_cv.notify_all();
         }
         self.wake_all();
+    }
+
+    /// Submit a query (see [`Engine::submit`]): route its seeds, then admit
+    /// it, queue it, or wait for capacity under `cfg`'s limits.
+    pub(crate) fn submit<I, R>(
+        &self,
+        cfg: &EngineConfig,
+        recorder: &R,
+        handler: D,
+        seeds: I,
+    ) -> Result<Arc<QueryShared<T, D>>, SubmitError>
+    where
+        I: IntoIterator<Item = V>,
+        R: Recorder,
+    {
+        let reject = |e| {
+            if R::ENABLED {
+                recorder.counter(Counter::SubmitRejections, 1);
+            }
+            Err(e)
+        };
+        if self.poisoned() {
+            return reject(SubmitError::Poisoned);
+        }
+        let qid = T::nth(self.next_qid.fetch_add(1, Ordering::Relaxed));
+        let num_queues = self.inboxes.len();
+        let mut groups: Vec<Vec<Tagged<V, T>>> = (0..num_queues).map(|_| Vec::new()).collect();
+        let mut seeded: u64 = 0;
+        for v in seeds {
+            groups[route_of(v.target(), num_queues)].push(Tagged { v, qid });
+            seeded += 1;
+        }
+        let query = Arc::new(QueryShared::new(qid, handler, seeded));
+
+        let deadline = Instant::now() + cfg.submit_timeout;
+        let mut adm = self.admission.lock();
+        loop {
+            if self.poisoned() {
+                drop(adm);
+                return reject(SubmitError::Poisoned);
+            }
+            if adm.draining || self.shutdown.load(Ordering::Acquire) {
+                drop(adm);
+                return reject(SubmitError::ShuttingDown);
+            }
+            if adm.active < cfg.max_concurrent.max(1) {
+                adm.active += 1;
+                adm.total_unfinished += 1;
+                self.active_count
+                    .store(adm.active as u64, Ordering::Relaxed);
+                if R::ENABLED {
+                    recorder.gauge_max(Gauge::ActiveQueriesHwm, adm.active as u64);
+                }
+                drop(adm);
+                if self.activate(&query, groups, seeded) {
+                    // No seeds: nothing will ever decrement pending, so the
+                    // query finalizes here (possibly chaining successors).
+                    self.finalize(&query, recorder);
+                }
+                break;
+            }
+            if adm.queue.len() < cfg.queue_depth {
+                adm.total_unfinished += 1;
+                adm.queue.push_back(PendingSubmit {
+                    query: Arc::clone(&query),
+                    groups,
+                    seeded,
+                });
+                break;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                drop(adm);
+                return reject(SubmitError::Rejected);
+            }
+            self.submit_cv.wait_for(&mut adm, deadline - now);
+        }
+
+        if R::ENABLED {
+            recorder.counter(Counter::QueriesSubmitted, 1);
+            // Seed pushes are driver-attributed (overflow shard).
+            recorder.counter(Counter::VisitorsPushed, seeded);
+        }
+        Ok(query)
     }
 }
 
@@ -556,7 +676,7 @@ pub struct EngineStats {
 /// Handle to a live engine inside a [`scoped`] call: submit queries, get
 /// [`QueryTicket`]s back. Every query runs the same handler type `H`.
 pub struct Engine<'s, V: Visitor, H, R: Recorder> {
-    shared: &'s EngineShared<V, H>,
+    shared: &'s EngineShared<V, u32, Arc<H>>,
     recorder: &'s R,
     cfg: &'s EngineConfig,
 }
@@ -572,13 +692,6 @@ impl<'s, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync, R: Recorder> Engi
         self.shared.active_count.load(Ordering::Relaxed)
     }
 
-    fn reject<T>(&self, e: SubmitError) -> Result<T, SubmitError> {
-        if R::ENABLED {
-            self.recorder.counter(Counter::SubmitRejections, 1);
-        }
-        Err(e)
-    }
-
     /// Submit a traversal: `seeds` are routed to the worker pool, executed
     /// under `handler`, and the returned [`QueryTicket`] resolves when the
     /// query's own in-flight counter hits zero.
@@ -592,75 +705,12 @@ impl<'s, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync, R: Recorder> Engi
     where
         I: IntoIterator<Item = V>,
     {
-        let shared = self.shared;
-        if shared.poisoned.load(Ordering::Acquire) {
-            return self.reject(SubmitError::Poisoned);
-        }
-        let qid = shared.next_qid.fetch_add(1, Ordering::Relaxed);
-        let num_queues = shared.inboxes.len();
-        let mut groups: Vec<Vec<Tagged<V>>> = (0..num_queues).map(|_| Vec::new()).collect();
-        let mut seeded: u64 = 0;
-        for v in seeds {
-            groups[route_of(v.target(), num_queues)].push(Tagged { v, qid });
-            seeded += 1;
-        }
-        let query = Arc::new(QueryShared::new(qid, handler, seeded));
-
-        let deadline = Instant::now() + self.cfg.submit_timeout;
-        let mut adm = shared.admission.lock();
-        loop {
-            if shared.poisoned.load(Ordering::Acquire) {
-                drop(adm);
-                return self.reject(SubmitError::Poisoned);
-            }
-            if adm.draining || shared.shutdown.load(Ordering::Acquire) {
-                drop(adm);
-                return self.reject(SubmitError::ShuttingDown);
-            }
-            if adm.active < self.cfg.max_concurrent.max(1) {
-                adm.active += 1;
-                adm.total_unfinished += 1;
-                shared
-                    .active_count
-                    .store(adm.active as u64, Ordering::Relaxed);
-                if R::ENABLED {
-                    self.recorder
-                        .gauge_max(Gauge::ActiveQueriesHwm, adm.active as u64);
-                }
-                drop(adm);
-                if shared.activate(&query, groups, seeded) {
-                    // No seeds: nothing will ever decrement pending, so the
-                    // query finalizes here (possibly chaining successors).
-                    shared.finalize(&query, self.recorder);
-                }
-                break;
-            }
-            if adm.queue.len() < self.cfg.queue_depth {
-                adm.total_unfinished += 1;
-                adm.queue.push_back(PendingSubmit {
-                    query: Arc::clone(&query),
-                    groups,
-                    seeded,
-                });
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(adm);
-                return self.reject(SubmitError::Rejected);
-            }
-            shared.submit_cv.wait_for(&mut adm, deadline - now);
-        }
-
-        if R::ENABLED {
-            self.recorder.counter(Counter::QueriesSubmitted, 1);
-            // Seed pushes are driver-attributed (overflow shard), matching
-            // the single-run engine's accounting.
-            self.recorder.counter(Counter::VisitorsPushed, seeded);
-        }
+        let query = self
+            .shared
+            .submit(self.cfg, self.recorder, handler, seeds)?;
         Ok(QueryTicket {
             query,
-            num_threads: num_queues,
+            num_threads: self.num_workers(),
         })
     }
 }
@@ -669,7 +719,7 @@ impl<'s, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync, R: Recorder> Engi
 /// fine — the query still runs to completion (or abort) and [`scoped`]'s
 /// drain covers it.
 pub struct QueryTicket<H> {
-    query: Arc<QueryShared<H>>,
+    query: Arc<QueryShared<u32, Arc<H>>>,
     num_threads: usize,
 }
 
@@ -681,25 +731,7 @@ impl<H> QueryTicket<H> {
     /// quantities with no per-query attribution, so they read 0; the
     /// engine-lifetime totals are in [`EngineStats`].
     pub fn wait(self) -> Result<RunStats, QueryError> {
-        let q = &self.query;
-        let mut done = q.done.lock();
-        while !done.complete && !done.poisoned {
-            q.done_cv.wait(&mut done);
-        }
-        let complete = done.complete;
-        drop(done);
-        if !complete {
-            return Err(QueryError::EnginePoisoned);
-        }
-        let t = &q.tally;
-        let stats = RunStats {
-            elapsed: Duration::from_nanos(q.latency_ns.load(Ordering::Acquire)),
-            ..t.stats(self.num_threads)
-        };
-        match t.take_abort() {
-            Some(reason) => Err(QueryError::Aborted(AbortedRun { reason, stats })),
-            None => Ok(stats),
-        }
+        self.query.wait(self.num_threads)
     }
 
     /// Whether the query has already finalized (non-blocking).
@@ -729,53 +761,92 @@ where
     H: FallibleVisitHandler<V> + Send + Sync,
     R: Recorder,
 {
-    let num_threads = cfg.cfg.num_threads.max(1);
-    let start = Instant::now();
-    let shared: EngineShared<V, H> = EngineShared::new(num_threads);
-    let (out, totals) = serve(&shared, &cfg.cfg, recorder, || {
-        // If `f` panics, poison so workers exit and the scope's implicit
-        // join completes instead of deadlocking under the unwind.
-        let guard = DriverGuard(&shared);
-        let engine = Engine {
-            shared: &shared,
+    serve(cfg, recorder, |shared| {
+        f(&Engine {
+            shared,
             recorder,
             cfg,
-        };
-        let out = f(&engine);
+        })
+    })
+}
+
+/// The engine lifecycle behind [`scoped`] and every one-shot run: spawn
+/// one worker per queue (threads named `vq-worker-{id}`, so OS-level
+/// accounting such as `/proc/self/task/*/comm` can attribute their CPU),
+/// run `driver` on the calling thread, drain every accepted query, then
+/// shut the workers down and join them.
+///
+/// # Panics
+/// Re-raises a worker (handler) panic after every worker has exited.
+pub(crate) fn serve<V, T, D, R, Out>(
+    cfg: &EngineConfig,
+    recorder: &R,
+    driver: impl FnOnce(&EngineShared<V, T, D>) -> Out,
+) -> (Out, EngineStats)
+where
+    V: Visitor,
+    T: QueryTag,
+    D: Handle<V>,
+    R: Recorder,
+{
+    let num_threads = cfg.cfg.num_threads.max(1);
+    let start = Instant::now();
+    let shared: EngineShared<V, T, D> = EngineShared::new(num_threads);
+    let shared = &shared;
+    let mut stats = EngineStats {
+        num_threads,
+        ..EngineStats::default()
+    };
+    let out = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..num_threads)
+            .map(|id| {
+                std::thread::Builder::new()
+                    .name(format!("vq-worker-{id}"))
+                    .spawn_scoped(scope, move || engine_worker(shared, id, &cfg.cfg, recorder))
+                    .expect("spawn vq worker")
+            })
+            .collect();
+        // If `driver` panics, poison so workers exit and the scope's
+        // implicit join completes instead of deadlocking under the unwind.
+        let guard = PoisonGuard(shared);
+        let out = driver(shared);
         // Graceful drain: no new submits, wait for every accepted query.
         {
             let mut adm = shared.admission.lock();
             adm.draining = true;
-            while adm.total_unfinished > 0 && !shared.poisoned.load(Ordering::Acquire) {
+            while adm.total_unfinished > 0 && !shared.poisoned() {
                 shared.drain_cv.wait(&mut adm);
             }
         }
         shared.shutdown.store(true, Ordering::Release);
         shared.wake_all();
         drop(guard);
+        for h in handles {
+            // A panicked worker has already poisoned the pool, so the
+            // remaining workers exit; join then re-raises.
+            let w = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            stats.parks += w.parks;
+            stats.inbox_batches += w.inbox_batches;
+        }
         out
     });
-    let stats = EngineStats {
-        num_threads,
-        parks: totals.parks,
-        inbox_batches: totals.inbox_batches,
-        queries: shared.finalized.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-    };
+    stats.queries = shared.finalized.load(Ordering::Relaxed);
+    stats.elapsed = start.elapsed();
     (out, stats)
 }
 
-/// Upper bound on one idle park in a persistent engine. Long, because an
-/// idle engine has nothing to poll for: wakes come from submits and
-/// teardown, so reparking rarely keeps idle CPU near zero.
-const ENGINE_PARK: Duration = Duration::from_millis(250);
+/// Upper bound on one idle park. Long, because wakes come from deliveries,
+/// termination and teardown — every one delivered under the mail lock
+/// (see the mailbox module docs) — so the park is a backstop, and
+/// reparking rarely keeps an idle engine's CPU near zero.
+pub(crate) const PARK: Duration = Duration::from_millis(250);
 
-/// Poison the engine if the driver closure unwinds (see [`scoped`]).
-struct DriverGuard<'a, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync>(
-    &'a EngineShared<V, H>,
+/// Poison the engine if its holder — a worker or the driver — unwinds.
+pub(crate) struct PoisonGuard<'a, V: Visitor, T: QueryTag, D: Handle<V>>(
+    pub(crate) &'a EngineShared<V, T, D>,
 );
 
-impl<V: Visitor, H: FallibleVisitHandler<V> + Send + Sync> Drop for DriverGuard<'_, V, H> {
+impl<V: Visitor, T: QueryTag, D: Handle<V>> Drop for PoisonGuard<'_, V, T, D> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.poison();
@@ -1156,7 +1227,7 @@ mod tests {
             });
             let teardown = closed.elapsed();
             assert!(
-                teardown < ENGINE_PARK / 2,
+                teardown < PARK / 2,
                 "round {round}: teardown took {teardown:?}, a parked worker missed its wake"
             );
         }
@@ -1164,8 +1235,8 @@ mod tests {
 
     #[test]
     fn one_shot_matches_visitor_queue_semantics() {
-        // The same chain as one engine query (Multi routing) and as a
-        // one-shot run (Single routing): identical work and accounting.
+        // The same chain as one `u32`-tagged engine query and as a
+        // one-shot run (untagged): identical work and accounting.
         let cfg = VqConfig::with_threads(4);
         let h = Arc::new(ChainHandler {
             end: 1_000,

@@ -63,9 +63,12 @@
 //! it spawns and joins internally. For a stream of traversals over one
 //! graph — the serving workload — use the persistent [`engine`]: workers
 //! are spawned once, park when idle, and multiplex concurrent queries with
-//! per-query termination and isolation (see [`engine::scoped`]). Both run
-//! the same worker loop and call a monomorphized handler; a one-shot run
-//! queues the bare visitor, an engine query tags it with a 4-byte query id.
+//! per-query termination and isolation (see [`engine::scoped`]). A
+//! one-shot run *is* that engine serving one query: the same seeding,
+//! worker loop, termination, poison and idle park, and the same
+//! monomorphized handler call. Only the queued item differs: a one-shot
+//! run queues the bare visitor (its one query needs no id), an engine
+//! query tags it with a 4-byte query id.
 
 #![warn(missing_docs)]
 

@@ -1,5 +1,5 @@
-//! The one-shot visitor queue: one traversal on a worker pool spawned for
-//! it and joined at termination.
+//! The one-shot visitor queue: one traversal, run as the only query of an
+//! engine whose workers are spawned for it and joined at termination.
 //!
 //! Layout per worker:
 //!
@@ -13,34 +13,26 @@
 //!   many visitors — the mechanism by which the paper's
 //!   "multiple queues with a hash function reduces lock contention".
 //!
-//! Termination uses a single global counter of *incomplete* visitors:
+//! Termination uses a per-query counter of *incomplete* visitors:
 //! incremented no later than a visitor becomes drainable by another
-//! worker, decremented only after its `visit` returns. Because an
-//! executing visitor still holds its own count while emitting children,
-//! the counter can only reach zero when no visitor is queued anywhere
-//! **and** none is in flight — exactly the paper's "the traversal is
-//! complete when the visitor queue is empty, and all visitors have
-//! completed". Two batching refinements keep the counter off the hot path
-//! without breaking that invariant (the counter may over-count, never
-//! under-count): pushes to a worker's own queue defer their increment to
-//! the end of the visit, and completions accumulate into a per-worker debt
-//! settled at the latest when the worker runs out of local work.
+//! worker, decremented only after its `visit` returns, so it reaches zero
+//! only when no visitor is queued anywhere **and** none is in flight —
+//! exactly the paper's "the traversal is complete when the visitor queue
+//! is empty, and all visitors have completed" (the batching that keeps it
+//! off the hot path is in the worker module docs).
 //!
-//! The worker loop itself is `crate::worker::engine_worker`, the one loop
-//! the persistent [`Engine`](crate::engine::Engine) runs too. What this
-//! module adds is its **`Single`** routing policy: the queues carry the
-//! bare visitor `V` (no query tag), the handler is borrowed as a
-//! monomorphized `&H`, and there is no query table, admission or
-//! ticket — one `Tally` holds the pending counter, and workers exit
-//! once it reaches zero or a handler panics.
+//! A run is `crate::engine::serve` with one submitted query whose items
+//! carry the tag `()` — so a queued item is exactly `size_of::<V>()` bytes
+//! — and whose handler is borrowed as `&H`. Seeding, admission,
+//! termination, poison and the idle park are the engine's; the run's
+//! statistics are the query's counts plus the engine's parks, inbox
+//! batches and wall time.
 
 use crate::config::VqConfig;
-use crate::mailbox::Mailbox;
+use crate::engine::{serve, EngineConfig, EngineShared, QueryError};
 use crate::visitor::{AbortReason, FallibleVisitHandler, VisitHandler, Visitor};
-use crate::worker::{serve, Lanes, Route, Sink, Tally, SPIN_ITERS};
-use asyncgt_obs::{Counter, NoopRecorder, Recorder};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use asyncgt_obs::{NoopRecorder, Recorder};
+use std::time::Duration;
 
 /// Aggregate statistics from one traversal run or engine query — the
 /// one stats type (core re-exports it as `TraversalStats`).
@@ -187,138 +179,45 @@ impl VisitorQueue {
         I: IntoIterator<Item = V>,
         R: Recorder,
     {
-        let num_threads = cfg.num_threads.max(1);
-        // Seed: group initial visitors by destination queue, then deliver
-        // each group in one mailbox operation. The workers have not
-        // started, so nothing contends and no owner needs waking.
-        let mut groups: Vec<Vec<V>> = (0..num_threads).map(|_| Vec::new()).collect();
-        let mut seeded: u64 = 0;
-        for v in init {
-            groups[route_of(v.target(), num_threads)].push(v);
-            seeded += 1;
-        }
-        if seeded == 0 {
-            // Nothing to traverse: no workers are spawned.
-            return Ok(RunStats {
-                num_threads,
-                ..Default::default()
-            });
-        }
-        let run = Single {
-            inboxes: (0..num_threads).map(|_| Mailbox::new()).collect(),
-            tally: Tally::new(seeded),
-            handler,
-            poisoned: AtomicBool::new(false),
+        // One query, no submit queue: admission never waits.
+        let ecfg = EngineConfig {
+            cfg: cfg.clone(),
+            max_concurrent: 1,
+            queue_depth: 0,
+            submit_timeout: Duration::ZERO,
         };
-        for (q, mut group) in groups.into_iter().enumerate() {
-            run.inboxes[q].deliver(&mut group);
-        }
-        run.tally.pending.store(seeded, Ordering::Release);
-        if R::ENABLED {
-            // Seed pushes come from the driver thread (overflow shard);
-            // worker-attributed pushes are recorded in the worker loop.
-            recorder.counter(Counter::VisitorsPushed, seeded);
-        }
-
-        let start = Instant::now();
-        let ((), totals) = serve(&run, cfg, recorder, || ());
-        let stats = RunStats {
-            parks: totals.parks,
-            inbox_batches: totals.inbox_batches,
-            elapsed: start.elapsed(),
-            ..run.tally.stats(num_threads)
+        let (outcome, engine) = serve(&ecfg, recorder, |shared: &EngineShared<V, (), &H>| {
+            shared
+                .submit(&ecfg, recorder, handler, init)
+                .expect("a fresh engine admits its first query")
+                .wait(shared.inboxes.len())
+        });
+        let whole_run = |stats: RunStats| RunStats {
+            parks: engine.parks,
+            inbox_batches: engine.inbox_batches,
+            elapsed: engine.elapsed,
+            ..stats
         };
-        match run.tally.take_abort() {
-            Some(reason) => Err(AbortedRun { reason, stats }),
-            None => Ok(stats),
+        match outcome {
+            Ok(stats) => Ok(whole_run(stats)),
+            Err(QueryError::Aborted(AbortedRun { reason, stats })) => Err(AbortedRun {
+                reason,
+                stats: whole_run(stats),
+            }),
+            Err(QueryError::EnginePoisoned) => {
+                unreachable!("serve re-raises the panic that poisoned the run")
+            }
         }
-    }
-}
-
-/// Upper bound on one idle park in a one-shot run. Short until the
-/// one-shot park question in DESIGN.md §14 is settled.
-const ONE_SHOT_PARK: Duration = Duration::from_millis(1);
-
-/// The `Single` routing policy (see the module docs): one traversal, bare
-/// visitors, a monomorphized handler. `H` needs only `Sync` — it is
-/// borrowed for the run, never sent.
-struct Single<'h, V: Visitor, H> {
-    inboxes: Vec<Mailbox<V>>,
-    tally: Tally,
-    handler: &'h H,
-    /// A handler panicked: workers drop their work and exit.
-    poisoned: AtomicBool,
-}
-
-impl<V: Visitor, H: FallibleVisitHandler<V>> Route<V> for Single<'_, V, H> {
-    type Item = V;
-    type Tag = ();
-    type Query = ();
-    type Handler = H;
-    const PARK: Duration = ONE_SHOT_PARK;
-
-    fn inboxes(&self) -> &[Mailbox<V>] {
-        &self.inboxes
-    }
-
-    #[inline]
-    fn split(v: V) -> (V, ()) {
-        (v, ())
-    }
-
-    #[inline]
-    fn sink(lanes: Lanes<'_, V>, _: ()) -> Sink<'_, V> {
-        Sink::Single(lanes)
-    }
-
-    #[inline]
-    fn lookup(&self, _: ()) -> Option<()> {
-        Some(())
-    }
-
-    #[inline]
-    fn tag_of(_: &()) {}
-
-    #[inline]
-    fn tally<'a>(&'a self, _: &'a ()) -> &'a Tally {
-        &self.tally
-    }
-
-    #[inline]
-    fn handler<'a>(&'a self, _: &'a ()) -> &'a H {
-        self.handler
-    }
-
-    /// The run terminated: wake every parked worker so it sees
-    /// `stopping()` and exits.
-    fn finish<R: Recorder>(&self, _: &(), _: &R) {
-        self.wake_all();
-    }
-
-    #[inline]
-    fn poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
-    fn stopping(&self) -> bool {
-        self.tally.pending.load(Ordering::Acquire) == 0 || self.poisoned()
-    }
-
-    fn spin_budget(&self) -> u32 {
-        SPIN_ITERS
-    }
-
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        self.wake_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Tagged;
     use crate::PushCtx;
     use std::sync::atomic::{AtomicU64, Ordering as AO};
+    use std::time::Instant;
 
     /// Visitor that walks a chain 0..n, one hop per visit.
     #[derive(PartialEq, Eq, PartialOrd, Ord)]
@@ -745,6 +644,29 @@ mod tests {
     }
 
     #[test]
+    fn back_to_back_one_shots_never_sleep_out_the_park() {
+        // Each run ends with oversubscribed workers heading for their idle
+        // park, racing the termination and teardown wakes. A lost wake
+        // leaves a worker asleep for the whole park bound and the join
+        // waits on it, so 100 runs would take 100 parks (25 s).
+        let runs = 100;
+        let start = Instant::now();
+        for _ in 0..runs {
+            let h = ChainHandler {
+                n: 1_000,
+                visits: AtomicU64::new(0),
+            };
+            let s = VisitorQueue::run(&VqConfig::with_threads(16), &h, [Chain(0)]);
+            assert_eq!(s.visitors_executed, 1_000);
+        }
+        let took = start.elapsed();
+        assert!(
+            took < crate::engine::PARK * runs / 5,
+            "{runs} one-shot runs took {took:?}: workers slept out their park"
+        );
+    }
+
+    #[test]
     fn local_push_fast_path_used_with_one_thread() {
         let h = ChainHandler {
             n: 100,
@@ -783,9 +705,9 @@ mod tests {
         assert_eq!(h.chain.visits.load(AO::Relaxed), 500);
     }
 
-    /// Bytes one queued item occupies under routing policy `P`.
-    fn queued_item_size<V: Visitor, P: Route<V>>() -> usize {
-        std::mem::size_of::<P::Item>()
+    /// Bytes one queued item occupies when items carry tag `T`.
+    fn queued_item_size<V: Visitor, T>() -> usize {
+        std::mem::size_of::<Tagged<V, T>>()
     }
 
     /// The layout of core's SSSP/BFS visitor: (dist, vertex, parent).
@@ -801,20 +723,13 @@ mod tests {
         }
     }
 
-    /// A handler for any visitor type, for layout checks that never run.
-    struct Idle;
-    impl<V: Visitor> VisitHandler<V> for Idle {
-        fn visit(&self, _: V, _: &mut PushCtx<'_, V>) {}
-    }
-
     #[test]
     fn one_shot_queues_store_bare_visitors() {
-        type OneShot<V> = Single<'static, V, Idle>;
         // A query tag would widen every queued and mailed item (to 24
         // bytes here); one-shot runs must carry the bare visitor.
-        assert_eq!(queued_item_size::<Path, OneShot<Path>>(), 16);
+        assert_eq!(std::mem::size_of::<Tagged<Path, ()>>(), 16);
         assert_eq!(
-            queued_item_size::<Chain, OneShot<Chain>>(),
+            queued_item_size::<Chain, ()>(),
             std::mem::size_of::<Chain>()
         );
     }
@@ -824,7 +739,7 @@ mod tests {
         // The engine's item is the bare visitor plus a 4-byte query id:
         // 16 + 4 bytes, padded to 24 by the visitor's 8-byte alignment. No
         // variant tag and no handler pointer ride along.
-        type Multi = crate::engine::EngineShared<Path, Idle>;
+        type Multi = u32;
         assert_eq!(queued_item_size::<Path, Multi>(), 24);
     }
 
@@ -944,6 +859,15 @@ mod tests {
                 .get(asyncgt_obs::HistKind::ServiceTimeNs)
                 .count,
             recorded.visitors_executed
+        );
+        // A one-shot run is one engine query: its lifecycle is recorded.
+        assert_eq!(snap.counter("queries_submitted"), 1);
+        assert_eq!(snap.counter("queries_completed"), 1);
+        assert_eq!(
+            snap.histograms
+                .get(asyncgt_obs::HistKind::QueryLatencyNs)
+                .count,
+            1
         );
         // Every worker started and exited on the timeline.
         let exits = snap

@@ -1,23 +1,18 @@
-//! The service loop every worker runs, generic over a routing policy.
+//! The service loop every worker runs.
 //!
 //! A worker owns a private bucket queue, drains its mailbox into it,
 //! executes visitors in priority order and stages remote pushes in an
-//! outbox. That loop is written once, here, as [`engine_worker`]. What
-//! differs between a one-shot traversal and a persistent multi-query
-//! engine is only how a queued item finds its handler and its termination
-//! counter — the [`Route`] policy:
+//! outbox. That loop is written once, here, as [`engine_worker`], and it
+//! serves an engine (`crate::engine::EngineShared`): queues carry
+//! `Tagged { v, qid }` items, and a one-entry query cache
+//! (`switch_query`) resolves the tag to its query's handler and
+//! termination counter. A persistent engine tags with a `u32` query id
+//! and holds each query's handler in an `Arc`; a one-shot run is an
+//! engine with one query, whose tag is `()` and whose handler is
+//! borrowed. Either way workers park between queries and exit only at
+//! engine teardown.
 //!
-//! * **Single** (`crate::queue`): one traversal. Queues carry the bare
-//!   visitor `V`, the handler is a monomorphized `&H`, there is one pending
-//!   counter plus a poison flag, and the workers exit once the counter
-//!   reaches zero.
-//! * **Multi** (`crate::engine`): many concurrent queries. Queues carry
-//!   `Tagged { v, qid }`, the handler is the query's monomorphized `H`
-//!   behind its `Arc` (every query of one engine runs the same handler
-//!   type), and a one-entry query cache (`switch_query`) resolves the qid;
-//!   workers park between queries and exit only at engine teardown.
-//!
-//! Both run the same termination protocol per query: pushes to the
+//! Every query runs the same termination protocol: pushes to the
 //! worker's own queue defer their pending increment to the end of the
 //! visit, remote pushes increment before they can be delivered, and
 //! completions accumulate in a per-worker [`Ledger`] whose debt is settled
@@ -37,64 +32,15 @@
 
 use crate::bucket::BucketQueue;
 use crate::config::VqConfig;
-use crate::engine::Tagged;
+use crate::engine::{EngineShared, Handle, PoisonGuard, QueryShared, QueryTag, Tagged, PARK};
 use crate::mailbox::{IdleOutcome, Mailbox};
 use crate::queue::{route_of, RunStats};
 use crate::visitor::{AbortReason, FallibleVisitHandler, Visitor};
 use asyncgt_obs::{Counter, HistKind, Recorder};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// How the worker loop routes queued items to handlers and accounts for
-/// them. Implemented by the one-shot run (`queue::Single`) and the
-/// persistent engine (`engine::EngineShared`).
-pub(crate) trait Route<V: Visitor>: Sync {
-    /// What the queues and mailboxes carry.
-    type Item: Visitor;
-    /// What an item carries besides its visitor: `()` or a query id.
-    type Tag: Copy + PartialEq;
-    /// A worker's handle on the query it is executing.
-    type Query;
-    /// The handler a query runs.
-    type Handler: FallibleVisitHandler<V>;
-    /// Upper bound on one idle park. Every wake is delivered under the
-    /// mail lock, so the park is a backstop, never a correctness
-    /// requirement (see the mailbox module docs).
-    const PARK: Duration;
-
-    /// One mailbox per worker.
-    fn inboxes(&self) -> &[Mailbox<Self::Item>];
-    /// Separate a popped item into its visitor and its tag.
-    fn split(item: Self::Item) -> (V, Self::Tag);
-    /// The push sink a visit of a `tag` query writes into.
-    fn sink(lanes: Lanes<'_, Self::Item>, tag: Self::Tag) -> Sink<'_, V>;
-    /// Resolve a tag to its live query (`None` only for an unknown qid).
-    fn lookup(&self, tag: Self::Tag) -> Option<Self::Query>;
-    /// The tag of a resolved query.
-    fn tag_of(q: &Self::Query) -> Self::Tag;
-    /// A query's termination counter and stat cells.
-    fn tally<'a>(&'a self, q: &'a Self::Query) -> &'a Tally;
-    /// A query's handler.
-    fn handler<'a>(&'a self, q: &'a Self::Query) -> &'a Self::Handler;
-    /// `q`'s pending counter just reached zero; called exactly once.
-    fn finish<R: Recorder>(&self, q: &Self::Query, recorder: &R);
-    /// A worker panicked: every worker drops its work and exits.
-    fn poisoned(&self) -> bool;
-    /// Whether an idle worker should exit instead of waiting for mail.
-    fn stopping(&self) -> bool;
-    /// Idle spin iterations before parking.
-    fn spin_budget(&self) -> u32;
-    /// Record a worker panic and wake every parked worker.
-    fn poison(&self);
-
-    /// Wake every parked worker (termination, teardown, poison).
-    fn wake_all(&self) {
-        for inbox in self.inboxes() {
-            inbox.wake();
-        }
-    }
-}
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One query's termination counter, abort state and stat cells. Workers
 /// flush their [`Ledger`]s into it.
@@ -243,15 +189,15 @@ impl Ledger {
     }
 }
 
-/// Settle `led` into `q` and finish `q` if that drained its counter.
-fn settle<V: Visitor, P: Route<V>, R: Recorder>(
-    p: &P,
-    q: &P::Query,
+/// Settle `led` into `q` and finalize `q` if that drained its counter.
+fn settle<V: Visitor, T: QueryTag, D: Handle<V>, R: Recorder>(
+    p: &EngineShared<V, T, D>,
+    q: &QueryShared<T, D>,
     led: &mut Ledger,
     recorder: &R,
 ) {
-    if led.settle(p.tally(q), recorder) {
-        p.finish(q, recorder);
+    if led.settle(&q.tally, recorder) {
+        p.finalize(q, recorder);
     }
 }
 
@@ -260,7 +206,7 @@ fn settle<V: Visitor, P: Route<V>, R: Recorder>(
 /// Remote pushes are staged here and delivered in batches, amortizing the
 /// inbox lock and (more importantly on oversubscribed hosts) the
 /// wake-a-parked-thread syscall over many visitors instead of paying both
-/// per push. Under `Multi` it is shared by all queries — batching is a
+/// per push. It is shared by all of an engine's queries — batching is a
 /// property of the worker, accounting a property of the query.
 pub(crate) struct Outbox<T: Visitor> {
     buffers: Vec<Vec<T>>,
@@ -340,11 +286,11 @@ impl<T: Visitor> Lanes<'_, T> {
     }
 }
 
-/// Where a visit's pushes go: the bare visitor under `Single`, the
-/// visitor tagged with the executing query's id under `Multi`.
+/// Where a visit's pushes go: untagged items in a one-shot run, items
+/// tagged with the executing query's id in a persistent engine.
 pub(crate) enum Sink<'a, V: Visitor> {
-    Single(Lanes<'a, V>),
-    Multi(Lanes<'a, Tagged<V>>, u32),
+    Bare(Lanes<'a, Tagged<V, ()>>),
+    Tagged(Lanes<'a, Tagged<V, u32>>, u32),
 }
 
 /// Handle through which a [`VisitHandler`](crate::VisitHandler) emits new
@@ -385,8 +331,8 @@ impl<'a, V: Visitor> PushCtx<'a, V> {
             self.pending.fetch_add(1, Ordering::Relaxed);
         }
         match &mut self.sink {
-            Sink::Single(lanes) => lanes.put(v, q, local),
-            Sink::Multi(lanes, qid) => lanes.put(Tagged { v, qid: *qid }, q, local),
+            Sink::Bare(lanes) => lanes.put(Tagged { v, qid: () }, q, local),
+            Sink::Tagged(lanes, qid) => lanes.put(Tagged { v, qid: *qid }, q, local),
         }
     }
 
@@ -444,69 +390,20 @@ impl WorkerTotals {
     }
 }
 
-/// Spawn one worker per mailbox of `p` (threads named `vq-worker-{id}`, so
-/// OS-level accounting such as `/proc/self/task/*/comm` can attribute
-/// their CPU), run `driver` on the calling thread, then join every worker.
-///
-/// # Panics
-/// Re-raises a worker (handler) panic after every worker has exited.
-pub(crate) fn serve<V, P, R, T>(
-    p: &P,
-    cfg: &VqConfig,
-    recorder: &R,
-    driver: impl FnOnce() -> T,
-) -> (T, WorkerTotals)
-where
-    V: Visitor,
-    P: Route<V>,
-    R: Recorder,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..p.inboxes().len())
-            .map(|id| {
-                std::thread::Builder::new()
-                    .name(format!("vq-worker-{id}"))
-                    .spawn_scoped(scope, move || engine_worker(p, id, cfg, recorder))
-                    .expect("spawn vq worker")
-            })
-            .collect();
-        let out = driver();
-        let mut totals = WorkerTotals::default();
-        for h in handles {
-            // A panicked worker has already poisoned the pool, so the
-            // remaining workers exit; join then re-raises.
-            let w = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            totals.parks += w.parks;
-            totals.inbox_batches += w.inbox_batches;
-        }
-        (out, totals)
-    })
-}
-
-/// Poison the pool if a worker (i.e. a handler) panics.
-struct PoisonGuard<'a, V: Visitor, P: Route<V>>(&'a P, std::marker::PhantomData<V>);
-
-impl<V: Visitor, P: Route<V>> Drop for PoisonGuard<'_, V, P> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
 /// Switch the worker's one-entry query cache to `tag`, settling the ledger
 /// for the previous query first. Returns `false` if the tag is unknown
 /// (impossible while its visitors hold pending units; guarded anyway).
-/// Under `Single` the tag is `()` and a lookup costs nothing.
+/// Under the one-shot tag `()` only the first visitor after an idle
+/// period looks its query up.
 #[inline]
-fn switch_query<V: Visitor, P: Route<V>, R: Recorder>(
-    p: &P,
-    cur: &mut Option<P::Query>,
+fn switch_query<V: Visitor, T: QueryTag, D: Handle<V>, R: Recorder>(
+    p: &EngineShared<V, T, D>,
+    cur: &mut Option<Arc<QueryShared<T, D>>>,
     led: &mut Ledger,
-    tag: P::Tag,
+    tag: T,
     recorder: &R,
 ) -> bool {
-    if cur.as_ref().map(P::tag_of) != Some(tag) {
+    if cur.as_ref().map(|q| q.qid) != Some(tag) {
         if let Some(prev) = cur.take() {
             settle(p, &prev, led, recorder);
         }
@@ -515,22 +412,21 @@ fn switch_query<V: Visitor, P: Route<V>, R: Recorder>(
     cur.is_some()
 }
 
-/// The worker service loop (see the module docs): the only one, for both
-/// routing policies.
-pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
-    p: &P,
+/// The worker service loop (see the module docs): the only one.
+pub(crate) fn engine_worker<V: Visitor, T: QueryTag, D: Handle<V>, R: Recorder>(
+    p: &EngineShared<V, T, D>,
     id: usize,
     cfg: &VqConfig,
     recorder: &R,
 ) -> WorkerTotals {
-    let inboxes = p.inboxes();
+    let inboxes = &p.inboxes[..];
     let inbox = &inboxes[id];
     // Buckets always semi-sort: the paper's §IV-C order, which raises
     // storage access locality for semi-external graphs.
-    let mut heap: BucketQueue<P::Item> = BucketQueue::new(cfg.priority_shift, true);
-    let mut outbox: Outbox<P::Item> = Outbox::new(inboxes.len());
+    let mut heap: BucketQueue<Tagged<V, T>> = BucketQueue::new(cfg.priority_shift, true);
+    let mut outbox: Outbox<Tagged<V, T>> = Outbox::new(inboxes.len());
     let mut totals = WorkerTotals::default();
-    let poison_guard = PoisonGuard(p, std::marker::PhantomData);
+    let poison_guard = PoisonGuard(p);
     if R::ENABLED {
         recorder.register_worker(id);
         recorder.timeline("worker_start");
@@ -546,13 +442,13 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
     // runs; reused across rounds so the hot path does not allocate.
     let io_batch = cfg.io_batch.max(1);
     let mut bvis: Vec<V> = Vec::with_capacity(io_batch);
-    let mut btag: Vec<P::Tag> = Vec::with_capacity(io_batch);
+    let mut btag: Vec<T> = Vec::with_capacity(io_batch);
 
     // One-entry cache of the query the worker is currently executing, with
     // its unsettled accounting. Interleaved streams switch rarely (the
     // heap's semi-sort groups same-query visitors), so the query lookup
     // stays off the per-visitor path.
-    let mut cur: Option<P::Query> = None;
+    let mut cur: Option<Arc<QueryShared<T, D>>> = None;
     let mut led = Ledger::default();
 
     'outer: loop {
@@ -564,10 +460,9 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
         // Drain up to `io_batch` visitors for this service round.
         while bvis.len() < io_batch {
             match heap.pop() {
-                Some(item) => {
-                    let (v, tag) = P::split(item);
+                Some(Tagged { v, qid }) => {
                     bvis.push(v);
-                    btag.push(tag);
+                    btag.push(qid);
                 }
                 None => break,
             }
@@ -587,8 +482,8 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
                     }
                     if j - i > 1 && switch_query(p, &mut cur, &mut led, tag, recorder) {
                         let q = cur.as_ref().expect("switch_query returned true");
-                        if !p.tally(q).aborted.load(Ordering::Acquire) {
-                            p.handler(q).prepare_batch(&bvis[i..j]);
+                        if !q.tally.aborted.load(Ordering::Acquire) {
+                            q.handler.prepare_batch(&bvis[i..j]);
                         }
                     }
                     i = j;
@@ -607,7 +502,7 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
                     continue;
                 }
                 let q = cur.as_ref().expect("switch_query returned true");
-                let tally = p.tally(q);
+                let tally = &q.tally;
                 if tally.aborted.load(Ordering::Acquire) {
                     // This query is coming down: its visitors drain as
                     // uncounted drops so its pending counter still reaches
@@ -625,7 +520,7 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
                     num_workers: inboxes.len(),
                     pushed: 0,
                     local_pushes: 0,
-                    sink: P::sink(
+                    sink: T::sink(
                         Lanes {
                             heap: &mut heap,
                             outbox: &mut outbox,
@@ -638,7 +533,7 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
                 } else {
                     None
                 };
-                let outcome = p.handler(q).try_visit(v, &mut ctx);
+                let outcome = q.handler.try_visit(v, &mut ctx);
                 let (pushed, local_pushes) = (ctx.pushed, ctx.local_pushes);
                 if let Some(t0) = visit_start {
                     recorder.observe(HistKind::ServiceTimeNs, t0.elapsed().as_nanos() as u64);
@@ -685,7 +580,8 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
             settle(p, &q, &mut led, recorder);
         }
 
-        // Idle: adaptive spin before parking, with the policy's budget.
+        // Idle: adaptive spin before parking (no spin while no query is
+        // live).
         let spin_budget = p.spin_budget();
         let mut spun: u32 = 0;
         while spun < spin_budget {
@@ -705,9 +601,9 @@ pub(crate) fn engine_worker<V: Visitor, P: Route<V>, R: Recorder>(
             spun += 1;
         }
 
-        // Park until mail arrives or the policy says stop; any mail found
-        // is drained into the heap before idle_wait returns.
-        let idle = inbox.idle_wait(&mut heap, || p.stopping(), P::PARK, recorder);
+        // Park until mail arrives or the engine stops; any mail found is
+        // drained into the heap before idle_wait returns.
+        let idle = inbox.idle_wait(&mut heap, || p.stopping(), PARK, recorder);
         totals.idled(&idle, recorder);
         if idle.exit {
             break 'outer;
