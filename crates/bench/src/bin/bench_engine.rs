@@ -36,14 +36,12 @@ fn source(i: usize, n: u64) -> u64 {
     (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n
 }
 
-/// One batch on the persistent engine: submit everything up front (the
-/// admission window caps active queries at `concurrency`), wait in order.
+/// One batch on the persistent engine: submit all queries from one thread
+/// (a submit blocks while `concurrency` queries run), wait in order.
 fn run_engine(g: &CsrGraph, concurrency: usize) -> u64 {
     let opts = EngineOpts {
         cfg: Config::with_threads(THREADS),
         max_concurrent: concurrency,
-        queue_depth: QUERIES,
-        submit_timeout: Duration::from_secs(60),
     };
     let n = g.num_vertices();
     let (reached, _stats) = with_engine(g, &opts, &NoopRecorder, |eng| {
@@ -156,11 +154,13 @@ fn main() {
                         "engine mode runs a fixed worker pool whose queued \
                          visitors carry a 4-byte query id (24 B items) and whose \
                          workers resolve each query through a one-entry cache; \
-                         spawn mode runs each query one-shot (bare 16 B visitors) \
-                         but pays thread spawn/join per query and runs \
-                         concurrency x threads OS threads at peak. Both call a \
-                         monomorphized handler. Each cell is the median of its runs; iqr_elapsed_s is the \
-                         spread between its quartiles"
+                         one thread submits all queries and each submit blocks \
+                         while concurrency queries run. Spawn mode runs each \
+                         query one-shot (bare 16 B visitors) but pays thread \
+                         spawn/join per query and runs concurrency x threads OS \
+                         threads at peak. Both call a monomorphized handler. \
+                         Each cell is the median of its runs; iqr_elapsed_s is \
+                         the spread between its quartiles"
                             .into(),
                     ),
                 ),

@@ -70,7 +70,7 @@ pub const USAGE: &str = "usage:
   agt cc   FILE.agt [--threads T] [--device MODEL] [--validate]
                [--metrics] [--metrics-json OUT.json]
   agt queries FILE.agt [--algo bfs|sssp|cc] [--sources V1,V2,…] [--count N]
-               [--max-concurrent M] [--queue-depth D] [--threads T]
+               [--max-concurrent M] [--threads T]
                [--device MODEL] [--metrics] [--metrics-json OUT.json]
 
 Each subcommand takes exactly the arguments shown, its own flags and,
@@ -87,7 +87,7 @@ the whole batch — workers spawn once and park between queries. For
 bfs/sssp each entry of --sources is one single-source query (--count N
 cycles the list to N queries); for cc, --count sets how many full CC
 queries run. --max-concurrent bounds in-flight queries (default 8);
---queue-depth bounds the admission queue behind it (default 64).
+further submits wait for one to finish.
 
 I/O scheduler (storage-backed subcommands):
   --io-batch N          visitors drained per service round; batches above 1
@@ -152,13 +152,7 @@ pub(crate) fn spec(cmd: &str) -> Option<Spec> {
             &[
                 RUN_FLAGS,
                 SEM_FLAGS,
-                &[
-                    "--algo",
-                    "--sources",
-                    "--count",
-                    "--max-concurrent",
-                    "--queue-depth",
-                ],
+                &["--algo", "--sources", "--count", "--max-concurrent"],
             ],
         ),
         "help" | "--help" | "-h" => (&[], &[]),
@@ -411,8 +405,6 @@ fn cmd_queries(args: &Args) -> Result<(), CliError> {
     let opts = EngineOpts {
         cfg: Config::with_threads(threads).with_io_batch(args.get_parsed("--io-batch", 1usize)?),
         max_concurrent: args.get_parsed("--max-concurrent", 8usize)?,
-        queue_depth: args.get_parsed("--queue-depth", 64usize)?,
-        ..Default::default()
     };
 
     let sources: Vec<u64> = match args.get("--sources") {
@@ -440,9 +432,9 @@ fn cmd_queries(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Submit the whole batch up front (the engine's admission control takes
-/// over), wait on every ticket in submit order, print one line per query.
-/// Returns how many queries failed (rejected, aborted, or given a source
+/// Submit the whole batch (a submit waits while `max_concurrent` queries
+/// run), wait on every ticket in submit order, print one line per query.
+/// Returns how many queries failed (refused, aborted, or given a source
 /// outside the graph).
 fn run_query_batch<R: asyncgt::obs::Recorder>(
     sem: &SemGraph,

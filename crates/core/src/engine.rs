@@ -50,10 +50,12 @@ use asyncgt_vq::{
 };
 use std::sync::Arc;
 
-/// Configuration of a persistent traversal engine: worker pool and
-/// admission limits. The engine-wide bucket class width is the CC-style
-/// coarse `lg(n) − 10`, which keeps every algorithm's priority span inside
-/// the bucket ring for mixed workloads; [`with_engine`] sets it.
+/// Configuration of a persistent traversal engine: the worker pool and
+/// `max_concurrent`, how many queries run at once (a further `submit_*`
+/// waits for one to finish). The engine-wide bucket class width is the
+/// CC-style coarse `lg(n) − 10`, which keeps every algorithm's priority
+/// span inside the bucket ring for mixed workloads; [`with_engine`] sets
+/// it.
 pub use asyncgt_vq::EngineConfig as EngineOpts;
 
 /// The one handler type an engine runs: the one-shot relax step over
@@ -314,7 +316,6 @@ mod tests {
         let opts = EngineOpts {
             cfg: cfg.clone(),
             max_concurrent: 8,
-            ..Default::default()
         };
         let ((b, s, c), stats) = with_engine(&g, &opts, &NoopRecorder, |eng| {
             let b = eng.submit_bfs(&[0]).unwrap();
@@ -367,7 +368,6 @@ mod tests {
         let opts = EngineOpts {
             cfg: Config::with_threads(4),
             max_concurrent: 16,
-            ..Default::default()
         };
         let (outs, stats) = with_engine(&g, &opts, &NoopRecorder, |eng| {
             let tickets: Vec<_> = sources
@@ -391,7 +391,6 @@ mod tests {
         let opts = EngineOpts {
             cfg: Config::with_threads(2),
             max_concurrent: 2,
-            ..Default::default()
         };
         let (allocated, _) = with_engine(&g, &opts, &NoopRecorder, |eng| {
             for round in 0..10 {

@@ -61,14 +61,14 @@ pub enum Counter {
     /// Visitor executions whose candidate was stale: executed minus
     /// relaxations.
     Revisits,
-    /// Queries accepted by `Engine::submit` (admitted or queued).
+    /// Queries accepted (and started) by `Engine::submit`.
     QueriesSubmitted,
     /// Queries that ran to completion (termination detected).
     QueriesCompleted,
     /// Queries cancelled through the per-query abort path.
     QueriesAborted,
-    /// Submissions rejected by admission control (queue full + timeout,
-    /// or the engine was draining/poisoned).
+    /// Submissions refused because the engine was poisoned (a handler
+    /// panicked), including submits that were waiting for a free slot.
     SubmitRejections,
 }
 

@@ -3,10 +3,11 @@
 //! [`MetricsSnapshot`] is the stable interchange format: the CLI writes
 //! it with `--metrics-json`, the bench bins attach it to BENCH_*.json
 //! trajectories, and the integration tests round-trip it. The JSON
-//! schema is versioned ([`SCHEMA_VERSION`]); additive changes keep the
-//! version, field renames or removals bump it. Version 3 removed the
-//! storage counters from `counters`: I/O counts appear only in `io`,
-//! which is storage's own [`IoStats`].
+//! schema is versioned ([`SCHEMA_VERSION`]). A reader requires every
+//! field its version writes, so any change to the fields, an addition
+//! included, bumps the version. Version 3 removed the storage counters
+//! from `counters`: I/O counts appear only in `io`, which is storage's
+//! own [`IoStats`].
 //!
 //! Schema (version 3):
 //!
@@ -357,21 +358,18 @@ impl MetricsSnapshot {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        // Additive field: older snapshots predate gauges; read as zeros so
-        // round-tripping current files stays exact and old files parse.
-        let gauges = match v.get("gauges") {
-            Some(g) => crate::recorder::Gauge::ALL
-                .iter()
-                .map(|gauge| {
-                    let val = g.get(gauge.name()).and_then(Value::as_u64).unwrap_or(0);
-                    (gauge.name().to_string(), val)
-                })
-                .collect(),
-            None => crate::recorder::Gauge::ALL
-                .iter()
-                .map(|gauge| (gauge.name().to_string(), 0))
-                .collect(),
-        };
+        let gauges = field("gauges")?;
+        let gauges = crate::recorder::Gauge::ALL
+            .iter()
+            .map(|gauge| {
+                let name = gauge.name();
+                gauges
+                    .get(name)
+                    .and_then(Value::as_u64)
+                    .map(|val| (name.to_string(), val))
+                    .ok_or_else(|| format!("gauges missing {name:?}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
         let per_worker = field("per_worker")?
             .as_arr()
@@ -390,18 +388,17 @@ impl MetricsSnapshot {
                     .get("counters")
                     .and_then(Value::as_obj)
                     .ok_or("per_worker entry missing counters")?;
-                // Counters absent from the snapshot (written before a
-                // newer counter was added) read back as zero; the schema
-                // treats counter additions as non-breaking.
                 let counters = crate::recorder::Counter::ALL
                     .iter()
                     .map(|c| {
                         obj.iter()
                             .find(|(k, _)| k == c.name())
                             .and_then(|(_, v)| v.as_u64())
-                            .unwrap_or(0)
+                            .ok_or_else(|| {
+                                format!("per_worker entry missing counter {:?}", c.name())
+                            })
                     })
-                    .collect::<Vec<_>>();
+                    .collect::<Result<Vec<_>, _>>()?;
                 Ok(WorkerCounters {
                     worker,
                     counters,
@@ -483,7 +480,8 @@ impl MetricsSnapshot {
             .map(|e| {
                 let worker = match e.get("worker") {
                     Some(Value::Int(w)) => Some(*w as usize),
-                    _ => None,
+                    Some(Value::Null) => None,
+                    _ => return Err("timeline event missing worker".to_string()),
                 };
                 Ok(TimelineEvent {
                     t_us: e
@@ -508,21 +506,18 @@ impl MetricsSnapshot {
                         .and_then(Value::as_u64)
                         .ok_or_else(|| format!("io missing {f:?}"))
                 };
-                // Fault and scheduler fields are additive (schema version
-                // unchanged): absent in older snapshots, default to zero.
-                let opt = |f: &str| io.get(f).and_then(Value::as_u64).unwrap_or(0);
                 Some(IoStats {
                     adjacency_reads: num("adjacency_reads")?,
                     cache_hits: num("cache_hits")?,
                     cache_misses: num("cache_misses")?,
                     bytes_read: num("bytes_read")?,
-                    block_fetches: opt("block_fetches"),
-                    retries: opt("retries"),
-                    faults_absorbed: opt("faults_absorbed"),
-                    faults_fatal: opt("faults_fatal"),
-                    blocks_coalesced: opt("blocks_coalesced"),
-                    reads_merged: opt("reads_merged"),
-                    readahead_hits: opt("readahead_hits"),
+                    block_fetches: num("block_fetches")?,
+                    retries: num("retries")?,
+                    faults_absorbed: num("faults_absorbed")?,
+                    faults_fatal: num("faults_fatal")?,
+                    blocks_coalesced: num("blocks_coalesced")?,
+                    reads_merged: num("reads_merged")?,
+                    readahead_hits: num("readahead_hits")?,
                 })
             }
         };
@@ -624,17 +619,27 @@ mod tests {
     }
 
     #[test]
-    fn older_io_snapshot_without_fault_fields_parses() {
-        let snap = sample_snapshot();
-        let text = snap
-            .to_json_string()
-            .replace("\"retries\": 2,", "")
-            .replace("\"faults_absorbed\": 2,", "");
-        let back = MetricsSnapshot::from_json_str(&text).unwrap();
-        let io = back.io.unwrap();
-        assert_eq!(io.retries, 0);
-        assert_eq!(io.faults_absorbed, 0);
-        assert_eq!(io.adjacency_reads, 4);
+    fn snapshot_missing_a_written_field_is_rejected() {
+        // Every field schema 3 writes is required: a snapshot missing one
+        // is an error naming it, never a silent zero.
+        let mut v = sample_snapshot().to_json();
+        let Value::Obj(fields) = &mut v else {
+            unreachable!()
+        };
+        fields.retain(|(k, _)| k != "gauges");
+        let err = MetricsSnapshot::from_json(&v).unwrap_err();
+        assert!(err.contains("gauges"), "{err}");
+
+        let text = sample_snapshot().to_json_string();
+        let cut = text.replace(",\n    \"readahead_hits\": 0", "");
+        assert_ne!(cut, text, "the sample writes readahead_hits last in io");
+        let err = MetricsSnapshot::from_json_str(&cut).unwrap_err();
+        assert!(err.contains("readahead_hits"), "{err}");
+
+        let cut = text.replace("\"active_queries_hwm\": 0", "\"other\": 0");
+        assert_ne!(cut, text);
+        let err = MetricsSnapshot::from_json_str(&cut).unwrap_err();
+        assert!(err.contains("active_queries_hwm"), "{err}");
     }
 
     #[test]

@@ -27,13 +27,14 @@
 //! ```text
 //!  submit(handler, seeds)                 workers (spawned once)
 //!  ──────────────────────┐            ┌──────────────────────────────┐
-//!  admission control     │   seeds    │  mailbox → heap (interleaved │
-//!  (max_concurrent,      ├───────────▶│  Tagged<V> stream)           │
-//!   bounded queue,       │            │  pop → lookup qid → visit    │
-//!   timeout)             │            │  push → route → outbox       │
+//!  admission: wait while │   seeds    │  mailbox → heap (interleaved │
+//!  max_concurrent run,   ├───────────▶│  Tagged<V> stream)           │
+//!  then take a slot and  │            │  pop → lookup qid → visit    │
+//!  activate the query    │            │  push → route → outbox       │
 //!  ──────────────────────┘            │  per-qid pending ──▶ 0:      │
-//!        │                            │  finalize → ticket wakes     │
-//!        ▼                            └──────────────────────────────┘
+//!        ▲                            │  retire → free slot,         │
+//!        └──────── slot_cv ◀──────────│  then wake ticket            │
+//!                                     └──────────────────────────────┘
 //!  QueryTicket::wait ◀── done_cv ─────────────┘
 //! ```
 //!
@@ -96,10 +97,10 @@ use crate::visitor::{FallibleVisitHandler, Visitor};
 use crate::worker::{engine_worker, Lanes, Sink, Tally, SPIN_ITERS};
 use asyncgt_obs::{Counter, Gauge, HistKind, Recorder};
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -112,16 +113,10 @@ pub struct EngineConfig {
     /// are spawned once from this; every query shares them.
     pub cfg: VqConfig,
     /// Queries allowed to execute simultaneously (default 8; `0` counts
-    /// as 1). Submits beyond this wait in the bounded queue.
+    /// as 1). While this many run, [`Engine::submit`] waits for one to
+    /// finish — the backpressure that keeps a hot service from buffering
+    /// unboundedly.
     pub max_concurrent: usize,
-    /// Capacity of the bounded submit queue (default 64). When both the
-    /// active set and this queue are full, [`Engine::submit`] blocks — the
-    /// backpressure that keeps a hot service from buffering unboundedly.
-    /// `0` rejects as soon as `max_concurrent` queries are active.
-    pub queue_depth: usize,
-    /// How long a blocked [`Engine::submit`] waits for capacity before
-    /// giving up with [`SubmitError::Rejected`] (default 10 s).
-    pub submit_timeout: Duration,
 }
 
 impl Default for EngineConfig {
@@ -129,8 +124,6 @@ impl Default for EngineConfig {
         EngineConfig {
             cfg: VqConfig::default(),
             max_concurrent: 8,
-            queue_depth: 64,
-            submit_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -291,28 +284,6 @@ impl<T, D> QueryShared<T, D> {
     }
 }
 
-/// A query admitted past `max_concurrent` waiting in the bounded queue,
-/// seeds pre-routed so activation is cheap.
-struct PendingSubmit<V, T, D> {
-    query: Arc<QueryShared<T, D>>,
-    /// Seed visitors grouped by destination queue.
-    groups: Vec<Vec<Tagged<V, T>>>,
-    seeded: u64,
-}
-
-/// Admission state, guarded by one mutex: how many queries run, how many
-/// wait, and whether the engine is draining.
-struct Admission<V, T, D> {
-    /// Queries currently executing (≤ `max_concurrent`).
-    active: usize,
-    /// Active plus queued queries — what the graceful drain waits on.
-    total_unfinished: usize,
-    /// Set once [`scoped`]'s closure returns: no new submits, existing
-    /// queries run to completion.
-    draining: bool,
-    queue: VecDeque<PendingSubmit<V, T, D>>,
-}
-
 /// Everything the workers and the submitting side share: `T` is the
 /// items' [`QueryTag`], `D` how a query holds its handler ([`Handle`]).
 pub(crate) struct EngineShared<V, T, D> {
@@ -323,86 +294,49 @@ pub(crate) struct EngineShared<V, T, D> {
     /// Live queries by tag. Read per qid-switch on the worker hot path
     /// (amortized by the worker's one-entry query cache).
     queries: RwLock<HashMap<T, Arc<QueryShared<T, D>>>>,
-    admission: Mutex<Admission<V, T, D>>,
-    /// Signalled when admission capacity frees up (submitters wait here).
-    submit_cv: Condvar,
-    /// Signalled when `total_unfinished` hits zero during a drain.
-    drain_cv: Condvar,
+    /// Queries allowed to execute at once (at least 1).
+    max_concurrent: usize,
+    /// Queries executing (≤ `max_concurrent`). Changed only under
+    /// `admission`, so a waiter's check-then-wait cannot miss a wake; read
+    /// without it by the idle spin gate (workers skip spinning entirely
+    /// when no query is active, the idle-burn fix for long-lived pools).
+    active: AtomicUsize,
+    admission: Mutex<()>,
+    /// Signalled when `active` falls and on poison: blocked submitters
+    /// and the drain wait here.
+    slot_cv: Condvar,
     /// Graceful teardown: workers exit once idle.
     shutdown: AtomicBool,
     /// A worker panicked: every ticket fails, workers exit immediately.
     poisoned: AtomicBool,
-    /// Mirror of `Admission::active` readable without the lock — the idle
-    /// spin gate (workers skip spinning entirely when no query is active,
-    /// the idle-burn fix for long-lived pools).
-    active_count: AtomicU64,
     next_qid: AtomicU32,
     /// Queries finalized over the engine's lifetime.
     finalized: AtomicU64,
 }
 
 impl<V: Visitor, T: QueryTag, D: Handle<V>> EngineShared<V, T, D> {
-    fn new(num_threads: usize) -> Self {
+    fn new(num_threads: usize, max_concurrent: usize) -> Self {
         EngineShared {
             inboxes: (0..num_threads).map(|_| Mailbox::new()).collect(),
             queries: RwLock::new(HashMap::new()),
-            admission: Mutex::new(Admission {
-                active: 0,
-                total_unfinished: 0,
-                draining: false,
-                queue: VecDeque::new(),
-            }),
-            submit_cv: Condvar::new(),
-            drain_cv: Condvar::new(),
+            max_concurrent: max_concurrent.max(1),
+            active: AtomicUsize::new(0),
+            admission: Mutex::new(()),
+            slot_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
-            active_count: AtomicU64::new(0),
             next_qid: AtomicU32::new(0),
             finalized: AtomicU64::new(0),
         }
     }
 
-    /// Make an admitted query live: publish it in the table, arm its
-    /// pending counter, and deliver its seed groups. Returns `true` for
-    /// the empty-seed degenerate case (the caller must retire it — no
-    /// worker ever will).
-    fn activate(
-        &self,
-        query: &Arc<QueryShared<T, D>>,
-        groups: Vec<Vec<Tagged<V, T>>>,
-        seeded: u64,
-    ) -> bool {
-        // Table insert first (workers must be able to look the qid up the
-        // moment a seed lands), counter before delivery (a delivered seed
-        // may execute and complete before this function returns).
-        self.queries.write().insert(query.qid, Arc::clone(query));
-        query.tally.pending.store(seeded, Ordering::Release);
-        // Each group is freed once delivered, so the seeds are held twice
-        // over (group and mailbox) for one destination at a time.
-        for (dest, mut group) in groups.into_iter().enumerate() {
-            self.inboxes[dest].deliver(&mut group);
-        }
-        // Poison may have run between the admission decision and the table
-        // insert, missing this query in both its sweeps. Either its flag
-        // store precedes this check (we fail the ticket here, idempotent)
-        // or its table sweep sees our insert — no ticket is left hanging.
-        if self.poisoned.load(Ordering::Acquire) {
-            query.fail_poisoned();
-        }
-        seeded == 0
-    }
-
     /// Retire a finalized query (pending hit zero): record latency and
-    /// outcome, free its admission slot, wake its ticket, and pop the next
-    /// queued submit (if any) into the freed slot. Exactly one caller wins
-    /// the election; losers return `None`.
-    fn retire<R: Recorder>(
-        &self,
-        q: &QueryShared<T, D>,
-        recorder: &R,
-    ) -> Option<PendingSubmit<V, T, D>> {
+    /// outcome, free its admission slot, then wake its ticket — in that
+    /// order, so a caller that sees the ticket done never blocks on its
+    /// next submit. Exactly one caller wins the election; losers return.
+    pub(crate) fn retire<R: Recorder>(&self, q: &QueryShared<T, D>, recorder: &R) {
         if q.finished.swap(true, Ordering::AcqRel) {
-            return None;
+            return;
         }
         let latency = q.submitted.elapsed().as_nanos() as u64;
         q.latency_ns.store(latency, Ordering::Relaxed);
@@ -416,46 +350,14 @@ impl<V: Visitor, T: QueryTag, D: Handle<V>> EngineShared<V, T, D> {
         }
         self.finalized.fetch_add(1, Ordering::Relaxed);
         self.queries.write().remove(&q.qid);
-        let next = {
-            let mut adm = self.admission.lock();
-            adm.active -= 1;
-            adm.total_unfinished -= 1;
-            let next = adm.queue.pop_front();
-            if next.is_some() {
-                adm.active += 1;
-            }
-            self.active_count
-                .store(adm.active as u64, Ordering::Relaxed);
-            self.submit_cv.notify_all();
-            if adm.draining && adm.total_unfinished == 0 {
-                self.drain_cv.notify_all();
-            }
-            next
-        };
+        {
+            let _adm = self.admission.lock();
+            self.active.fetch_sub(1, Ordering::Relaxed);
+            self.slot_cv.notify_all();
+        }
         let mut done = q.done.lock();
         done.complete = true;
         q.done_cv.notify_all();
-        next
-    }
-
-    /// Drive a query through retirement, activating queued successors. A
-    /// successor with no seeds finalizes immediately and frees its slot in
-    /// turn — handled iteratively so a burst of empty queries cannot
-    /// recurse unboundedly.
-    pub(crate) fn finalize<R: Recorder>(&self, q: &QueryShared<T, D>, recorder: &R) {
-        let mut next = self.retire(q, recorder);
-        while let Some(p) = next {
-            let PendingSubmit {
-                query,
-                groups,
-                seeded,
-            } = p;
-            next = if self.activate(&query, groups, seeded) {
-                self.retire(&query, recorder)
-            } else {
-                None
-            };
-        }
     }
 
     /// Resolve a tag to its live query (`None` only for an unknown tag).
@@ -479,7 +381,7 @@ impl<V: Visitor, T: QueryTag, D: Handle<V>> EngineShared<V, T, D> {
     /// queries there is nothing nanoseconds away to spin for, and N
     /// workers spinning between every request would burn N cores at idle.
     pub(crate) fn spin_budget(&self) -> u32 {
-        if self.active_count.load(Ordering::Relaxed) == 0 {
+        if self.active.load(Ordering::Relaxed) == 0 {
             0
         } else {
             SPIN_ITERS
@@ -493,36 +395,29 @@ impl<V: Visitor, T: QueryTag, D: Handle<V>> EngineShared<V, T, D> {
         }
     }
 
-    /// A worker (or the driver) panicked: fail every live and queued
-    /// query's ticket, block further submits, and wake everyone so the
+    /// A worker (or the caller's closure) panicked: fail every live
+    /// query's ticket and every blocked submit, and wake everyone so the
     /// scope can come down.
     fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
         self.shutdown.store(true, Ordering::Release);
-        {
-            let queries = self.queries.read();
-            for q in queries.values() {
-                q.fail_poisoned();
-            }
+        for q in self.queries.read().values() {
+            q.fail_poisoned();
         }
         {
-            let mut adm = self.admission.lock();
-            adm.draining = true;
-            while let Some(p) = adm.queue.pop_front() {
-                adm.total_unfinished -= 1;
-                p.query.fail_poisoned();
-            }
-            self.submit_cv.notify_all();
-            self.drain_cv.notify_all();
+            // Under the lock: a waiter has either seen the flag or is
+            // parked on the condvar by now.
+            let _adm = self.admission.lock();
+            self.slot_cv.notify_all();
         }
         self.wake_all();
     }
 
-    /// Submit a query (see [`Engine::submit`]): route its seeds, then admit
-    /// it, queue it, or wait for capacity under `cfg`'s limits.
+    /// Submit a query (see [`Engine::submit`]): route its seeds, wait for a
+    /// free slot, then make the query live — the one place a query starts.
+    /// A seedless query retires at once: no worker ever will.
     pub(crate) fn submit<I, R>(
         &self,
-        cfg: &EngineConfig,
         recorder: &R,
         handler: D,
         seeds: I,
@@ -531,15 +426,6 @@ impl<V: Visitor, T: QueryTag, D: Handle<V>> EngineShared<V, T, D> {
         I: IntoIterator<Item = V>,
         R: Recorder,
     {
-        let reject = |e| {
-            if R::ENABLED {
-                recorder.counter(Counter::SubmitRejections, 1);
-            }
-            Err(e)
-        };
-        if self.poisoned() {
-            return reject(SubmitError::Poisoned);
-        }
         let qid = T::nth(self.next_qid.fetch_add(1, Ordering::Relaxed));
         let num_queues = self.inboxes.len();
         let mut groups: Vec<Vec<Tagged<V, T>>> = (0..num_queues).map(|_| Vec::new()).collect();
@@ -550,50 +436,42 @@ impl<V: Visitor, T: QueryTag, D: Handle<V>> EngineShared<V, T, D> {
         }
         let query = Arc::new(QueryShared::new(qid, handler, seeded));
 
-        let deadline = Instant::now() + cfg.submit_timeout;
-        let mut adm = self.admission.lock();
-        loop {
+        {
+            let mut adm = self.admission.lock();
+            while self.active.load(Ordering::Relaxed) >= self.max_concurrent && !self.poisoned() {
+                self.slot_cv.wait(&mut adm);
+            }
             if self.poisoned() {
-                drop(adm);
-                return reject(SubmitError::Poisoned);
-            }
-            if adm.draining || self.shutdown.load(Ordering::Acquire) {
-                drop(adm);
-                return reject(SubmitError::ShuttingDown);
-            }
-            if adm.active < cfg.max_concurrent.max(1) {
-                adm.active += 1;
-                adm.total_unfinished += 1;
-                self.active_count
-                    .store(adm.active as u64, Ordering::Relaxed);
                 if R::ENABLED {
-                    recorder.gauge_max(Gauge::ActiveQueriesHwm, adm.active as u64);
+                    recorder.counter(Counter::SubmitRejections, 1);
                 }
-                drop(adm);
-                if self.activate(&query, groups, seeded) {
-                    // No seeds: nothing will ever decrement pending, so the
-                    // query finalizes here (possibly chaining successors).
-                    self.finalize(&query, recorder);
-                }
-                break;
+                return Err(SubmitError::Poisoned);
             }
-            if adm.queue.len() < cfg.queue_depth {
-                adm.total_unfinished += 1;
-                adm.queue.push_back(PendingSubmit {
-                    query: Arc::clone(&query),
-                    groups,
-                    seeded,
-                });
-                break;
+            let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
+            if R::ENABLED {
+                recorder.gauge_max(Gauge::ActiveQueriesHwm, active as u64);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(adm);
-                return reject(SubmitError::Rejected);
-            }
-            self.submit_cv.wait_for(&mut adm, deadline - now);
         }
-
+        // Table insert first (workers must be able to look the qid up the
+        // moment a seed lands), counter before delivery (a delivered seed
+        // may execute and complete before this function returns).
+        self.queries.write().insert(qid, Arc::clone(&query));
+        query.tally.pending.store(seeded, Ordering::Release);
+        // Each group is freed once delivered, so the seeds are held twice
+        // over (group and mailbox) for one destination at a time.
+        for (dest, mut group) in groups.into_iter().enumerate() {
+            self.inboxes[dest].deliver(&mut group);
+        }
+        // Poison may have run between taking the slot and the table insert,
+        // missing this query in its sweep. Either its flag store precedes
+        // this check (we fail the ticket here, idempotent) or its table
+        // sweep sees our insert — no ticket is left hanging.
+        if self.poisoned() {
+            query.fail_poisoned();
+        }
+        if seeded == 0 {
+            self.retire(&query, recorder);
+        }
         if R::ENABLED {
             recorder.counter(Counter::QueriesSubmitted, 1);
             // Seed pushes are driver-attributed (overflow shard).
@@ -606,11 +484,6 @@ impl<V: Visitor, T: QueryTag, D: Handle<V>> EngineShared<V, T, D> {
 /// Why [`Engine::submit`] refused a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Admission stayed full for the whole
-    /// [`submit_timeout`](EngineConfig::submit_timeout) — backpressure.
-    Rejected,
-    /// The engine is draining ([`scoped`]'s closure returned).
-    ShuttingDown,
     /// A worker panicked; the engine is dead.
     Poisoned,
 }
@@ -618,8 +491,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Rejected => write!(f, "submit timed out waiting for admission capacity"),
-            SubmitError::ShuttingDown => write!(f, "engine is shutting down"),
             SubmitError::Poisoned => write!(f, "engine poisoned by a panicked worker"),
         }
     }
@@ -678,7 +549,6 @@ pub struct EngineStats {
 pub struct Engine<'s, V: Visitor, H, R: Recorder> {
     shared: &'s EngineShared<V, u32, Arc<H>>,
     recorder: &'s R,
-    cfg: &'s EngineConfig,
 }
 
 impl<'s, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync, R: Recorder> Engine<'s, V, H, R> {
@@ -689,7 +559,7 @@ impl<'s, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync, R: Recorder> Engi
 
     /// Queries currently executing (an instantaneous snapshot).
     pub fn active_queries(&self) -> u64 {
-        self.shared.active_count.load(Ordering::Relaxed)
+        self.shared.active.load(Ordering::Relaxed) as u64
     }
 
     /// Submit a traversal: `seeds` are routed to the worker pool, executed
@@ -697,17 +567,17 @@ impl<'s, V: Visitor, H: FallibleVisitHandler<V> + Send + Sync, R: Recorder> Engi
     /// query's own in-flight counter hits zero.
     ///
     /// Admission: if fewer than [`max_concurrent`](EngineConfig::max_concurrent)
-    /// queries are active the query starts immediately; otherwise it joins
-    /// the bounded submit queue; if that is full too, the call blocks up to
-    /// [`submit_timeout`](EngineConfig::submit_timeout) before returning
-    /// [`SubmitError::Rejected`].
+    /// queries are active the query starts immediately; otherwise the call
+    /// blocks until one finishes. A slot frees before its query's ticket
+    /// wakes, so a caller that keeps at most `max_concurrent` tickets
+    /// unfinished never blocks here. Fails only with
+    /// [`SubmitError::Poisoned`], also for a call blocked when a handler
+    /// panics.
     pub fn submit<I>(&self, handler: Arc<H>, seeds: I) -> Result<QueryTicket<H>, SubmitError>
     where
         I: IntoIterator<Item = V>,
     {
-        let query = self
-            .shared
-            .submit(self.cfg, self.recorder, handler, seeds)?;
+        let query = self.shared.submit(self.recorder, handler, seeds)?;
         Ok(QueryTicket {
             query,
             num_threads: self.num_workers(),
@@ -726,8 +596,8 @@ pub struct QueryTicket<H> {
 impl<H> QueryTicket<H> {
     /// Block until the query finalizes; returns its stats, its abort, or
     /// the engine's poison verdict. `elapsed` is the submit-to-finalize
-    /// latency, queueing delay under admission control included — what a
-    /// caller experiences. `parks` and `inbox_batches` are engine-wide
+    /// latency from the moment [`Engine::submit`] was called, any wait for
+    /// a free slot included — what a caller experiences. `parks` and `inbox_batches` are engine-wide
     /// quantities with no per-query attribution, so they read 0; the
     /// engine-lifetime totals are in [`EngineStats`].
     pub fn wait(self) -> Result<RunStats, QueryError> {
@@ -761,13 +631,7 @@ where
     H: FallibleVisitHandler<V> + Send + Sync,
     R: Recorder,
 {
-    serve(cfg, recorder, |shared| {
-        f(&Engine {
-            shared,
-            recorder,
-            cfg,
-        })
-    })
+    serve(cfg, recorder, |shared| f(&Engine { shared, recorder }))
 }
 
 /// The engine lifecycle behind [`scoped`] and every one-shot run: spawn
@@ -791,7 +655,7 @@ where
 {
     let num_threads = cfg.cfg.num_threads.max(1);
     let start = Instant::now();
-    let shared: EngineShared<V, T, D> = EngineShared::new(num_threads);
+    let shared: EngineShared<V, T, D> = EngineShared::new(num_threads, cfg.max_concurrent);
     let shared = &shared;
     let mut stats = EngineStats {
         num_threads,
@@ -810,12 +674,12 @@ where
         // implicit join completes instead of deadlocking under the unwind.
         let guard = PoisonGuard(shared);
         let out = driver(shared);
-        // Graceful drain: no new submits, wait for every accepted query.
+        // Graceful drain: wait for every accepted query. The closure has
+        // returned, so nothing can submit any more.
         {
             let mut adm = shared.admission.lock();
-            adm.draining = true;
-            while adm.total_unfinished > 0 && !shared.poisoned() {
-                shared.drain_cv.wait(&mut adm);
+            while shared.active.load(Ordering::Relaxed) > 0 && !shared.poisoned() {
+                shared.slot_cv.wait(&mut adm);
             }
         }
         shared.shutdown.store(true, Ordering::Release);
@@ -1025,59 +889,103 @@ mod tests {
         assert_eq!(good_stats.visitors_dropped, 0);
     }
 
-    #[test]
-    fn admission_rejects_when_full_and_recovers() {
-        // One execution slot, one queue slot, near-zero timeout: the third
-        // concurrent submit must be rejected while the gate holds, and the
-        // engine must recover once the gate opens.
-        let gate = Arc::new(AtomicBool::new(false));
-
-        struct Gated {
-            gate: Arc<AtomicBool>,
-            visits: AtomicU64,
-        }
-        impl crate::VisitHandler<Chain> for Gated {
-            fn visit(&self, _v: Chain, _ctx: &mut PushCtx<'_, Chain>) {
-                while !self.gate.load(AO::Acquire) {
-                    std::thread::yield_now();
-                }
-                self.visits.fetch_add(1, AO::Relaxed);
+    /// Handler whose every visit spins until `gate` opens, then panics if
+    /// `explode` is set.
+    struct Gated {
+        gate: AtomicBool,
+        explode: bool,
+        visits: AtomicU64,
+    }
+    impl crate::VisitHandler<Chain> for Gated {
+        fn visit(&self, v: Chain, _ctx: &mut PushCtx<'_, Chain>) {
+            while !self.gate.load(AO::Acquire) {
+                std::thread::yield_now();
             }
+            assert!(!self.explode, "boom at {}", v.0);
+            self.visits.fetch_add(1, AO::Relaxed);
         }
+    }
 
+    /// How long a blocked submit is given to (wrongly) return. Only the
+    /// check's power depends on it: a correct engine passes at any value.
+    const BLOCKED: Duration = Duration::from_millis(50);
+
+    #[test]
+    fn submit_waits_for_a_free_slot() {
+        // One execution slot held by a gated query: a second submit must
+        // block until the gate opens, then both run exactly, and the freed
+        // slot serves later submits.
         let cfg = EngineConfig {
             max_concurrent: 1,
-            queue_depth: 1,
-            submit_timeout: Duration::from_millis(20),
             ..EngineConfig::with_threads(2)
         };
         let h = Arc::new(Gated {
-            gate: gate.clone(),
+            gate: AtomicBool::new(false),
+            explode: false,
             visits: AtomicU64::new(0),
         });
+        let returned = AtomicBool::new(false);
         let (outcome, stats) = scoped(&cfg, &NoopRecorder, |engine| {
             let t1 = engine.submit(h.clone(), [Chain(1)]).unwrap();
-            // Wait until the gated visitor is actually executing so the
-            // active slot is provably occupied.
-            while engine.active_queries() == 0 {
-                std::thread::yield_now();
-            }
-            let t2 = engine.submit(h.clone(), [Chain(2)]).unwrap();
-            let rejected = engine.submit(h.clone(), [Chain(3)]).err();
-            gate.store(true, AO::Release);
+            assert_eq!(engine.active_queries(), 1);
+            let started = std::sync::Barrier::new(2);
+            let (early, t2) = std::thread::scope(|s| {
+                let second = s.spawn(|| {
+                    started.wait();
+                    let t = engine.submit(h.clone(), [Chain(2)]).unwrap();
+                    returned.store(true, AO::Release);
+                    t
+                });
+                started.wait();
+                std::thread::sleep(BLOCKED);
+                let early = returned.load(AO::Acquire);
+                h.gate.store(true, AO::Release);
+                (early, second.join().unwrap())
+            });
             let s1 = t1.wait().unwrap();
             let s2 = t2.wait().unwrap();
-            // Capacity freed: submits work again.
-            let t4 = engine.submit(h.clone(), [Chain(4)]).unwrap();
-            (rejected, s1, s2, t4.wait().unwrap())
+            let t3 = engine.submit(h.clone(), [Chain(3)]).unwrap();
+            (early, s1, s2, t3.wait().unwrap())
         });
-        let (rejected, s1, s2, s4) = outcome;
-        assert_eq!(rejected, Some(SubmitError::Rejected));
+        let (early, s1, s2, s3) = outcome;
+        assert!(!early, "submit returned while the only slot was held");
         assert_eq!(s1.visitors_executed, 1);
         assert_eq!(s2.visitors_executed, 1);
-        assert_eq!(s4.visitors_executed, 1);
+        assert_eq!(s3.visitors_executed, 1);
         assert_eq!(h.visits.load(AO::Relaxed), 3);
         assert_eq!(stats.queries, 3);
+    }
+
+    #[test]
+    fn blocked_submit_fails_when_the_engine_poisons() {
+        // The running query's handler panics while a second submit waits
+        // for its slot: the waiter must get `Poisoned`, not hang, and the
+        // panic must still reach the caller of `scoped`.
+        let cfg = EngineConfig {
+            max_concurrent: 1,
+            ..EngineConfig::with_threads(2)
+        };
+        let h = Arc::new(Gated {
+            gate: AtomicBool::new(false),
+            explode: true,
+            visits: AtomicU64::new(0),
+        });
+        let blocked = Mutex::new(None);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scoped(&cfg, &NoopRecorder, |engine| {
+                let t1 = engine.submit(h.clone(), [Chain(1)]).unwrap();
+                std::thread::scope(|s| {
+                    let second = s.spawn(|| engine.submit(h.clone(), [Chain(2)]).err());
+                    std::thread::sleep(BLOCKED);
+                    h.gate.store(true, AO::Release);
+                    *blocked.lock() = Some(second.join().unwrap());
+                });
+                matches!(t1.wait(), Err(QueryError::EnginePoisoned))
+            })
+        }));
+        assert!(result.is_err(), "handler panic must propagate");
+        assert_eq!(blocked.into_inner(), Some(Some(SubmitError::Poisoned)));
+        assert_eq!(h.visits.load(AO::Relaxed), 0);
     }
 
     #[test]
@@ -1144,7 +1052,6 @@ mod tests {
     fn sixty_four_concurrent_queries_on_one_pool() {
         let cfg = EngineConfig {
             max_concurrent: 64,
-            queue_depth: 64,
             ..EngineConfig::with_threads(8)
         };
         let n_queries = 64u64;

@@ -158,7 +158,7 @@ impl<V: Visitor> Mailbox<V> {
     }
 }
 
-/// Record the batch-size and queue-depth histograms of a non-empty drain
+/// Record the batch-size and inbox-depth histograms of a non-empty drain
 /// (the worker counts the drain itself).
 fn record_drain<V: Visitor, R: Recorder>(heap: &BucketQueue<V>, moved: u64, rec: &R) {
     if R::ENABLED && moved > 0 {

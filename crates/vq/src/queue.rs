@@ -179,16 +179,14 @@ impl VisitorQueue {
         I: IntoIterator<Item = V>,
         R: Recorder,
     {
-        // One query, no submit queue: admission never waits.
+        // One query in one slot: admission never waits.
         let ecfg = EngineConfig {
             cfg: cfg.clone(),
             max_concurrent: 1,
-            queue_depth: 0,
-            submit_timeout: Duration::ZERO,
         };
         let (outcome, engine) = serve(&ecfg, recorder, |shared: &EngineShared<V, (), &H>| {
             shared
-                .submit(&ecfg, recorder, handler, init)
+                .submit(recorder, handler, init)
                 .expect("a fresh engine admits its first query")
                 .wait(shared.inboxes.len())
         });

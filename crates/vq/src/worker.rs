@@ -189,7 +189,7 @@ impl Ledger {
     }
 }
 
-/// Settle `led` into `q` and finalize `q` if that drained its counter.
+/// Settle `led` into `q` and retire `q` if that drained its counter.
 fn settle<V: Visitor, T: QueryTag, D: Handle<V>, R: Recorder>(
     p: &EngineShared<V, T, D>,
     q: &QueryShared<T, D>,
@@ -197,7 +197,7 @@ fn settle<V: Visitor, T: QueryTag, D: Handle<V>, R: Recorder>(
     recorder: &R,
 ) {
     if led.settle(&q.tally, recorder) {
-        p.finalize(q, recorder);
+        p.retire(q, recorder);
     }
 }
 

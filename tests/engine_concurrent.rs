@@ -30,8 +30,6 @@ fn opts(threads: usize, max_concurrent: usize) -> EngineOpts {
     EngineOpts {
         cfg: Config::with_threads(threads),
         max_concurrent,
-        queue_depth: 128,
-        submit_timeout: Duration::from_secs(60),
     }
 }
 

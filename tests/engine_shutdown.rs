@@ -29,8 +29,6 @@ fn drain_then_shutdown_leaks_no_threads() {
     let opts = EngineOpts {
         cfg: Config::with_threads(4),
         max_concurrent: 4,
-        queue_depth: 128,
-        submit_timeout: Duration::from_secs(60),
     };
     let before = thread_count();
     let (_, stats) = with_engine(&g, &opts, &NoopRecorder, |eng| {
