@@ -52,11 +52,27 @@ use std::sync::Arc;
 
 /// Configuration of a persistent traversal engine: the worker pool and
 /// `max_concurrent`, how many queries run at once (a further `submit_*`
-/// waits for one to finish). The engine-wide bucket class width is the
-/// CC-style coarse `lg(n) − 10`, which keeps every algorithm's priority
-/// span inside the bucket ring for mixed workloads; [`with_engine`] sets
-/// it.
+/// waits for one to finish). [`with_engine`] sets the engine-wide bucket
+/// class width from the graph: the CC-style coarse `lg(n) − 10`, widened
+/// on a weighted graph to delta-stepping's `2·lg(n) − lg(m)`.
 pub use asyncgt_vq::EngineConfig as EngineOpts;
+
+/// The engine-wide bucket class width for a graph of `n` vertices and `m`
+/// edges. It is at least the CC-style coarse `lg n − 10`, which keeps every
+/// algorithm's priority span (CC's vertex ids at worst) inside the bucket
+/// ring and merely coarsens BFS levels. A weighted graph widens it to
+/// delta-stepping's Δ = max weight / mean degree, with the max weight
+/// taken as `n` as in one-shot SSSP: `2·lg n − lg m`. Narrower classes
+/// would spread an SSSP frontier over ~1,000 sparse buckets, each growing
+/// its own buffer.
+fn class_shift(n: u64, m: u64, weighted: bool) -> u32 {
+    let coarse = lg2(n).saturating_sub(10);
+    if weighted {
+        coarse.max((2 * lg2(n)).saturating_sub(lg2(m)))
+    } else {
+        coarse
+    }
+}
 
 /// The one handler type an engine runs: the one-shot relax step over
 /// label arrays leased from the engine's pool. Every query queues the
@@ -266,13 +282,9 @@ where
     R: Recorder,
 {
     let n = g.num_vertices();
-    // One engine-wide bucket class width must serve every algorithm: the
-    // CC-style coarse shift keeps the full vertex-id priority span (CC's
-    // worst case) inside the bucket ring, and merely coarsens — never
-    // breaks — BFS/SSSP prioritization.
     let ecfg = EngineOpts {
         cfg: Config {
-            priority_shift: lg2(n).saturating_sub(10),
+            priority_shift: class_shift(n, g.num_edges(), g.is_weighted()),
             ..opts.cfg.clone()
         },
         ..opts.clone()
@@ -303,6 +315,21 @@ mod tests {
             WeightKind::Uniform,
             5,
         )
+    }
+
+    #[test]
+    fn class_shift_widens_only_weighted_graphs() {
+        // Unweighted graphs keep lg n − 10.
+        assert_eq!(class_shift(1 << 13, 1 << 17, false), 3);
+        assert_eq!(class_shift(1 << 18, 1 << 22, false), 8);
+        // engine-mix's weighted RMAT s13, degree 16: Δ = 2^13 / 16.
+        assert_eq!(class_shift(1 << 13, 1 << 17, true), 9);
+        // No graph goes below lg n − 10, however dense.
+        for (n, m) in [(1u64 << 13, 1u64 << 30), (1 << 20, 1 << 40), (4, 0), (1, 1)] {
+            for weighted in [false, true] {
+                assert!(class_shift(n, m, weighted) >= lg2(n).saturating_sub(10));
+            }
+        }
     }
 
     #[test]

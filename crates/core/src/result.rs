@@ -95,7 +95,7 @@ pub(crate) fn one_shot<const K: usize, R: Recorder>(
     let stats = settle(outcome)?;
 
     recorder.phase_start("extract_state");
-    let labels = labels.map(|a| a.to_vec());
+    let labels = labels.map(AtomicStateArray::into_vec);
     recorder.phase_end("extract_state");
     Ok((labels, stats))
 }

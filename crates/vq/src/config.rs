@@ -19,8 +19,10 @@ pub struct VqConfig {
     /// lets SSSP over wide weight ranges keep O(1) queue operations.
     ///
     /// The traversals in `asyncgt` choose this per algorithm (exact levels
-    /// for BFS, `lg(n) − 9` for weighted SSSP, `lg(n) − 10` for CC and the
-    /// engine) and overwrite whatever value is set here.
+    /// for BFS, `lg(n) − 9` for weighted SSSP, `lg(n) − 10` for CC; the
+    /// engine takes `lg(n) − 10`, widened on a weighted graph to
+    /// delta-stepping's `2·lg(n) − lg(m)`) and overwrite whatever value is
+    /// set here.
     ///
     /// [`Visitor::priority`]: crate::Visitor::priority
     pub priority_shift: u32,

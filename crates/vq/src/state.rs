@@ -62,9 +62,16 @@ impl AtomicStateArray {
     /// writes an entry, each value it takes is installed by exactly one
     /// call that returned `true`, and a later load ordered after that call
     /// sees `value` or less.
+    ///
+    /// A relaxed load comes first and the locked read-modify-write is
+    /// issued only if `value` is below it. Labels only fall, so a claim the
+    /// load rejects would have failed as an RMW too. Most claims fail, and
+    /// a failing claim leaves the label's cache line shared instead of
+    /// taking it exclusive.
     #[inline]
     pub fn fetch_min(&self, i: u64, value: u64) -> bool {
-        self.data[i as usize].fetch_min(value, Ordering::Relaxed) > value
+        let a = &self.data[i as usize];
+        value < a.load(Ordering::Relaxed) && a.fetch_min(value, Ordering::Relaxed) > value
     }
 
     /// Reset every entry to `value` (relaxed stores). Used by
@@ -81,6 +88,15 @@ impl AtomicStateArray {
         self.data
             .iter()
             .map(|a| a.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Turn the array into a plain vector without copying: `AtomicU64` and
+    /// `u64` share a layout, so the collect reuses the allocation in place.
+    pub fn into_vec(self) -> Vec<u64> {
+        Vec::from(self.data)
+            .into_iter()
+            .map(AtomicU64::into_inner)
             .collect()
     }
 }
@@ -283,6 +299,94 @@ mod tests {
         let again = pool.lease_arc(0);
         assert_eq!(pool.allocated(), 1);
         assert_eq!(again.get(3), 0);
+    }
+
+    #[test]
+    fn into_vec_keeps_the_allocation_and_the_values() {
+        let a = AtomicStateArray::new(5, u64::MAX);
+        a.set(1, 3);
+        assert!(a.fetch_min(4, 9));
+        let copied = a.to_vec();
+        let ptr = a.data.as_ptr() as *const u64;
+        let moved = a.into_vec();
+        assert_eq!(moved.as_ptr(), ptr);
+        assert_eq!(moved, copied);
+    }
+
+    #[test]
+    fn racing_claims_install_each_value_once_in_falling_order() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        const ENTRIES: u64 = 3;
+        const VALUES: u64 = 20_000;
+        let a = AtomicStateArray::new(ENTRIES as usize, u64::MAX);
+        let racing = AtomicBool::new(true);
+        let start = Barrier::new(5);
+        let (wins, seen) = std::thread::scope(|s| {
+            // Four claimers walk the same values down by different strides,
+            // so they overlap on most values and race on every entry.
+            let claimers: Vec<_> = (1..=4usize)
+                .map(|stride| {
+                    let (a, start) = (&a, &start);
+                    s.spawn(move || {
+                        let mut won = Vec::new();
+                        start.wait();
+                        for k in (0..VALUES).rev().step_by(stride) {
+                            for i in 0..ENTRIES {
+                                if a.fetch_min(i, k * ENTRIES + i) {
+                                    won.push((i, k * ENTRIES + i));
+                                }
+                            }
+                        }
+                        won
+                    })
+                })
+                .collect();
+            // An observer records every label change it sees; reads of one
+            // location follow its modification order, i.e. install order.
+            let observer = s.spawn(|| {
+                let mut seen = vec![vec![u64::MAX]; ENTRIES as usize];
+                start.wait();
+                while racing.load(Ordering::Relaxed) {
+                    for (i, log) in seen.iter_mut().enumerate() {
+                        let x = a.get(i as u64);
+                        if x != *log.last().unwrap() {
+                            log.push(x);
+                        }
+                    }
+                }
+                seen
+            });
+            let wins: Vec<(u64, u64)> = claimers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect();
+            racing.store(false, Ordering::Relaxed);
+            (wins, observer.join().unwrap())
+        });
+        for i in 0..ENTRIES {
+            assert_eq!(a.get(i), i, "entry {i} ends at the minimum of all values");
+            let mut installed: Vec<u64> = wins
+                .iter()
+                .filter(|&&(e, _)| e == i)
+                .map(|&(_, v)| v)
+                .collect();
+            let total = installed.len();
+            installed.sort_unstable();
+            installed.dedup();
+            assert_eq!(installed.len(), total, "a value of entry {i} won twice");
+            let log = &seen[i as usize];
+            assert!(
+                log.windows(2).all(|w| w[0] > w[1]),
+                "entry {i} rose between installs: {log:?}"
+            );
+            for x in &log[1..] {
+                assert!(
+                    installed.binary_search(x).is_ok(),
+                    "{x} appeared without a win"
+                );
+            }
+        }
     }
 
     #[test]
