@@ -10,11 +10,9 @@
 //! | PBGL (distributed memory) | out of scope on one node; harnesses print `n/a` | — |
 //!
 //! [`union_find`] provides a second serial CC algorithm (the classic
-//! disjoint-set formulation) and [`delta_stepping`] a bucketed parallel
-//! SSSP — both used by the ablation benches to position the asynchronous
-//! approach against stronger baselines than the paper used.
+//! disjoint-set formulation), which the Table III bench times next to
+//! the others and the property tests use as an independent CC oracle.
 
-pub mod delta_stepping;
 pub mod level_sync;
 pub mod serial;
 pub mod union_find;

@@ -10,6 +10,10 @@
 //! * `semisort` — the SEM secondary sort key (§IV-C): block-cache hit rate
 //!   with a large vs tiny cache, quantifying how much the semi-sorted
 //!   visit order is worth to the storage layer.
+//! * `iobatch` — §IV-C I/O scheduling: device reads and coalesced runs as
+//!   the service-round drain grows from 1 to 64 visitors.
+//! * `relabel` — degree- and BFS-order relabelings against the original
+//!   ids, with a tiny block cache.
 //!
 //! Run: `cargo run -p asyncgt-bench --release --bin ablation -- [cmd]`
 

@@ -11,7 +11,7 @@
 //! | `table3` | Table III — in-memory CC comparison |
 //! | `table4` | Table IV — semi-external BFS on 3 flash configs |
 //! | `table5` | Table V — semi-external CC on 3 flash configs |
-//! | `ablation` | §III/§IV design-choice ablations (chain worst case, oversubscription, semi-sort, push pruning) |
+//! | `ablation` | §III/§IV design-choice ablations (chain worst case, oversubscription, semi-sort, I/O batch drain, vertex relabeling) |
 //!
 //! Sizing is environment-driven so the full suite completes on a laptop
 //! container yet scales up on real hardware:

@@ -19,10 +19,14 @@ use std::ops::Deref;
 
 /// The paper's `UCCVertexVisitor`: a candidate component id for `vertex`.
 ///
-/// Ids are stored as `u32` (an 8-byte visitor — CC floods one visitor per
-/// edge per label improvement, so queue compactness matters most here);
-/// traversals reject graphs with ≥ 2^32 − 1 vertices
-/// ([`TraversalError::GraphTooLarge`]).
+/// Ids are stored as `u32`, so the visitor is 8 bytes, half the path
+/// visitor; traversals reject graphs with ≥ 2^32 − 1 vertices
+/// ([`TraversalError::GraphTooLarge`]). CC seeds one visitor per vertex,
+/// so its queues start `n` deep. The narrow visitor stays because it
+/// measures better: with one-shot CC queueing the 16-byte path visitor
+/// instead, perfbench `im-cc` (seed 1, 5 alternating pairs of 20 s runs,
+/// 2-core host) read `traversal_ms` 11.5 → 12.3 ms and `peak_rss_mb`
+/// 17.0 → 21.0 MiB, worse in all 5 pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CcVisitor {
     pub ccid: u32,

@@ -40,11 +40,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of edges currently staged.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add an unweighted (weight `1`) directed edge.
     pub fn add_edge(mut self, src: Vertex, dst: Vertex) -> Self {
         self.push_edge(src, dst, 1);

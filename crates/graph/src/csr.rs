@@ -91,33 +91,6 @@ impl<V: VertexIndex> CsrGraph<V> {
     pub fn weights(&self) -> Option<&[Weight]> {
         self.weights.as_deref()
     }
-
-    /// Drop the weight array, turning this into an unweighted graph.
-    pub fn strip_weights(mut self) -> Self {
-        self.weights = None;
-        self
-    }
-
-    /// The transpose (reverse) graph: every edge `(u, v, w)` becomes
-    /// `(v, u, w)`. Identity for symmetrized graphs; for digraphs it turns
-    /// out-adjacency into in-adjacency (in-degree queries, reverse BFS).
-    pub fn transpose(&self) -> CsrGraph<V> {
-        use crate::builder::GraphBuilder;
-        use crate::traits::WeightedEdgeList;
-        let mut edges: WeightedEdgeList = Vec::with_capacity(self.targets.len());
-        for v in 0..self.num_vertices() {
-            self.for_each_neighbor(v, |t, w| edges.push((t, v, w)));
-        }
-        GraphBuilder::from_edges(self.num_vertices(), edges, self.weights.is_some()).build()
-    }
-
-    /// Total heap bytes used by the CSR arrays (the paper reports on-device
-    /// sizes; this is the in-memory analogue).
-    pub fn storage_bytes(&self) -> usize {
-        self.offsets.len() * 8
-            + self.targets.len() * V::BYTES
-            + self.weights.as_ref().map_or(0, |w| w.len() * 4)
-    }
 }
 
 impl<V: VertexIndex> Graph for CsrGraph<V> {
@@ -203,43 +176,6 @@ mod tests {
         for v in 0..7 {
             assert_eq!(g.out_degree(v), 0);
         }
-    }
-
-    #[test]
-    fn storage_bytes_counts_index_width() {
-        let g32 = diamond();
-        let g64: CsrGraph<u64> = GraphBuilder::new(4)
-            .add_edge(0, 1)
-            .add_edge(0, 2)
-            .add_edge(1, 3)
-            .add_edge(2, 3)
-            .build();
-        // 4 edges: u32 targets take 16 bytes, u64 take 32; offsets equal.
-        assert_eq!(g64.storage_bytes() - g32.storage_bytes(), 4 * 4);
-    }
-
-    #[test]
-    fn transpose_reverses_edges() {
-        let g = diamond(); // 0→1, 0→2, 1→3, 2→3
-        let t = g.transpose();
-        assert_eq!(t.num_edges(), 4);
-        assert_eq!(t.neighbors(3), vec![1, 2]);
-        assert_eq!(t.neighbors(0), Vec::<u64>::new());
-        // Double transpose is the identity.
-        let tt = t.transpose();
-        for v in 0..4 {
-            assert_eq!(tt.neighbors(v), g.neighbors(v));
-        }
-    }
-
-    #[test]
-    fn transpose_preserves_weights() {
-        let g: CsrGraph<u32> = GraphBuilder::new(2).add_weighted_edge(0, 1, 7).build();
-        let t = g.transpose();
-        assert!(t.is_weighted());
-        let mut seen = Vec::new();
-        t.for_each_neighbor(1, |x, w| seen.push((x, w)));
-        assert_eq!(seen, vec![(0, 7)]);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   consecutively visited vertices land in nearby blocks, the classic
 //!   bandwidth-reduction permutation.
 //!
-//! Both return the relabeled graph plus the permutation (so algorithm
-//! outputs can be mapped back with [`Permutation::apply_inverse`]). The SEM ablation
-//! (`ablation -- relabel`) measures their effect on block-cache hit rate.
+//! Both return a [`Permutation`]; [`relabel`] rebuilds the graph under it.
+//! The SEM ablation (`ablation -- relabel`) measures their effect on
+//! block-cache hit rate.
 
 use crate::csr::CsrGraph;
 use crate::traits::{Graph, VertexIndex, WeightedEdgeList};
@@ -59,25 +59,6 @@ impl Permutation {
     /// Whether the permutation is empty.
     pub fn is_empty(&self) -> bool {
         self.forward.is_empty()
-    }
-
-    /// The inverse map: `inverse()[new_id] = old_id`.
-    pub fn inverse(&self) -> Vec<Vertex> {
-        let mut inv = vec![0; self.forward.len()];
-        for (old, &new) in self.forward.iter().enumerate() {
-            inv[new as usize] = old as Vertex;
-        }
-        inv
-    }
-
-    /// Map per-vertex algorithm output on the relabeled graph back to the
-    /// original ids: `result[old] = relabeled_result[perm.map(old)]`.
-    pub fn apply_inverse<T: Copy>(&self, relabeled: &[T]) -> Vec<T> {
-        assert_eq!(relabeled.len(), self.forward.len());
-        self.forward
-            .iter()
-            .map(|&new| relabeled[new as usize])
-            .collect()
     }
 }
 
@@ -175,22 +156,6 @@ mod tests {
             let mut mapped: Vec<Vertex> = g.neighbors(u).iter().map(|&t| perm.map(t)).collect();
             mapped.sort_unstable();
             assert_eq!(rg.neighbors(perm.map(u)), mapped, "vertex {u}");
-        }
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        let g = RmatGenerator::new(RmatParams::RMAT_B, 7, 4, 9).directed();
-        let perm = by_bfs(&g, 0);
-        let inv = perm.inverse();
-        for old in 0..g.num_vertices() {
-            assert_eq!(inv[perm.map(old) as usize], old);
-        }
-        // apply_inverse maps relabeled-indexed data back to original ids.
-        let relabeled_ids: Vec<Vertex> = (0..g.num_vertices()).collect();
-        let back = perm.apply_inverse(&relabeled_ids);
-        for (old, &b) in back.iter().enumerate() {
-            assert_eq!(b, perm.map(old as Vertex));
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Table I reports `# levs` (BFS level count) and `% vis` (fraction of
 //! vertices reached); Table III reports `# CCs`. These helpers compute those
-//! columns from traversal outputs and provide degree-distribution summaries
-//! used to sanity-check generator skew.
+//! columns from traversal outputs and provide a degree summary used to
+//! sanity-check generator skew.
 
 use crate::traits::Graph;
 use crate::{Vertex, INF_DIST};
@@ -51,25 +51,6 @@ pub fn degree_stats<G: Graph>(g: &G) -> DegreeStats {
         mean: total as f64 / n as f64,
         zeros,
     }
-}
-
-/// Histogram of out-degrees bucketed by power of two: `hist[i]` counts
-/// vertices with degree in `[2^(i-1), 2^i)` (`hist[0]` counts degree 0).
-pub fn degree_histogram<G: Graph>(g: &G) -> Vec<u64> {
-    let mut hist = vec![0u64; 2];
-    for v in 0..g.num_vertices() {
-        let d = g.out_degree(v);
-        let bucket = if d == 0 {
-            0
-        } else {
-            64 - d.leading_zeros() as usize
-        };
-        if bucket >= hist.len() {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
 }
 
 /// Number of distinct BFS levels in a distance array (unreached excluded).
@@ -129,15 +110,6 @@ mod tests {
         let s = degree_stats(&path_graph(4));
         assert_eq!(s.zeros, 1);
         assert_eq!(s.max, 1);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let g = star_graph(10); // hub degree 9 -> bucket 4 ([8,16))
-        let h = degree_histogram(&g);
-        assert_eq!(h[0], 0);
-        assert_eq!(h[1], 9); // 9 leaves of degree 1
-        assert_eq!(*h.last().unwrap(), 1); // the hub
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! [`MetricsSnapshot`] is the stable interchange format: the CLI writes
 //! it with `--metrics-json`, the bench bins attach it to BENCH_*.json
-//! trajectories, and the integration tests round-trip it. The JSON
-//! schema is versioned ([`SCHEMA_VERSION`]). A reader requires every
-//! field its version writes, so any change to the fields, an addition
-//! included, bumps the version. Version 3 removed the storage counters
-//! from `counters`: I/O counts appear only in `io`, which is storage's
-//! own [`IoStats`].
+//! trajectories, and the tests read the written file back with
+//! [`crate::json::parse`]. The crate writes the format and never reads
+//! it. The JSON schema is versioned ([`SCHEMA_VERSION`]): any change to
+//! the fields, an addition included, bumps the version, so a reader can
+//! rely on every field its version writes. Version 3 removed the storage
+//! counters from `counters`: I/O counts appear only in `io`, which is
+//! storage's own [`IoStats`].
 //!
 //! Schema (version 3):
 //!
@@ -36,7 +37,7 @@
 //! ```
 
 use crate::hist::HistSnapshot;
-use crate::json::{self, Value};
+use crate::json::Value;
 use crate::recorder::HistKind;
 
 /// Version of the JSON schema emitted by [`MetricsSnapshot::to_json`].
@@ -161,7 +162,7 @@ pub struct MetricsSnapshot {
     /// Totals across all shards, keyed by stable counter name.
     pub counters: Vec<(String, u64)>,
     /// High-water marks, maxed across all shards, keyed by stable gauge
-    /// name. Additive field: absent in older snapshots (reads as zeros).
+    /// name.
     pub gauges: Vec<(String, u64)>,
     pub per_worker: Vec<WorkerCounters>,
     pub histograms: HistogramsSnapshot,
@@ -322,219 +323,6 @@ impl MetricsSnapshot {
     pub fn to_json_string(&self) -> String {
         self.to_json().to_pretty_string()
     }
-
-    /// Parse a snapshot previously produced by [`Self::to_json_string`].
-    pub fn from_json_str(text: &str) -> Result<MetricsSnapshot, String> {
-        let v = json::parse(text)?;
-        Self::from_json(&v)
-    }
-
-    pub fn from_json(v: &Value) -> Result<MetricsSnapshot, String> {
-        let field = |name: &str| v.get(name).ok_or_else(|| format!("missing field {name:?}"));
-
-        let schema_version = field("schema_version")?
-            .as_u64()
-            .ok_or("schema_version not an integer")?;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported schema_version {schema_version} (expected {SCHEMA_VERSION})"
-            ));
-        }
-        let num_workers = field("num_workers")?
-            .as_u64()
-            .ok_or("num_workers not an integer")? as usize;
-        let elapsed_secs = field("elapsed_secs")?
-            .as_f64()
-            .ok_or("elapsed_secs not a number")?;
-
-        let counters = field("counters")?
-            .as_obj()
-            .ok_or("counters not an object")?
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("counter {k:?} not an integer"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let gauges = field("gauges")?;
-        let gauges = crate::recorder::Gauge::ALL
-            .iter()
-            .map(|gauge| {
-                let name = gauge.name();
-                gauges
-                    .get(name)
-                    .and_then(Value::as_u64)
-                    .map(|val| (name.to_string(), val))
-                    .ok_or_else(|| format!("gauges missing {name:?}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let per_worker = field("per_worker")?
-            .as_arr()
-            .ok_or("per_worker not an array")?
-            .iter()
-            .map(|w| {
-                let worker =
-                    w.get("worker")
-                        .and_then(Value::as_u64)
-                        .ok_or("per_worker entry missing worker")? as usize;
-                let queue_depth_hwm = w
-                    .get("queue_depth_hwm")
-                    .and_then(Value::as_u64)
-                    .ok_or("per_worker entry missing queue_depth_hwm")?;
-                let obj = w
-                    .get("counters")
-                    .and_then(Value::as_obj)
-                    .ok_or("per_worker entry missing counters")?;
-                let counters = crate::recorder::Counter::ALL
-                    .iter()
-                    .map(|c| {
-                        obj.iter()
-                            .find(|(k, _)| k == c.name())
-                            .and_then(|(_, v)| v.as_u64())
-                            .ok_or_else(|| {
-                                format!("per_worker entry missing counter {:?}", c.name())
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(WorkerCounters {
-                    worker,
-                    counters,
-                    queue_depth_hwm,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        let mut histograms = HistogramsSnapshot::default();
-        for (name, h) in field("histograms")?
-            .as_obj()
-            .ok_or("histograms not an object")?
-        {
-            let kind = HistKind::ALL
-                .iter()
-                .copied()
-                .find(|k| k.name() == name)
-                .ok_or_else(|| format!("unknown histogram {name:?}"))?;
-            let num = |f: &str| {
-                h.get(f)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("histogram {name:?} missing {f:?}"))
-            };
-            let buckets = h
-                .get("buckets")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("histogram {name:?} missing buckets"))?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr().filter(|p| p.len() == 2);
-                    match pair {
-                        Some([i, n]) => match (i.as_u64(), n.as_u64()) {
-                            (Some(i), Some(n)) => Ok((i as u32, n)),
-                            _ => Err("bucket pair not integers".to_string()),
-                        },
-                        _ => Err("bucket entry not a pair".to_string()),
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            histograms.set(
-                kind,
-                HistSnapshot {
-                    count: num("count")?,
-                    sum: num("sum")?,
-                    min: num("min")?,
-                    max: num("max")?,
-                    buckets,
-                },
-            );
-        }
-
-        let phases = field("phases")?
-            .as_arr()
-            .ok_or("phases not an array")?
-            .iter()
-            .map(|p| {
-                Ok(PhaseSpan {
-                    name: p
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or("phase missing name")?
-                        .to_string(),
-                    start_us: p
-                        .get("start_us")
-                        .and_then(Value::as_u64)
-                        .ok_or("phase missing start_us")?,
-                    end_us: p
-                        .get("end_us")
-                        .and_then(Value::as_u64)
-                        .ok_or("phase missing end_us")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        let timeline = field("timeline")?
-            .as_arr()
-            .ok_or("timeline not an array")?
-            .iter()
-            .map(|e| {
-                let worker = match e.get("worker") {
-                    Some(Value::Int(w)) => Some(*w as usize),
-                    Some(Value::Null) => None,
-                    _ => return Err("timeline event missing worker".to_string()),
-                };
-                Ok(TimelineEvent {
-                    t_us: e
-                        .get("t_us")
-                        .and_then(Value::as_u64)
-                        .ok_or("timeline event missing t_us")?,
-                    worker,
-                    label: e
-                        .get("label")
-                        .and_then(Value::as_str)
-                        .ok_or("timeline event missing label")?
-                        .to_string(),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        let io = match v.get("io") {
-            None => None,
-            Some(io) => {
-                let num = |f: &str| {
-                    io.get(f)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("io missing {f:?}"))
-                };
-                Some(IoStats {
-                    adjacency_reads: num("adjacency_reads")?,
-                    cache_hits: num("cache_hits")?,
-                    cache_misses: num("cache_misses")?,
-                    bytes_read: num("bytes_read")?,
-                    block_fetches: num("block_fetches")?,
-                    retries: num("retries")?,
-                    faults_absorbed: num("faults_absorbed")?,
-                    faults_fatal: num("faults_fatal")?,
-                    blocks_coalesced: num("blocks_coalesced")?,
-                    reads_merged: num("reads_merged")?,
-                    readahead_hits: num("readahead_hits")?,
-                })
-            }
-        };
-
-        Ok(MetricsSnapshot {
-            schema_version,
-            num_workers,
-            elapsed_secs,
-            counters,
-            gauges,
-            per_worker,
-            histograms,
-            phases,
-            timeline,
-            io,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -573,21 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_exact() {
-        let snap = sample_snapshot();
-        let text = snap.to_json_string();
-        let back = MetricsSnapshot::from_json_str(&text).unwrap();
-        // elapsed_secs goes through decimal text; everything else must be
-        // bit-exact. Compare with elapsed normalized.
-        let mut a = snap.clone();
-        let mut b = back.clone();
-        a.elapsed_secs = 0.0;
-        b.elapsed_secs = 0.0;
-        assert_eq!(a, b);
-        assert!((snap.elapsed_secs - back.elapsed_secs).abs() < 1e-9);
-    }
-
-    #[test]
     fn serialization_is_stable() {
         let snap = sample_snapshot();
         assert_eq!(snap.to_json_string(), snap.to_json_string());
@@ -596,50 +369,6 @@ mod tests {
         assert!(text.contains("\"visitors_pushed\": 10"));
         assert!(text.contains("\"service_time_ns\""));
         assert!(text.contains("\"adjacency_reads\": 4"));
-    }
-
-    #[test]
-    fn missing_io_round_trips_as_none() {
-        let r = ShardedRecorder::new(1);
-        let snap = r.snapshot();
-        assert!(snap.io.is_none());
-        let back = MetricsSnapshot::from_json_str(&snap.to_json_string()).unwrap();
-        assert!(back.io.is_none());
-    }
-
-    #[test]
-    fn rejects_wrong_schema_version() {
-        let snap = sample_snapshot();
-        let text = snap
-            .to_json_string()
-            .replace("\"schema_version\": 3", "\"schema_version\": 999");
-        assert!(MetricsSnapshot::from_json_str(&text)
-            .unwrap_err()
-            .contains("schema_version"));
-    }
-
-    #[test]
-    fn snapshot_missing_a_written_field_is_rejected() {
-        // Every field schema 3 writes is required: a snapshot missing one
-        // is an error naming it, never a silent zero.
-        let mut v = sample_snapshot().to_json();
-        let Value::Obj(fields) = &mut v else {
-            unreachable!()
-        };
-        fields.retain(|(k, _)| k != "gauges");
-        let err = MetricsSnapshot::from_json(&v).unwrap_err();
-        assert!(err.contains("gauges"), "{err}");
-
-        let text = sample_snapshot().to_json_string();
-        let cut = text.replace(",\n    \"readahead_hits\": 0", "");
-        assert_ne!(cut, text, "the sample writes readahead_hits last in io");
-        let err = MetricsSnapshot::from_json_str(&cut).unwrap_err();
-        assert!(err.contains("readahead_hits"), "{err}");
-
-        let cut = text.replace("\"active_queries_hwm\": 0", "\"other\": 0");
-        assert_ne!(cut, text);
-        let err = MetricsSnapshot::from_json_str(&cut).unwrap_err();
-        assert!(err.contains("active_queries_hwm"), "{err}");
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl StatePool {
         }
     }
 
-    /// Entry count of every array this pool hands out.
-    pub fn array_len(&self) -> usize {
-        self.len
-    }
-
     /// Arrays currently sitting idle in the pool.
     pub fn idle(&self) -> usize {
         self.free.lock().len()
@@ -175,7 +170,7 @@ impl StatePool {
 impl std::fmt::Debug for StatePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StatePool")
-            .field("array_len", &self.len)
+            .field("len", &self.len)
             .field("idle", &self.idle())
             .finish()
     }

@@ -222,7 +222,9 @@ pub(crate) struct Outbox<T: Visitor> {
 /// Per-destination delivery threshold. Flushing a buffer only once this
 /// many visitors have accumulated for that destination keeps each
 /// delivery (one lock acquisition) amortized over a real batch even when
-/// pushes fan out across many queues.
+/// pushes fan out across many queues. The loop delivers the ready buffers
+/// after every visit that filled one, so between visits no buffer holds
+/// this many and the outbox stages fewer than this per destination.
 const FLUSH_PER_DEST: usize = 128;
 
 impl<T: Visitor> Outbox<T> {
@@ -432,11 +434,6 @@ pub(crate) fn engine_worker<V: Visitor, T: QueryTag, D: Handle<V>, R: Recorder>(
         recorder.timeline("worker_start");
     }
 
-    // Backstop: a full flush once this many visitors are staged in total,
-    // so a push pattern that never fills any single destination buffer
-    // still bounds the delivery latency the batching introduces.
-    let outbox_max_staged: u64 = (FLUSH_PER_DEST * inboxes.len()) as u64;
-
     // Visitors drained for the current service round, split into parallel
     // visitor/tag columns so `prepare_batch` can see contiguous `&[V]`
     // runs; reused across rounds so the hot path does not allocate.
@@ -561,9 +558,6 @@ pub(crate) fn engine_worker<V: Visitor, T: QueryTag, D: Handle<V>, R: Recorder>(
                 if !outbox.ready.is_empty() {
                     led.flushes += 1;
                     outbox.flush_ready(inboxes);
-                } else if outbox.staged >= outbox_max_staged {
-                    led.flushes += 1;
-                    outbox.flush(inboxes);
                 }
             }
             continue;
@@ -615,4 +609,63 @@ pub(crate) fn engine_worker<V: Visitor, T: QueryTag, D: Handle<V>, R: Recorder>(
     }
     drop(poison_guard);
     totals
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asyncgt_obs::NoopRecorder;
+
+    #[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+    struct Hop(u64);
+    impl Visitor for Hop {
+        fn target(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Under the worker loop's rule (deliver the ready buffers after any
+    /// visit that filled one), no buffer holds `FLUSH_PER_DEST` visitors
+    /// between visits, so an outbox never stages `FLUSH_PER_DEST` per
+    /// destination in total, however skewed the pushes are.
+    #[test]
+    fn flushing_ready_buffers_bounds_what_an_outbox_stages() {
+        const QUEUES: usize = 8;
+        let inboxes: Vec<Mailbox<Hop>> = (0..QUEUES).map(|_| Mailbox::new()).collect();
+        let mut outbox = Outbox::new(QUEUES);
+        let mut pushed = 0u64;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for visit in 0..4000u64 {
+            // Every 16th visit is a hub fanning out to hundreds of
+            // visitors; the rest push a few. Destinations are skewed:
+            // queue q draws about 2^-(q+1) of the pushes.
+            let fanout = if visit % 16 == 0 {
+                200 + visit % 400
+            } else {
+                visit % 5
+            };
+            for _ in 0..fanout {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let q = (x.trailing_zeros() as usize).min(QUEUES - 1);
+                outbox.stage(q, Hop(q as u64));
+                pushed += 1;
+            }
+            if !outbox.ready.is_empty() {
+                outbox.flush_ready(&inboxes);
+            }
+            assert!(outbox.buffers.iter().all(|b| b.len() < FLUSH_PER_DEST));
+            let held: usize = outbox.buffers.iter().map(Vec::len).sum();
+            assert_eq!(outbox.staged, held as u64);
+            assert!(outbox.staged < (FLUSH_PER_DEST * QUEUES) as u64);
+        }
+        let mut heap = BucketQueue::new(0, true);
+        let delivered: u64 = inboxes
+            .iter()
+            .map(|mb| mb.drain(&mut heap, &NoopRecorder))
+            .sum();
+        assert!(delivered > 0);
+        assert_eq!(delivered + outbox.staged, pushed, "no visitor is lost");
+    }
 }

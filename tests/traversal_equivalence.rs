@@ -4,7 +4,7 @@
 //! graphs, and degenerate structures across thread counts.
 
 use asyncgt::{try_bfs, try_connected_components, try_sssp, Config};
-use asyncgt_baselines::{delta_stepping, level_sync, serial, union_find};
+use asyncgt_baselines::{level_sync, serial, union_find};
 use asyncgt_graph::generators::{
     binary_tree, complete_graph, cycle_graph, grid_graph, path_graph, star_graph, RmatGenerator,
     RmatParams,
@@ -77,10 +77,9 @@ fn all_algorithms_agree_on_rmat() {
             b_ser.dist
         );
 
-        // SSSP: dijkstra == delta-stepping == async.
+        // SSSP: dijkstra == async.
         let w = weighted_copy(&d, WeightKind::LogUniform, 3);
         let s_ser = serial::dijkstra(&w, 0);
-        assert_eq!(delta_stepping::sssp(&w, 0, 64).dist, s_ser.dist);
         assert_eq!(
             try_sssp(&w, 0, &Config::with_threads(16)).unwrap().dist,
             s_ser.dist
